@@ -30,6 +30,15 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Bounds on a ``values`` request, checked before any arithmetic.  The
+# table is read off one series held in memory over the whole index box,
+# so the box's (max_weight + 1) ** depth entries are bounded.  The depth-1
+# factor behind it is a series division whose cost grows with the cube
+# of its order, depth * max_weight, so depth * (max_weight + 1), which
+# also bounds the depth when max_weight is 0, is bounded as well.
+MAX_TABLE_ENTRIES = 50_000
+MAX_TABLE_SPAN = 500
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -94,6 +103,15 @@ def _csv_text(rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_values(args) -> int:
+    span = args.depth * (args.max_weight + 1)
+    if span > MAX_TABLE_SPAN or (args.max_weight + 1) ** args.depth > MAX_TABLE_ENTRIES:
+        print(
+            f"error: a depth-{args.depth} table with max weight {args.max_weight} is too "
+            f"large: the limits are (max_weight + 1) ** depth <= {MAX_TABLE_ENTRIES:,} "
+            f"entries and depth * (max_weight + 1) <= {MAX_TABLE_SPAN}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     table = value_table(args.family, args.depth, args.max_weight)
     if args.format == "json":
         text = _json_text(table.to_json_dict())

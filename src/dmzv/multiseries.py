@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Mapping, Sequence
 
 from .rationals import RationalLike, multinomial
@@ -50,6 +51,18 @@ class MultiSeries:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiSeries is immutable")
+
+    @classmethod
+    def _trusted(
+        cls, coeffs: dict[tuple[int, ...], Fraction], nvars: int, cap: int
+    ) -> "MultiSeries":
+        """Wrap coefficients already known to be non-zero ``Fraction``s on
+        in-box exponent tuples, skipping the constructor's checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "cap", cap)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
     @classmethod
     def constant(cls, value: RationalLike, nvars: int, cap: int) -> "MultiSeries":
@@ -107,15 +120,45 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         self._check_shape(other)
-        cap = self.cap
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(x > cap for x in e):
-                    continue
-                out[e] = out.get(e, _ZERO) + c1 * c2
-        return MultiSeries({e: c for e, c in out.items() if c}, self.nvars, cap)
+        nvars, cap = self.nvars, self.cap
+        # Exponent vectors are packed into one int, `width` bits per
+        # variable, so adding two codes adds the vectors without carries.
+        # With `bias` added, a field's top bit is set exactly when that
+        # exponent of the sum exceeds the cap.
+        width = cap.bit_length() + 1
+        mask = (1 << width) - 1
+        shifts = [width * i for i in range(nvars)]
+        top = 1 << (width - 1)
+        high = sum(top << sh for sh in shifts)
+        bias = sum((top - 1 - cap) << sh for sh in shifts)
+        left, left_den = _packed(self.coeffs, shifts)
+        right, right_den = _packed(other.coeffs, shifts)
+        # Whether a right term fits beside a left one depends only on the
+        # left exponents of the variables the right operand uses, so the
+        # fitting right terms are found once per such projection.
+        used = 0
+        for code, _ in right:
+            used |= code
+        projection = sum(mask << sh for sh in shifts if used & (mask << sh))
+        fitting: dict[int, list[tuple[int, int]]] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
+        for c1, n1 in left:
+            key = c1 & projection
+            terms = fitting.get(key)
+            if terms is None:
+                biased = c1 + bias
+                terms = fitting[key] = [t for t in right if not (biased + t[0]) & high]
+            for c2, n2 in terms:
+                e = c1 + c2
+                acc[e] = get(e, 0) + n1 * n2
+        den = left_den * right_den
+        out = {
+            tuple([(code >> sh) & mask for sh in shifts]): Fraction(num, den)
+            for code, num in acc.items()
+            if num
+        }
+        return MultiSeries._trusted(out, nvars, cap)
 
     __rmul__ = __mul__
 
@@ -146,6 +189,17 @@ class MultiSeries:
         head = ", ".join(f"{e}: {c}" for e, c in self.terms_sorted()[:6])
         tail = ", ..." if len(self.coeffs) > 6 else ""
         return f"MultiSeries({{{head}{tail}}}, nvars={self.nvars}, cap={self.cap})"
+
+
+def _packed(coeffs: Mapping[tuple[int, ...], Fraction], shifts: Sequence[int]):
+    """Terms as (packed exponent code, integer numerator) over the common
+    denominator of all coefficients, and that denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    terms = [
+        (sum(e << sh for e, sh in zip(exps, shifts)), c.numerator * (den // c.denominator))
+        for exps, c in coeffs.items()
+    ]
+    return terms, den
 
 
 def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) -> MultiSeries:

@@ -29,7 +29,7 @@ from .genfun import (
     fkmt_factor,
     fkmt_series,
     fkmt_value,
-    series_value_table,
+    value_table,
 )
 from .multiseries import substitute_linear_form, substitute_linear_forms
 from .rationals import binomial, format_rational
@@ -122,8 +122,8 @@ def verify_depth1(max_weight: int = 20, store: Optional[ValueStore] = None) -> I
     started = time.monotonic()
     store = store or ValueStore()
     checks = []
-    fkmt_table = series_value_table("FKMT", 1, max_weight)
-    ems_table = series_value_table("EMS", 1, max_weight)
+    fkmt_table = value_table("FKMT", 1, max_weight)
+    ems_table = value_table("EMS", 1, max_weight)
     for k in range(max_weight + 1):
         sign = -1 if k % 2 else 1
         closed = sign * bernoulli(k + 1, store.cache)
@@ -171,8 +171,8 @@ def verify_routes(
     store = store or ValueStore()
     checks = []
     for depth in range(1, max_depth + 1):
-        fkmt_table = series_value_table("FKMT", depth, max_weight)
-        ems_table = series_value_table("EMS", depth, max_weight)
+        fkmt_table = value_table("FKMT", depth, max_weight)
+        ems_table = value_table("EMS", depth, max_weight)
         for k in _box(max_weight, depth):
             checks.append(
                 _value_check(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dmzv import cli
 from dmzv.cli import main
 
 
@@ -50,6 +51,19 @@ def test_values_rejects_bad_flags(capsys):
     with pytest.raises(SystemExit) as err:
         main(["values", "--family", "nope"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("depth, weight", [(6, 6), (1, 600), (600, 0)])
+def test_values_refuses_oversized_tables(capsys, monkeypatch, depth, weight):
+    def no_arithmetic(*args):
+        raise AssertionError("an oversized table must be refused before it is built")
+
+    monkeypatch.setattr(cli, "value_table", no_arithmetic)
+    assert main(["values", "--family", "fkmt", "--depth", str(depth),
+                 "--max-weight", str(weight)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large" in captured.err
 
 
 def test_gr_coeffs_depth1(capsys):

@@ -16,7 +16,6 @@ from dmzv.genfun import (
     fkmt_series,
     fkmt_value,
     fkmt_value_series,
-    series_value_table,
     value_table,
 )
 
@@ -146,10 +145,18 @@ def test_value_table_json_and_csv():
 
 
 def test_series_and_multisum_tables_match():
-    for family in ("FKMT", "EMS"):
-        a = value_table(family, 2, 3)
-        b = series_value_table(family, 2, 3)
-        assert a.entries == b.entries
+    # every table entry, read off one generating function, equals the
+    # value computed on its own by the Bernoulli multi-sum
+    for family, multisum in (("FKMT", fkmt_value), ("EMS", ems_value)):
+        witness = {}
+        for depth in (1, 2, 3):
+            for weight in range(5):
+                table = value_table(family, depth, weight)
+                assert set(table.entries) == set(iter_product(range(weight + 1), repeat=depth))
+                for k, value in table.entries.items():
+                    if k not in witness:
+                        witness[k] = multisum(k)
+                    assert value == witness[k], (family, depth, weight, k)
 
 
 def test_invalid_inputs():
@@ -161,3 +168,5 @@ def test_invalid_inputs():
         value_table("bogus", 1, 2)
     with pytest.raises(ValueError):
         value_table("fkmt", 0, 2)
+    with pytest.raises(ValueError):
+        value_table("fkmt", 1, -1)

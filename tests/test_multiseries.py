@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dmzv.multiseries import MultiSeries, substitute_linear_form, substitute_linear_forms
 from dmzv.series import UniSeries
@@ -114,3 +116,42 @@ def test_substitute_linear_forms_guard():
     X = MultiSeries.constant(1, 2, 3)
     with pytest.raises(ValueError, match="insufficient multivariate order"):
         substitute_linear_forms(X, [(1, -1), (0, 1)], 2)  # needs input cap 4
+
+
+@st.composite
+def series_pairs(draw):
+    """Two sparse series of one random shape: 1-4 variables, cap 0-4."""
+    nvars = draw(st.integers(1, 4))
+    cap = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, cap)] * nvars)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = st.dictionaries(exps, coeffs, max_size=30)
+    return MultiSeries(draw(terms), nvars, cap), MultiSeries(draw(terms), nvars, cap)
+
+
+def naive_product(a, b):
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if max(e) <= a.cap:
+                out[e] = out.get(e, 0) + c1 * c2
+    return MultiSeries(out, a.nvars, a.cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_product_matches_naive_reference(pair):
+    a, b = pair
+    product = a * b
+    assert product == naive_product(a, b)
+    assert all(type(c) is Fraction and c for c in product.coeffs.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(series_pairs(), series_pairs())
+def test_product_shape_mismatch_raises(first, second):
+    a, b = first[0], second[0]
+    assume((a.nvars, a.cap) != (b.nvars, b.cap))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a * b
