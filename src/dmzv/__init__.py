@@ -37,7 +37,6 @@ from .rationals import (
 )
 from .report import Check, IdentityReport
 from .series import (
-    LaurentSeries,
     UniSeries,
     divide_with_valuation,
     exp_minus_one,

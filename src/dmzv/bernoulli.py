@@ -30,6 +30,7 @@ class BernoulliCache:
     def __init__(self) -> None:
         self._table: list[Fraction] = [Fraction(1)]
         self._lock = threading.Lock()
+        self._unread: set[int] = set()  # corrupted indices no caller has read
 
     def value(self, m: int) -> Fraction:
         if m < 0:
@@ -37,6 +38,8 @@ class BernoulliCache:
         if m >= len(self._table):
             with self._lock:
                 self._fill(m)
+        if self._unread:
+            self._unread.discard(m)
         return self._table[m]
 
     def _fill(self, m: int) -> None:
@@ -58,10 +61,17 @@ class BernoulliCache:
         The verification harness is expected to notice a corrupted table;
         this hook exists so that tests (and ``verify --corrupt-bernoulli``)
         can prove that it does.  Never call this on the shared default
-        cache.
+        cache.  The index counts as unread until a later :meth:`value`
+        call returns it.
         """
         self.value(m)
         self._table[m] = Fraction(value)
+        self._unread.add(m)
+
+    def unread_corruptions(self) -> list[int]:
+        """Corrupted indices that no :meth:`value` call has returned since
+        they were corrupted, in increasing order."""
+        return sorted(self._unread)
 
 
 _DEFAULT = BernoulliCache()

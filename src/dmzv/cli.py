@@ -18,7 +18,7 @@ import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .genfun import depth1_conversion_residuals, ems_value, fkmt_value, value_table
+from .genfun import FAMILIES, depth1_conversion_residuals, ems_value, fkmt_value, value_table
 from .rationals import format_rational, parse_rational
 from .shiftcoeffs import shift_coefficients, shifted_zeta_expression
 from .verify import SUITES, VerifyConfig, reports_pass, run_all
@@ -130,7 +130,6 @@ def _cmd_values(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = VerifyConfig()
     if args.suite:
         unknown = [s for s in args.suite if s not in SUITES]
         if unknown:
@@ -139,40 +138,10 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        config.suites = tuple(args.suite)
-    if args.max_weight is not None:
-        w = args.max_weight
-        config.routes_weight = w
-        config.recurrence_weights = tuple(
-            min(w, x) for x in config.recurrence_weights
-        )
-        config.telescope_weight = min(w, config.telescope_weight)
-        config.shuffle_weight = min(w, config.shuffle_weight)
-        config.last_entry_weight = w
-        config.inversion_weights = tuple(min(w, x) for x in config.inversion_weights)
-        config.ems_weight = min(w, config.ems_weight)
-        config.conversion_weight = w
-        config.depth1_weight = max(w, 1)
-    if args.depth is not None:
-        d = args.depth
-        config.routes_depth = min(d, config.routes_depth)
-        config.recurrence_depths = tuple(x for x in config.recurrence_depths if x <= d)
-        config.recurrence_weights = config.recurrence_weights[
-            : len(config.recurrence_depths)
-        ]
-        config.telescope_depths = tuple(x for x in config.telescope_depths if x <= d)
-        config.last_entry_depths = tuple(x for x in config.last_entry_depths if x <= d)
-        config.inversion_depths = tuple(x for x in config.inversion_depths if x <= d)
-        config.inversion_weights = config.inversion_weights[
-            : len(config.inversion_depths)
-        ]
-        config.conversion_depth = min(d, config.conversion_depth)
-        config.shift_depth = max(d, 1)
-    if args.truncation is not None:
-        config.conversion_cap = args.truncation
-        config.words_order = args.truncation
-    if args.corrupt_bernoulli:
-        config.corrupt_bernoulli = tuple(args.corrupt_bernoulli)
+    config = VerifyConfig(
+        suites=tuple(args.suite) if args.suite else None,
+        corrupt_bernoulli=tuple(args.corrupt_bernoulli or ()),
+    ).capped(args.depth, args.max_weight, args.truncation)
 
     reports = run_all(config)
     passed = reports_pass(reports)
@@ -282,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_values = sub.add_parser("values", help="emit a grid of exact values")
-    p_values.add_argument("--family", choices=["fkmt", "ems"], required=True)
+    p_values.add_argument(
+        "--family", choices=[name.lower() for name in FAMILIES], required=True
+    )
     p_values.add_argument("--depth", type=_positive_int, default=1)
     p_values.add_argument("--max-weight", type=_non_negative_int, default=4)
     p_values.add_argument("--format", choices=["json", "csv", "text"], default="text")

@@ -1,5 +1,11 @@
 """Generating functions and exact values of the two zeta-value families.
 
+Both families have the same generating-function shape: a product over i
+of one depth-1 factor evaluated at T_i = t_i + ... + t_r.  A
+:class:`Family` record holds everything that tells them apart (the
+factor, the multi-sum row weight that its coefficients give, and the
+names), and each computation below is written once over that record.
+
 Two independent routes are provided for each family:
 
 * a series route: build the closed-form generating function as a
@@ -24,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
@@ -32,6 +38,10 @@ from .rationals import binomial, format_rational, parse_rational
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
 
 __all__ = [
+    "Family",
+    "FKMT",
+    "EMS",
+    "FAMILIES",
     "fkmt_factor",
     "ems_factor",
     "ems_prefactor",
@@ -47,9 +57,6 @@ __all__ = [
     "value_table",
     "series_value_table",
 ]
-
-FAMILIES = ("FKMT", "EMS")
-
 
 # ---------------------------------------------------------------------------
 # depth-1 factors
@@ -95,30 +102,27 @@ def _tail_weights(depth: int, i: int) -> tuple[int, ...]:
     return (0,) * (i - 1) + (1,) * (depth - i + 1)
 
 
-@lru_cache(maxsize=None)
-def fkmt_series(depth: int, cap: int) -> MultiSeries:
-    """Generating function of the desingularized values: the product over
-    i of the depth-1 factor evaluated at t_i + ... + t_depth."""
+def _product_series(family: Family, depth: int, cap: int) -> MultiSeries:
+    # the product over i of the family's depth-1 factor at t_i + ... + t_depth
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    factor = fkmt_factor(depth * cap)
+    factor = family.factor(depth * cap)
     out = MultiSeries.constant(1, depth, cap)
     for i in range(1, depth + 1):
         out = out * substitute_linear_form(factor, _tail_weights(depth, i), cap)
     return out
+
+
+@lru_cache(maxsize=None)
+def fkmt_series(depth: int, cap: int) -> MultiSeries:
+    """Generating function of the desingularized values."""
+    return _product_series(FKMT, depth, cap)
 
 
 @lru_cache(maxsize=None)
 def ems_series(depth: int, cap: int) -> MultiSeries:
-    """Generating function of the renormalized values; same product shape
-    as :func:`fkmt_series` with the renormalized depth-1 factor."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    factor = ems_factor(depth * cap)
-    out = MultiSeries.constant(1, depth, cap)
-    for i in range(1, depth + 1):
-        out = out * substitute_linear_form(factor, _tail_weights(depth, i), cap)
-    return out
+    """Generating function of the renormalized values."""
+    return _product_series(EMS, depth, cap)
 
 
 def ems_series_from_fkmt(depth: int, cap: int) -> MultiSeries:
@@ -132,6 +136,50 @@ def ems_series_from_fkmt(depth: int, cap: int) -> MultiSeries:
     for i in range(1, depth + 1):
         out = out * substitute_linear_form(prefactor, _tail_weights(depth, i), cap)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the two families
+# ---------------------------------------------------------------------------
+
+RowWeight = Callable[[int, BernoulliCache | None], Fraction]
+
+
+class Family(NamedTuple):
+    """Everything that tells one value family from the other.
+
+    ``factor(order)`` is the depth-1 factor of the generating function and
+    ``series`` the cached generating function built from it.  Row ``n`` of
+    the multi-sum is weighted by ``row_weight(n, cache)``, which is also
+    (-1)^n times the depth-1 value at -n.  ``label`` names the family in
+    check descriptions.
+    """
+
+    name: str
+    label: str
+    factor: Callable[[int], UniSeries]
+    series: Callable[[int, int], MultiSeries]
+    row_weight: RowWeight
+
+
+# ``series`` calls the module-level entry point by name, so a wrapper
+# installed on it (a profiler's, or the benchmark's layer tracer) also
+# sees the calls made through the record.
+FKMT = Family(
+    "FKMT",
+    "desingularized",
+    fkmt_factor,
+    lambda depth, cap: fkmt_series(depth, cap),
+    lambda n, cache: bernoulli(n + 1, cache),
+)
+EMS = Family(
+    "EMS",
+    "renormalized",
+    ems_factor,
+    lambda depth, cap: ems_series(depth, cap),
+    lambda n, cache: bernoulli(n + 1, cache) / (n + 1),
+)
+FAMILIES = {family.name: family for family in (FKMT, EMS)}
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +203,20 @@ def _checked_index(k: Sequence[int]) -> tuple[int, ...]:
     return k
 
 
+def _value_series(family: Family, k: Sequence[int]) -> Fraction:
+    k = _checked_index(k)
+    series = family.series(len(k), max(k))
+    return _coefficient_to_value(series.coefficient(k), k)
+
+
 def fkmt_value_series(k: Sequence[int]) -> Fraction:
     """Desingularized value at -k, read off the generating function."""
-    k = _checked_index(k)
-    series = fkmt_series(len(k), max(k))
-    return _coefficient_to_value(series.coefficient(k), k)
+    return _value_series(FKMT, k)
 
 
 def ems_value_series(k: Sequence[int]) -> Fraction:
     """Renormalized value at -k, read off the generating function."""
-    k = _checked_index(k)
-    series = ems_series(len(k), max(k))
-    return _coefficient_to_value(series.coefficient(k), k)
+    return _value_series(EMS, k)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +234,10 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, divide_by_tail: bool) -> Fraction:
+def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowWeight) -> Fraction:
+    # every upper-triangular matrix (nu_ij), 1 <= i <= j <= r, whose column
+    # sums are the entries of k, with row i weighted by
+    # row_weight(nu_ii + ... + nu_ir)
     r = len(k)
     columns = [list(_compositions(k[j], j + 1)) for j in range(r)]
     numerator = 1
@@ -200,31 +253,26 @@ def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, divide_by_tail: 
                 denom *= factorial(entry)
         term = Fraction(numerator, denom)
         for tail in row_tails:
-            b = bernoulli(tail + 1, cache)
-            if not b:
+            weight = row_weight(tail, cache)
+            if not weight:
                 term = Fraction(0)
                 break
-            term *= b / (tail + 1) if divide_by_tail else b
+            term *= weight
         total += term
     return -total if sum(k) % 2 else total
 
 
 def fkmt_value(k: Sequence[int], cache: BernoulliCache | None = None) -> Fraction:
-    """Desingularized value at -k via the Bernoulli multi-sum.
-
-    Enumerates every upper-triangular matrix (nu_ij) for 1 <= i <= j <= r
-    whose column sums are the entries of k, weighting row i by
-    B_{nu_ii + ... + nu_ir + 1}.  No truncation bookkeeping is needed, so
-    this route handles index entries of any size.
-    """
-    return _multisum(_checked_index(k), cache, divide_by_tail=False)
+    """Desingularized value at -k via the Bernoulli multi-sum, with row
+    weight B_{n+1}.  No truncation bookkeeping is needed, so this route
+    handles index entries of any size."""
+    return _multisum(_checked_index(k), cache, FKMT.row_weight)
 
 
 def ems_value(k: Sequence[int], cache: BernoulliCache | None = None) -> Fraction:
     """Renormalized value at -k via the same multi-sum with row weight
-    B_{n+1} / (n+1), the coefficient family of the renormalized depth-1
-    factor 1/(exp(u)-1) - 1/u."""
-    return _multisum(_checked_index(k), cache, divide_by_tail=True)
+    B_{n+1} / (n+1)."""
+    return _multisum(_checked_index(k), cache, EMS.row_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +322,7 @@ class ValueTable:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
         for key in self.entries:
             if len(key) != self.depth:
                 raise ValueError(f"multi-index {key} does not have depth {self.depth}")
@@ -314,23 +362,19 @@ def _index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:
 def value_table(family: str, depth: int, max_weight: int) -> ValueTable:
     """All values with index entries <= max_weight, read off one generating
     function that covers the whole box [0, max_weight]^depth."""
-    family = family.upper()
-    if family == "FKMT":
-        build = fkmt_series
-    elif family == "EMS":
-        build = ems_series
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    fam = FAMILIES.get(family.upper())
+    if fam is None:
+        raise ValueError(f"unknown family {family.upper()!r}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    series = build(depth, max_weight)
+    series = fam.series(depth, max_weight)
     entries = {
         k: _coefficient_to_value(series.coefficient(k), k)
         for k in _index_box(depth, max_weight)
     }
-    return ValueTable(family, depth, entries)
+    return ValueTable(fam.name, depth, entries)
 
 
 # Second name of value_table, kept for existing callers; the benchmark's

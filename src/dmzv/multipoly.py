@@ -154,14 +154,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers of a polynomial are not defined")
-        out = LaurentPolynomial.constant(1, self.variables)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift_variable(self, name: str, k: int) -> "LaurentPolynomial":
         """Multiply by name**k (k may be negative)."""
         idx = self.variables.index(name)
@@ -169,11 +161,6 @@ class LaurentPolynomial:
             e[:idx] + (e[idx] + k,) + e[idx + 1 :]: c for e, c in self.terms.items()
         }
         return LaurentPolynomial(out, self.variables)
-
-    def max_degree(self, name: str) -> int:
-        """Largest exponent of the variable; 0 for the zero polynomial."""
-        idx = self.variables.index(name)
-        return max((e[idx] for e in self.terms), default=0)
 
     def min_degree(self, name: str) -> int:
         idx = self.variables.index(name)

@@ -206,12 +206,16 @@ def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) 
     """Evaluate a univariate series at sum_j weights_j * t_j, capped per variable.
 
     Exact for every exponent vector in the box, which requires the input to
-    be exact through degree len(weights) * cap.
+    be exact through degree len(weights) * cap and to have no pole.
     """
     weights = tuple(int(w) for w in weights)
     nvars = len(weights)
     if nvars < 1:
         raise ValueError("weights must be non-empty")
+    if min(series.coeffs, default=0) < 0:
+        raise ValueError(
+            f"cannot substitute a series with a pole (valuation {series.valuation()})"
+        )
     needed = nvars * cap
     if series.order < needed:
         raise ValueError(

@@ -1,4 +1,5 @@
-"""Univariate truncated power series and Laurent series over the rationals.
+"""Univariate truncated series over the rationals, with finitely many
+terms of negative degree allowed (Laurent series).
 
 Every series carries an explicit ``order``: the largest degree through
 which its coefficients are exact.  Binary operations compute the order of
@@ -18,7 +19,6 @@ from .rationals import RationalLike
 
 __all__ = [
     "UniSeries",
-    "LaurentSeries",
     "divide_with_valuation",
     "laurent_divide",
     "exp_minus_one",
@@ -29,30 +29,23 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def _clean(coeffs: Mapping[int, RationalLike], order: int, lowest: int | None) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for deg, value in coeffs.items():
-        deg = int(deg)
-        if lowest is not None and deg < lowest:
-            raise ValueError(f"degree {deg} below the permitted minimum {lowest}")
-        if deg > order:
-            raise ValueError(f"degree {deg} exceeds the truncation order {order}")
-        value = Fraction(value)
-        if value:
-            out[deg] = value
-    return out
-
-
 class UniSeries:
-    """Power series in one variable, exact through degree ``order``."""
+    """Series in one variable, exact through degree ``order``; degrees of
+    either sign are allowed, so a finite pole is representable."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Mapping[int, RationalLike], order: int):
         order = int(order)
-        if order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {order}")
-        object.__setattr__(self, "coeffs", _clean(coeffs, order, 0))
+        out: dict[int, Fraction] = {}
+        for deg, value in coeffs.items():
+            deg = int(deg)
+            if deg > order:
+                raise ValueError(f"degree {deg} exceeds the truncation order {order}")
+            value = Fraction(value)
+            if value:
+                out[deg] = value
+        object.__setattr__(self, "coeffs", out)
         object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -134,14 +127,25 @@ class UniSeries:
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "UniSeries":
-        """Multiply by u^k (k >= 0); coefficients stay exact through order + k."""
-        if k < 0:
-            raise ValueError("UniSeries.shift requires k >= 0")
+        """Multiply by u^k (k of either sign); exact through order + k."""
         return UniSeries({d + k: c for d, c in self.coeffs.items()}, self.order + k)
 
     def negate_variable(self) -> "UniSeries":
         """Substitute u -> -u."""
         return UniSeries({d: c if d % 2 == 0 else -c for d, c in self.coeffs.items()}, self.order)
+
+    def derivative(self) -> "UniSeries":
+        """Termwise d/du; loses one representable order at the top."""
+        out = {d - 1: d * c for d, c in self.coeffs.items() if d != 0}
+        return UniSeries(out, self.order - 1)
+
+    def derivative_n(self, n: int) -> "UniSeries":
+        if n < 0:
+            raise ValueError("derivative order must be >= 0")
+        out = self
+        for _ in range(n):
+            out = out.derivative()
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniSeries):
@@ -155,130 +159,9 @@ class UniSeries:
         return f"UniSeries({{{terms}}}, order={self.order})"
 
 
-class LaurentSeries:
-    """Finite-pole series in one variable; degrees may be negative."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Mapping[int, RationalLike], order: int):
-        order = int(order)
-        object.__setattr__(self, "coeffs", _clean(coeffs, order, None))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("LaurentSeries is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "LaurentSeries":
-        return cls({}, order)
-
-    @classmethod
-    def one(cls, order: int) -> "LaurentSeries":
-        return cls({0: 1}, order)
-
-    @classmethod
-    def from_power(cls, series: UniSeries) -> "LaurentSeries":
-        return cls(series.coeffs, series.order)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def valuation(self) -> int:
-        return min(self.coeffs) if self.coeffs else self.order + 1
-
-    def coefficient(self, degree: int) -> Fraction:
-        if degree > self.order:
-            raise ValueError(
-                f"coefficient of degree {degree} requested beyond truncation order {self.order}"
-            )
-        return self.coeffs.get(degree, _ZERO)
-
-    def truncate(self, order: int) -> "LaurentSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation order {self.order} to {order}")
-        return LaurentSeries({d: c for d, c in self.coeffs.items() if d <= order}, order)
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = {d: c for d, c in self.coeffs.items() if d <= order}
-        for d, c in other.coeffs.items():
-            if d > order:
-                continue
-            s = out.get(d, _ZERO) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return LaurentSeries(out, order)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries({d: -c for d, c in self.coeffs.items()}, self.order)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def scale(self, factor: RationalLike) -> "LaurentSeries":
-        factor = Fraction(factor)
-        if not factor:
-            return LaurentSeries.zero(self.order)
-        return LaurentSeries({d: c * factor for d, c in self.coeffs.items()}, self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        order = min(self.order + other.valuation(), other.order + self.valuation())
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                if d > order:
-                    continue
-                out[d] = out.get(d, _ZERO) + c1 * c2
-        return LaurentSeries({d: c for d, c in out.items() if c}, order)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by z^k; k may be negative."""
-        return LaurentSeries({d + k: c for d, c in self.coeffs.items()}, self.order + k)
-
-    def derivative(self) -> "LaurentSeries":
-        """Termwise d/dz; loses one representable order at the top."""
-        out = {d - 1: d * c for d, c in self.coeffs.items() if d != 0}
-        return LaurentSeries(out, self.order - 1)
-
-    def derivative_n(self, n: int) -> "LaurentSeries":
-        if n < 0:
-            raise ValueError("derivative order must be >= 0")
-        out = self
-        for _ in range(n):
-            out = out.derivative()
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def agrees_through(self, other: "LaurentSeries", order: int) -> bool:
-        """Coefficientwise equality for every degree <= order."""
-        if self.order < order or other.order < order:
-            raise ValueError("operands are not exact through the requested order")
-        return self.truncate(order).coeffs == other.truncate(order).coeffs
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{d}: {c}" for d, c in sorted(self.coeffs.items()))
-        return f"LaurentSeries({{{terms}}}, order={self.order})"
-
-
 def divide_with_valuation(num: UniSeries, den: UniSeries) -> UniSeries:
-    """Exact power-series quotient num/den when valuation(num) >= valuation(den).
+    """Exact quotient num/den when valuation(num) >= valuation(den), so the
+    quotient has no pole.
 
     The quotient q satisfies q * den = num through the common representable
     order, which is min(num.order, den.order) - valuation(den).
@@ -308,18 +191,15 @@ def divide_with_valuation(num: UniSeries, den: UniSeries) -> UniSeries:
     return UniSeries(q, order)
 
 
-def laurent_divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
-    """Exact Laurent quotient; the valuation of the result may be negative."""
+def laurent_divide(num: UniSeries, den: UniSeries) -> UniSeries:
+    """Exact quotient of any valuations; the result may have a pole."""
     if den.is_zero():
         raise ValueError("division by the zero series")
     vd = den.valuation()
     if num.is_zero():
-        return LaurentSeries.zero(num.order - vd)
+        return UniSeries.zero(num.order - vd)
     vn = num.valuation()
-    num_p = UniSeries({d - vn: c for d, c in num.coeffs.items()}, num.order - vn)
-    den_p = UniSeries({d - vd: c for d, c in den.coeffs.items()}, den.order - vd)
-    quot = divide_with_valuation(num_p, den_p)
-    return LaurentSeries(quot.coeffs, quot.order).shift(vn - vd)
+    return divide_with_valuation(num.shift(-vn), den.shift(-vd)).shift(vn - vd)
 
 
 def exp_minus_one(order: int) -> UniSeries:
@@ -334,7 +214,7 @@ def exp_series(order: int) -> UniSeries:
     return UniSeries({m: Fraction(1, factorial(m)) for m in range(order + 1)}, order)
 
 
-def exp_over_one_minus_exp(order: int) -> LaurentSeries:
+def exp_over_one_minus_exp(order: int) -> UniSeries:
     """Laurent expansion of exp(z) / (1 - exp(z)), valuation -1.
 
     Leading terms: -1/z - 1/2 - z/12 + z^3/720 - ...
@@ -342,7 +222,4 @@ def exp_over_one_minus_exp(order: int) -> LaurentSeries:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     work = order + 2
-    num = LaurentSeries.from_power(exp_series(work))
-    den = LaurentSeries.from_power(-exp_minus_one(work))
-    quot = laurent_divide(num, den)
-    return quot.truncate(order)
+    return laurent_divide(exp_series(work), -exp_minus_one(work)).truncate(order)

@@ -15,13 +15,15 @@ that the harness notices.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli, default_cache
 from .genfun import (
+    EMS,
+    FKMT,
     depth1_conversion_residuals,
     ems_series,
     ems_series_from_fkmt,
@@ -84,6 +86,39 @@ def _value_check(description: str, lhs: Fraction, rhs: Fraction, index_info: dic
     return Check.failed(description, witness)
 
 
+def _series_check(description: str, lhs, rhs) -> Check:
+    """Equality of two multivariate series; a failure's witness is the
+    lowest exponent at which they differ."""
+    if lhs == rhs:
+        return Check.passed(description)
+    exps, coeff = sorted((lhs - rhs).coeffs.items())[0]
+    return Check.failed(
+        description, {"exponent": list(exps), "difference": format_rational(coeff)}
+    )
+
+
+def _defect_check(description: str, u: Word, v: Word, defect) -> Check:
+    """Vanishing of a word pair's defect series; a failure's witness is
+    its lowest non-zero coefficient."""
+    if defect.is_zero():
+        return Check.passed(description)
+    degree = defect.valuation()
+    return Check.failed(
+        description,
+        {
+            "u": str(u),
+            "v": str(v),
+            "first_degree": degree,
+            "coefficient": format_rational(defect.coefficient(degree)),
+        },
+    )
+
+
+def _multisum_routes(store: ValueStore):
+    # each family with the store's multi-sum lookup for it
+    return ((FKMT, store.fkmt), (EMS, store.ems))
+
+
 def _box(weight: int, depth: int):
     return iter_product(range(weight + 1), repeat=depth)
 
@@ -122,44 +157,23 @@ def verify_depth1(max_weight: int = 20, store: Optional[ValueStore] = None) -> I
     started = time.monotonic()
     store = store or ValueStore()
     checks = []
-    fkmt_table = value_table("FKMT", 1, max_weight)
-    ems_table = value_table("EMS", 1, max_weight)
+    routes = [
+        (family, multisum, value_table(family.name, 1, max_weight))
+        for family, multisum in _multisum_routes(store)
+    ]
     for k in range(max_weight + 1):
         sign = -1 if k % 2 else 1
-        closed = sign * bernoulli(k + 1, store.cache)
-        checks.append(
-            _value_check(
-                f"desingularized depth-1 closed form, k={k} (multi-sum route)",
-                store.fkmt((k,)),
-                closed,
-                {"k": k},
-            )
-        )
-        checks.append(
-            _value_check(
-                f"desingularized depth-1 closed form, k={k} (series route)",
-                fkmt_table.value((k,)),
-                closed,
-                {"k": k},
-            )
-        )
-        closed_ems = sign * bernoulli(k + 1, store.cache) / (k + 1)
-        checks.append(
-            _value_check(
-                f"renormalized depth-1 closed form, k={k} (multi-sum route)",
-                store.ems((k,)),
-                closed_ems,
-                {"k": k},
-            )
-        )
-        checks.append(
-            _value_check(
-                f"renormalized depth-1 closed form, k={k} (series route)",
-                ems_table.value((k,)),
-                closed_ems,
-                {"k": k},
-            )
-        )
+        for family, multisum, table in routes:
+            closed = sign * family.row_weight(k, store.cache)
+            for route, value in (("multi-sum", multisum((k,))), ("series", table.value((k,)))):
+                checks.append(
+                    _value_check(
+                        f"{family.label} depth-1 closed form, k={k} ({route} route)",
+                        value,
+                        closed,
+                        {"k": k},
+                    )
+                )
     return _report("depth1", {"max_weight": max_weight}, checks, started)
 
 
@@ -171,25 +185,20 @@ def verify_routes(
     store = store or ValueStore()
     checks = []
     for depth in range(1, max_depth + 1):
-        fkmt_table = value_table("FKMT", depth, max_weight)
-        ems_table = value_table("EMS", depth, max_weight)
+        routes = [
+            (family, multisum, value_table(family.name, depth, max_weight))
+            for family, multisum in _multisum_routes(store)
+        ]
         for k in _box(max_weight, depth):
-            checks.append(
-                _value_check(
-                    f"desingularized routes agree at {k}",
-                    store.fkmt(k),
-                    fkmt_table.value(k),
-                    {"k": list(k)},
+            for family, multisum, table in routes:
+                checks.append(
+                    _value_check(
+                        f"{family.label} routes agree at {k}",
+                        multisum(k),
+                        table.value(k),
+                        {"k": list(k)},
+                    )
                 )
-            )
-            checks.append(
-                _value_check(
-                    f"renormalized routes agree at {k}",
-                    store.ems(k),
-                    ems_table.value(k),
-                    {"k": list(k)},
-                )
-            )
     return _report(
         "routes", {"max_depth": max_depth, "max_weight": max_weight}, checks, started
     )
@@ -262,18 +271,9 @@ def verify_telescope(
                 row[i + 1] = -1
             rows.append(row)
         rhs = substitute_linear_forms(full, rows, cap)
-        desc = f"telescoped factorization at depth {depth}, cap {cap}"
-        if lhs == rhs:
-            checks.append(Check.passed(desc))
-        else:
-            diff = lhs - rhs
-            exps, coeff = sorted(diff.coeffs.items())[0]
-            checks.append(
-                Check.failed(
-                    desc,
-                    {"exponent": list(exps), "difference": format_rational(coeff)},
-                )
-            )
+        checks.append(
+            _series_check(f"telescoped factorization at depth {depth}, cap {cap}", lhs, rhs)
+        )
         const = lhs.coefficient((0,) * depth)
         checks.append(
             _value_check(
@@ -477,19 +477,13 @@ def verify_conversion(
     store = store or ValueStore()
     checks = []
     for depth in range(1, max_depth + 1):
-        converted = ems_series_from_fkmt(depth, cap)
-        direct = ems_series(depth, cap)
-        desc = f"series conversion at depth {depth}, cap {cap}"
-        if converted == direct:
-            checks.append(Check.passed(desc))
-        else:
-            diff = converted - direct
-            exps, coeff = sorted(diff.coeffs.items())[0]
-            checks.append(
-                Check.failed(
-                    desc, {"exponent": list(exps), "difference": format_rational(coeff)}
-                )
+        checks.append(
+            _series_check(
+                f"series conversion at depth {depth}, cap {cap}",
+                ems_series_from_fkmt(depth, cap),
+                ems_series(depth, cap),
             )
+        )
     for k in range(max_weight + 1):
         first, second = depth1_conversion_residuals(k, store.cache)
         desc = f"depth-1 conversion residuals at k={k}"
@@ -574,42 +568,24 @@ def verify_words(max_length: int = 3, order: int = 10) -> IdentityReport:
     products = [Word()] + _words_ending_in_y(max_length)
     for u in products:
         for v in products:
-            defect = multiplicativity_defect(u, v, order)
-            desc = f"character multiplicative on ({u}, {v}) through order {order}"
-            if defect.is_zero():
-                checks.append(Check.passed(desc))
-            else:
-                degree = defect.valuation()
-                checks.append(
-                    Check.failed(
-                        desc,
-                        {
-                            "u": str(u),
-                            "v": str(v),
-                            "first_degree": degree,
-                            "coefficient": format_rational(defect.coefficient(degree)),
-                        },
-                    )
+            checks.append(
+                _defect_check(
+                    f"character multiplicative on ({u}, {v}) through order {order}",
+                    u,
+                    v,
+                    multiplicativity_defect(u, v, order),
                 )
+            )
     for u in _words_ending_in_y(max_length):
         for v in _words_ending_in_y(max_length):
-            defect = leibniz_defect(u, v, order)
-            desc = f"Leibniz defect vanishes on ({u}, {v}) through order {order}"
-            if defect.is_zero():
-                checks.append(Check.passed(desc))
-            else:
-                degree = defect.valuation()
-                checks.append(
-                    Check.failed(
-                        desc,
-                        {
-                            "u": str(u),
-                            "v": str(v),
-                            "first_degree": degree,
-                            "coefficient": format_rational(defect.coefficient(degree)),
-                        },
-                    )
+            checks.append(
+                _defect_check(
+                    f"Leibniz defect vanishes on ({u}, {v}) through order {order}",
+                    u,
+                    v,
+                    leibniz_defect(u, v, order),
                 )
+            )
     return _report(
         "words", {"max_length": max_length, "order": order}, checks, started
     )
@@ -646,6 +622,44 @@ class VerifyConfig:
     words_length: int = 3
     words_order: int = 10
     corrupt_bernoulli: tuple[tuple[int, Fraction], ...] = ()
+
+    def capped(
+        self,
+        depth: Optional[int] = None,
+        max_weight: Optional[int] = None,
+        truncation: Optional[int] = None,
+    ) -> "VerifyConfig":
+        """A copy whose suite caps are limited by a maximum depth, a
+        maximum index weight and a series truncation order (the CLI's
+        ``--depth``, ``--max-weight`` and ``--truncation``); None leaves
+        the caps it governs unchanged."""
+        out = replace(self)
+        if max_weight is not None:
+            w = max_weight
+            out.routes_weight = w
+            out.recurrence_weights = tuple(min(w, x) for x in out.recurrence_weights)
+            out.telescope_weight = min(w, out.telescope_weight)
+            out.shuffle_weight = min(w, out.shuffle_weight)
+            out.last_entry_weight = w
+            out.inversion_weights = tuple(min(w, x) for x in out.inversion_weights)
+            out.ems_weight = min(w, out.ems_weight)
+            out.conversion_weight = w
+            out.depth1_weight = max(w, 1)
+        if depth is not None:
+            d = depth
+            out.routes_depth = min(d, out.routes_depth)
+            out.recurrence_depths = tuple(x for x in out.recurrence_depths if x <= d)
+            out.recurrence_weights = out.recurrence_weights[: len(out.recurrence_depths)]
+            out.telescope_depths = tuple(x for x in out.telescope_depths if x <= d)
+            out.last_entry_depths = tuple(x for x in out.last_entry_depths if x <= d)
+            out.inversion_depths = tuple(x for x in out.inversion_depths if x <= d)
+            out.inversion_weights = out.inversion_weights[: len(out.inversion_depths)]
+            out.conversion_depth = min(d, out.conversion_depth)
+            out.shift_depth = max(d, 1)
+        if truncation is not None:
+            out.conversion_cap = truncation
+            out.words_order = truncation
+        return out
 
 
 SUITES = (
@@ -703,7 +717,25 @@ def run_all(config: Optional[VerifyConfig] = None) -> list[IdentityReport]:
         "shift-coeffs": lambda: verify_shift_coeffs(config.shift_depth),
         "words": lambda: verify_words(config.words_length, config.words_order),
     }
-    return [runners[name]() for name in selected]
+    reports = [runners[name]() for name in selected]
+    unread = store.cache.unread_corruptions()
+    if unread:
+        # a fault no suite read cannot have been detected: fail the run
+        # rather than let it pass vacuously
+        indices = ", ".join(f"B_{m}" for m in unread)
+        reports.append(
+            IdentityReport(
+                suite="fault-injection",
+                parameters={"corrupt_bernoulli": sorted({m for m, _ in config.corrupt_bernoulli})},
+                checks=[
+                    Check.failed(
+                        f"injected fault not exercised: no suite read {indices}",
+                        {"unread": unread},
+                    )
+                ],
+            )
+        )
+    return reports
 
 
 def reports_pass(reports: Sequence[IdentityReport]) -> bool:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .rationals import RationalLike, format_rational
-from .series import LaurentSeries, exp_over_one_minus_exp
+from .series import UniSeries, exp_over_one_minus_exp
 
 __all__ = [
     "Word",
@@ -223,10 +223,10 @@ def _derivative_counts(word: Word) -> list[int]:
     return counts
 
 
-_CHARACTER_MEMO: dict[tuple[tuple[str, ...], int], LaurentSeries] = {}
+_CHARACTER_MEMO: dict[tuple[tuple[str, ...], int], UniSeries] = {}
 
 
-def character(w: Union[Word, WordSum], order: int) -> LaurentSeries:
+def character(w: Union[Word, WordSum], order: int) -> UniSeries:
     """The algebra character into Laurent series, exact through ``order``.
 
     The kernel series is computed with enough working order that every
@@ -234,7 +234,7 @@ def character(w: Union[Word, WordSum], order: int) -> LaurentSeries:
     leaves the result exact through the requested order.
     """
     if isinstance(w, WordSum):
-        acc = LaurentSeries.zero(order)
+        acc = UniSeries.zero(order)
         for word, coeff in w.terms.items():
             acc = acc + character(word, order) * coeff
         return acc
@@ -243,9 +243,9 @@ def character(w: Union[Word, WordSum], order: int) -> LaurentSeries:
     if hit is not None:
         return hit
     if not w:
-        out = LaurentSeries.one(order)
+        out = UniSeries.one(order)
     elif w.letters[-1] == "d":
-        out = LaurentSeries.zero(order)
+        out = UniSeries.zero(order)
     else:
         counts = _derivative_counts(w)
         kernel = exp_over_one_minus_exp(order + len(w) + 1)
@@ -262,7 +262,7 @@ def character(w: Union[Word, WordSum], order: int) -> LaurentSeries:
     return out
 
 
-def multiplicativity_defect(u: Word, v: Word, order: int) -> LaurentSeries:
+def multiplicativity_defect(u: Word, v: Word, order: int) -> UniSeries:
     """character(u * v) - character(u) character(v), exact through ``order``."""
     lhs = character(word_product(u, v), order)
     pad = order + max(len(u), len(v), 1)
@@ -270,7 +270,7 @@ def multiplicativity_defect(u: Word, v: Word, order: int) -> LaurentSeries:
     return (lhs - rhs.truncate(order)).truncate(order)
 
 
-def leibniz_defect(u: Word, v: Word, order: int) -> LaurentSeries:
+def leibniz_defect(u: Word, v: Word, order: int) -> UniSeries:
     """Character image of d(u * v) - (d u) * v - u * (d v), exact through
     ``order``; vanishes because such elements generate part of the ideal
     the character kills."""

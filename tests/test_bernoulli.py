@@ -65,6 +65,11 @@ def test_concurrent_fill_is_consistent():
 def test_corrupt_is_local_to_the_instance():
     cache = BernoulliCache()
     cache.corrupt(4, Fraction(1, 5))
+    cache.corrupt(6, Fraction(1, 7))
+    # corrupt()'s own fill does not count as a read
+    assert cache.unread_corruptions() == [4, 6]
     assert cache.value(4) == Fraction(1, 5)
+    assert cache.unread_corruptions() == [6]
     assert bernoulli(4) == Fraction(-1, 30)
     assert default_cache().value(4) == Fraction(-1, 30)
+    assert default_cache().unread_corruptions() == []

@@ -113,6 +113,27 @@ def test_verify_fault_injection(capsys):
     assert "witness" in out
 
 
+def test_verify_fault_injection_report_unchanged_when_read(capsys):
+    code = main(["verify", "--suite", "bernoulli", "--corrupt-bernoulli", "4=1/5",
+                 "--format", "json"])
+    assert code == 1
+    data = json.loads(capsys.readouterr().out)
+    assert [r["suite"] for r in data["reports"]] == ["bernoulli"]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--suite", "routes", "--corrupt-bernoulli", "20=1"], [20]),
+    (["--corrupt-bernoulli", "42=1"], [42]),
+    (["--suite", "words", "--corrupt-bernoulli", "3=1"], [3]),
+])
+def test_verify_unread_fault_fails(capsys, argv, unread):
+    assert main(["verify", *argv]) == 1
+    out = capsys.readouterr().out
+    assert "injected fault not exercised" in out
+    assert f'"unread": {unread}' in out
+    assert "FAILURES detected" in out
+
+
 def test_verify_json_output(capsys):
     assert main(["verify", "--suite", "depth1", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -155,3 +155,13 @@ def test_product_shape_mismatch_raises(first, second):
     assume((a.nvars, a.cap) != (b.nvars, b.cap))
     with pytest.raises(ValueError, match="shape mismatch"):
         a * b
+
+
+def test_substitution_refuses_a_pole():
+    # the pole term has no image in a power series in t_1, t_2, so the
+    # substitution must refuse rather than drop it
+    with pytest.raises(ValueError, match="pole"):
+        substitute_linear_form(UniSeries({-1: 1, 0: 1}, 4), (1, 1), 2)
+    with pytest.raises(ValueError, match="pole"):
+        substitute_linear_form(UniSeries({-2: 3}, 4), (1,), 4)
+    substitute_linear_form(UniSeries.zero(4), (1, 1), 2)  # no terms, no pole

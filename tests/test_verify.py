@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -92,6 +93,76 @@ def test_default_cache_survives_fault_injection():
     run_all(VerifyConfig(suites=["bernoulli"], corrupt_bernoulli=((4, Fraction(1, 5)),)))
     assert bernoulli(4) == Fraction(-1, 30)
     assert reports_pass(run_all(VerifyConfig(suites=["bernoulli"])))
+
+
+_CAPPED_CASES = {
+    "depth": (
+        {"depth": 2},
+        {
+            "routes_depth": 2,
+            "recurrence_depths": (2,),
+            "recurrence_weights": (4,),
+            "telescope_depths": (2,),
+            "last_entry_depths": (2,),
+            "inversion_depths": (2,),
+            "inversion_weights": (4,),
+            "conversion_depth": 2,
+            "shift_depth": 2,
+        },
+    ),
+    "max_weight": (
+        {"max_weight": 2},
+        {
+            "depth1_weight": 2,
+            "routes_weight": 2,
+            "recurrence_weights": (2, 2, 2),
+            "telescope_weight": 2,
+            "shuffle_weight": 2,
+            "last_entry_weight": 2,
+            "inversion_weights": (2, 2),
+            "ems_weight": 2,
+            "conversion_weight": 2,
+        },
+    ),
+    "truncation": ({"truncation": 0}, {"conversion_cap": 0, "words_order": 0}),
+    "all": (
+        {"depth": 2, "max_weight": 2, "truncation": 0},
+        {
+            "depth1_weight": 2,
+            "routes_depth": 2,
+            "routes_weight": 2,
+            "recurrence_depths": (2,),
+            "recurrence_weights": (2,),
+            "telescope_depths": (2,),
+            "telescope_weight": 2,
+            "shuffle_weight": 2,
+            "last_entry_depths": (2,),
+            "last_entry_weight": 2,
+            "inversion_depths": (2,),
+            "inversion_weights": (2,),
+            "ems_weight": 2,
+            "conversion_depth": 2,
+            "conversion_cap": 0,
+            "conversion_weight": 2,
+            "shift_depth": 2,
+            "words_order": 0,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CAPPED_CASES))
+def test_capped_config_fields(case):
+    caps, changed = _CAPPED_CASES[case]
+    default = VerifyConfig()
+    capped = default.capped(**caps)
+    differing = {
+        f.name: getattr(capped, f.name)
+        for f in dataclasses.fields(VerifyConfig)
+        if getattr(capped, f.name) != getattr(default, f.name)
+    }
+    assert differing == changed
+    assert default == VerifyConfig()  # the receiver is left unchanged
 
 
 def test_report_serialization():
