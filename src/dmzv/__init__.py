@@ -11,6 +11,7 @@ and exposes everything through a small CLI.  No floating point anywhere.
 from .bernoulli import BernoulliCache, bernoulli, default_cache
 from .genfun import (
     ValueTable,
+    conversion_table,
     depth1_conversion_residuals,
     ems_factor,
     ems_prefactor,

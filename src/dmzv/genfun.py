@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
-from .rationals import binomial, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "ems_value_series",
     "fkmt_value",
     "ems_value",
+    "conversion_table",
     "depth1_conversion_residuals",
     "ValueTable",
     "value_table",
@@ -279,33 +280,59 @@ def ems_value(k: Sequence[int], cache: BernoulliCache | None = None) -> Fraction
 # depth-1 conversion between the families
 # ---------------------------------------------------------------------------
 
+ConversionRow = tuple[Fraction, Fraction, Fraction, Fraction]
+
+
+def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
+    # sum of numerator/denominator pairs as integers over their lcm
+    common = lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (common // den) for num, den in terms), common)
+
+
+def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> list[ConversionRow]:
+    """Rows k = 0..max_weight of the depth-1 conversion table:
+    (desingularized value at -k, renormalized value at -k, first residual,
+    second residual).
+
+    The residuals are LHS - RHS of the two conversion relations.  First:
+    the renormalized value as a binomial combination of desingularized
+    ones weighted by (-1)^j / (i+1).  Second: the desingularized value as
+    a Bernoulli-weighted combination of renormalized ones.  Both are 0.
+
+    Each depth-1 value (multi-sum route) and each Bernoulli number is read
+    once for the whole table, and each residual is summed as integer
+    numerators over the common denominator of its terms.
+    """
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    weights = range(max_weight + 1)
+    fkmt = [fkmt_value((j,), cache) for j in weights]
+    ems = [ems_value((j,), cache) for j in weights]
+    bern = [bernoulli(i, cache) for i in weights]
+    rows = []
+    for k in weights:
+        # ems_k - sum_i C(k, i) (-1)^j / (i+1) fkmt_j, with j = k - i
+        first = [(ems[k].numerator, ems[k].denominator)]
+        # fkmt_k - (-1)^k sum_i C(k, i) B_i ems_j
+        second = [(fkmt[k].numerator, fkmt[k].denominator)]
+        sign = 1 if k % 2 else -1
+        for i in range(k + 1):
+            j = k - i
+            c, f, e, b = comb(k, i), fkmt[j], ems[j], bern[i]
+            if f:
+                first.append(((c if j % 2 else -c) * f.numerator, (i + 1) * f.denominator))
+            if b and e:
+                second.append((sign * c * b.numerator * e.numerator, b.denominator * e.denominator))
+        rows.append((fkmt[k], ems[k], _exact_sum(first), _exact_sum(second)))
+    return rows
+
+
 def depth1_conversion_residuals(
     k: int, cache: BernoulliCache | None = None
 ) -> tuple[Fraction, Fraction]:
-    """Residuals (LHS - RHS) of the two depth-1 conversion relations.
-
-    First: the renormalized value as a binomial combination of
-    desingularized ones weighted by (-1)^j / (i+1).  Second: the
-    desingularized value as a Bernoulli-weighted combination of
-    renormalized ones.  Both residuals are 0.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    ems_from_fkmt = Fraction(0)
-    for i in range(k + 1):
-        j = k - i
-        sign = -1 if j % 2 else 1
-        ems_from_fkmt += binomial(k, i) * Fraction(sign, i + 1) * fkmt_value((j,), cache)
-    first = ems_value((k,), cache) - ems_from_fkmt
-
-    fkmt_from_ems = Fraction(0)
-    for i in range(k + 1):
-        j = k - i
-        fkmt_from_ems += binomial(k, i) * bernoulli(i, cache) * ems_value((j,), cache)
-    if k % 2:
-        fkmt_from_ems = -fkmt_from_ems
-    second = fkmt_value((k,), cache) - fkmt_from_ems
-    return first, second
+    """Residuals of the two depth-1 conversion relations at k; row k of
+    :func:`conversion_table`, which reads the same Bernoulli numbers."""
+    return conversion_table(k, cache)[k][2:]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 from typing import Mapping
 
 from .rationals import RationalLike
@@ -50,6 +51,15 @@ class UniSeries:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("UniSeries is immutable")
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, Fraction], order: int) -> "UniSeries":
+        """Wrap coefficients already known to be non-zero ``Fraction``s of
+        degree <= order, skipping the constructor's checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "order", order)
+        return out
 
     @classmethod
     def zero(cls, order: int) -> "UniSeries":
@@ -115,14 +125,25 @@ class UniSeries:
         if not isinstance(other, UniSeries):
             return NotImplemented
         order = min(self.order + other.valuation(), other.order + self.valuation())
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
+        if not self.coeffs or not other.coeffs:
+            return UniSeries._trusted({}, order)
+        # integer numerators over each operand's common denominator; the
+        # right terms in increasing degree, so a left term stops at the
+        # first right term past the order
+        left, left_den = _numerators(self.coeffs)
+        right, right_den = _numerators(other.coeffs)
+        right.sort()
+        acc: dict[int, int] = {}
+        get = acc.get
+        for d1, n1 in left:
+            limit = order - d1
+            for d2, n2 in right:
+                if d2 > limit:
+                    break
                 d = d1 + d2
-                if d > order:
-                    continue
-                out[d] = out.get(d, _ZERO) + c1 * c2
-        return UniSeries({d: c for d, c in out.items() if c}, order)
+                acc[d] = get(d, 0) + n1 * n2
+        den = left_den * right_den
+        return UniSeries._trusted({d: Fraction(n, den) for d, n in acc.items() if n}, order)
 
     __rmul__ = __mul__
 
@@ -157,6 +178,17 @@ class UniSeries:
     def __repr__(self) -> str:
         terms = ", ".join(f"{d}: {c}" for d, c in sorted(self.coeffs.items()))
         return f"UniSeries({{{terms}}}, order={self.order})"
+
+
+def _numerators(coeffs: Mapping[int, Fraction]) -> tuple[list[tuple[int, int]], int]:
+    """Terms as (degree, integer numerator) over the common denominator of
+    all coefficients, and that denominator."""
+    # pairwise rather than lcm(*...): argument tuples of a dozen or more
+    # entries would stay allocated in the interpreter's tuple free lists
+    den = 1
+    for c in coeffs.values():
+        den = lcm(den, c.denominator)
+    return [(d, c.numerator * (den // c.denominator)) for d, c in coeffs.items()], den
 
 
 def divide_with_valuation(num: UniSeries, den: UniSeries) -> UniSeries:
@@ -214,10 +246,13 @@ def exp_series(order: int) -> UniSeries:
     return UniSeries({m: Fraction(1, factorial(m)) for m in range(order + 1)}, order)
 
 
+@lru_cache(maxsize=64)
 def exp_over_one_minus_exp(order: int) -> UniSeries:
     """Laurent expansion of exp(z) / (1 - exp(z)), valuation -1.
 
-    Leading terms: -1/z - 1/2 - z/12 + z^3/720 - ...
+    Leading terms: -1/z - 1/2 - z/12 + z^3/720 - ...  Cached, because
+    every word's character starts from this kernel; the series returned
+    is immutable, so sharing it is safe.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")

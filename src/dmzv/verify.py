@@ -24,7 +24,7 @@ from .bernoulli import BernoulliCache, bernoulli, default_cache
 from .genfun import (
     EMS,
     FKMT,
-    depth1_conversion_residuals,
+    conversion_table,
     ems_series,
     ems_series_from_fkmt,
     ems_value,
@@ -484,8 +484,7 @@ def verify_conversion(
                 ems_series(depth, cap),
             )
         )
-    for k in range(max_weight + 1):
-        first, second = depth1_conversion_residuals(k, store.cache)
+    for k, (_, _, first, second) in enumerate(conversion_table(max_weight, store.cache)):
         desc = f"depth-1 conversion residuals at k={k}"
         if first == 0 and second == 0:
             checks.append(Check.passed(desc))
@@ -678,6 +677,20 @@ SUITES = (
 )
 
 
+def _run_suite(name: str, runner) -> IdentityReport:
+    # a suite that raises becomes a failed report, so the other suites
+    # still run and the run as a whole fails instead of aborting
+    started = time.monotonic()
+    try:
+        return runner()
+    except Exception as exc:
+        check = Check.failed(
+            f"suite raised {type(exc).__name__}: {exc}",
+            {"exception": type(exc).__name__, "message": str(exc)},
+        )
+        return _report(name, {}, [check], started)
+
+
 def run_all(config: Optional[VerifyConfig] = None) -> list[IdentityReport]:
     """Run the selected suites (all by default) and return their reports."""
     config = config or VerifyConfig()
@@ -717,7 +730,7 @@ def run_all(config: Optional[VerifyConfig] = None) -> list[IdentityReport]:
         "shift-coeffs": lambda: verify_shift_coeffs(config.shift_depth),
         "words": lambda: verify_words(config.words_length, config.words_order),
     }
-    reports = [runners[name]() for name in selected]
+    reports = [_run_suite(name, runners[name]) for name in selected]
     unread = store.cache.unread_corruptions()
     if unread:
         # a fault no suite read cannot have been detected: fail the run

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dmzv import cli
+from dmzv import cli, verify
 from dmzv.cli import main
 
 
@@ -64,6 +64,20 @@ def test_values_refuses_oversized_tables(capsys, monkeypatch, depth, weight):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "too large" in captured.err
+
+
+def test_convert_refuses_oversized_tables(capsys, monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("an oversized table must be refused before it is built")
+
+    monkeypatch.setattr(cli, "conversion_table", no_arithmetic)
+    assert main(["convert", "--max-weight", str(cli.MAX_CONVERT_WEIGHT + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large" in captured.err
+
+    monkeypatch.setattr(cli, "conversion_table", lambda max_weight: [])
+    assert main(["convert", "--max-weight", str(cli.MAX_CONVERT_WEIGHT)]) == 0
 
 
 def test_gr_coeffs_depth1(capsys):
@@ -132,6 +146,24 @@ def test_verify_unread_fault_fails(capsys, argv, unread):
     assert "injected fault not exercised" in out
     assert f'"unread": {unread}' in out
     assert "FAILURES detected" in out
+
+
+def test_verify_suite_that_raises_fails_the_run(capsys, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(verify, "verify_depth1", broken)
+    argv = ["verify", "--suite", "bernoulli", "--suite", "depth1", "--suite", "conversion"]
+    assert main([*argv, "--max-weight", "2", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [(r["suite"], r["passed"]) for r in reports] == [
+        ("bernoulli", True), ("depth1", False), ("conversion", True)
+    ]
+    assert reports[1]["checks"] == [{
+        "description": "suite raised ZeroDivisionError: injected",
+        "status": "fail",
+        "witness": {"exception": "ZeroDivisionError", "message": "injected"},
+    }]
 
 
 def test_verify_json_output(capsys):

@@ -1,13 +1,14 @@
 import json
 from fractions import Fraction
 from itertools import product as iter_product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from dmzv.bernoulli import bernoulli
+from dmzv.bernoulli import BernoulliCache, bernoulli
 from dmzv.genfun import (
     ValueTable,
+    conversion_table,
     depth1_conversion_residuals,
     ems_series,
     ems_series_from_fkmt,
@@ -123,6 +124,50 @@ def test_depth1_conversion_k1_by_hand():
     lhs = ems_value((1,))
     rhs = Fraction(-1, 1) * fkmt_value((1,)) + Fraction(1, 2) * fkmt_value((0,))
     assert lhs == rhs == Fraction(-1, 12)
+
+
+def naive_residuals(k, cache=None):
+    # the two conversion relations at k, summed term by term in Fractions
+    # from per-index values, as the table's one-pass sums must reproduce
+    ems_from_fkmt = sum(
+        (
+            comb(k, i) * Fraction((-1) ** (k - i), i + 1) * fkmt_value((k - i,), cache)
+            for i in range(k + 1)
+        ),
+        Fraction(0),
+    )
+    fkmt_from_ems = (-1) ** k * sum(
+        (comb(k, i) * bernoulli(i, cache) * ems_value((k - i,), cache) for i in range(k + 1)),
+        Fraction(0),
+    )
+    return ems_value((k,), cache) - ems_from_fkmt, fkmt_value((k,), cache) - fkmt_from_ems
+
+
+def test_conversion_table_matches_per_k_sums():
+    rows = conversion_table(60)
+    assert len(rows) == 61
+    for k, (fkmt, ems, first, second) in enumerate(rows):
+        assert fkmt == (-1) ** k * bernoulli(k + 1)
+        assert ems == (-1) ** k * bernoulli(k + 1) / (k + 1)
+        assert (first, second) == naive_residuals(k) == (0, 0)
+    assert depth1_conversion_residuals(60) == rows[60][2:]
+    with pytest.raises(ValueError):
+        conversion_table(-1)
+
+
+@pytest.mark.parametrize("index", [5, 12, 31, 32, 33])
+def test_conversion_table_under_a_corrupted_bernoulli_table(index):
+    # rows 0..31 read B_0..B_32: the residuals stop vanishing exactly when
+    # the corruption is among them, the table still equals the per-k sums,
+    # and it leaves the same corruptions unread
+    table_cache, per_k_cache = BernoulliCache(), BernoulliCache()
+    table_cache.corrupt(index, Fraction(1, 5))
+    per_k_cache.corrupt(index, Fraction(1, 5))
+    residuals = [row[2:] for row in conversion_table(31, table_cache)]
+    assert residuals == [naive_residuals(k, per_k_cache) for k in range(32)]
+    assert any(r != (0, 0) for r in residuals) == (index <= 32)
+    assert table_cache.unread_corruptions() == per_k_cache.unread_corruptions()
+    assert table_cache.unread_corruptions() == ([] if index <= 32 else [index])
 
 
 def test_value_table_json_and_csv():

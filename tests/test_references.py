@@ -1,0 +1,40 @@
+"""Golden outputs: CLI commands whose exit code and sha256 output digest
+are recorded in ``bench/references.json`` must reproduce them byte for
+byte.  The commands run in-process; the file is only read."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from dmzv.cli import main
+
+REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+
+GOLDEN = [
+    "convert --max-weight 200 --format json",
+    "gr-coeffs --depth 6 --format json",
+    *(
+        f"values --family {family} --depth {depth} --max-weight {weight} --format json"
+        for family in ("fkmt", "ems")
+        for depth, weight in ((4, 4), (5, 2), (6, 1))
+    ),
+    "shuffle dddyyyy dydydyy --truncation 24",
+    "shuffle ydyddyy ddyyydy --truncation 24",
+]
+
+
+@pytest.fixture(scope="module")
+def references():
+    return json.loads(REFERENCES.read_text())["operations"]
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_output_matches_recorded_digest(capsys, references, command):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        references[command]["exit"],
+        references[command]["sha256"],
+    )

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmzv.bernoulli import bernoulli
 from dmzv.series import (
@@ -189,3 +191,32 @@ def test_order_bookkeeping():
 def test_negate_variable():
     s = UniSeries({0: 1, 1: 1, 2: 1}, 2)
     assert s.negate_variable() == UniSeries({0: 1, 1: -1, 2: 1}, 2)
+
+
+@st.composite
+def uni_series(draw):
+    # valuation in [-2, 2] (or zero), an order of its own, and
+    # coefficients with small denominators
+    low = draw(st.integers(-2, 2))
+    order = draw(st.integers(low, 8))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return UniSeries(draw(st.dictionaries(st.integers(low, order), coeffs, max_size=8)), order)
+
+
+def naive_product(a, b):
+    """Termwise Fraction convolution under the product's order rule."""
+    order = min(a.order + b.valuation(), b.order + a.valuation())
+    out = {}
+    for d1, c1 in a.coeffs.items():
+        for d2, c2 in b.coeffs.items():
+            if d1 + d2 <= order:
+                out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
+    return UniSeries(out, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(uni_series(), uni_series())
+def test_product_matches_naive_convolution(a, b):
+    product = a * b
+    assert product == naive_product(a, b)
+    assert all(type(c) is Fraction and c for c in product.coeffs.values())

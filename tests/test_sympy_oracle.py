@@ -1,0 +1,46 @@
+"""A third oracle: Bernoulli numbers and depth-1 factor coefficients
+from sympy, which shares no code with either of the library's routes.
+Skipped when sympy is not installed."""
+
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from dmzv.bernoulli import bernoulli
+from dmzv.genfun import ems_factor, ems_value, fkmt_factor, fkmt_value
+
+sympy = pytest.importorskip("sympy")
+
+
+def as_fraction(value) -> Fraction:
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+def test_bernoulli_numbers_match_sympy():
+    for m in range(61):
+        expected = as_fraction(sympy.bernoulli(m))
+        if m == 1:
+            # sympy >= 1.12 uses B_1 = +1/2; earlier versions use -1/2
+            expected = -abs(expected)
+        assert bernoulli(m) == expected, m
+
+
+CLOSED_FORMS = {
+    "FKMT": (fkmt_factor, fkmt_value, lambda u, e: ((1 - u) * e - 1) / (e - 1) ** 2),
+    "EMS": (ems_factor, ems_value, lambda u, e: (u - (e - 1)) / (u * (e - 1))),
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORMS)
+def test_depth1_factor_matches_sympy_series(family):
+    factor, multisum, closed_form = CLOSED_FORMS[family]
+    u = sympy.Symbol("u")
+    expansion = sympy.series(closed_form(u, sympy.exp(u)), u, 0, 12).removeO()
+    series = factor(11)
+    for d in range(12):
+        expected = as_fraction(expansion.coeff(u, d))
+        # the series route's coefficient, and the multi-sum route's value
+        assert series.coefficient(d) == expected, d
+        assert multisum((d,)) == (-1) ** d * factorial(d) * expected, d
