@@ -15,7 +15,9 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .genfun import FAMILIES, conversion_table, value_table
@@ -42,6 +44,19 @@ MAX_TABLE_SPAN = 500
 # Bernoulli table fill and the residual sums grow with about the cube of
 # the weight: 2.3 s at 500, 11 s at 800 and 130 s at 1600.
 MAX_CONVERT_WEIGHT = 500
+# Bounds on ``verify``'s caps, checked before any arithmetic.  A whole
+# ``verify`` run takes 3.2 s at ``--depth 6`` (past depth 3 it only
+# deepens the shift-coeffs expansion, which grows about eightfold per
+# depth), 2.3 s at ``--max-weight 8`` (5.5 s at 10; it sets the routes and
+# last-entry boxes), 2.5 s at ``--truncation 14`` (5.7 s at 16; it sets
+# the conversion series cap and the character order), and 7.1 s with all
+# three at their limits.
+MAX_VERIFY_DEPTH = 6
+MAX_VERIFY_WEIGHT = 8
+MAX_VERIFY_TRUNCATION = 14
+# Bound on the index M of ``verify --corrupt-bernoulli M=P/Q``: the
+# Bernoulli table is filled up to B_M first, 1.3 s at 500 (0.7 s at 400).
+MAX_CORRUPT_INDEX = 500
 
 
 def _positive_int(text: str) -> int:
@@ -61,27 +76,30 @@ def _non_negative_int(text: str) -> int:
 def _corruption(text: str) -> tuple[int, Fraction]:
     try:
         index, _, value = text.partition("=")
-        return int(index), parse_rational(value)
+        m, value = int(index), parse_rational(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected M=P/Q, e.g. 4=1/5, got {text!r}"
         ) from exc
+    if not 0 <= m <= MAX_CORRUPT_INDEX:
+        raise argparse.ArgumentTypeError(
+            f"the index M must be in 0..{MAX_CORRUPT_INDEX}, got {m}"
+        )
+    return m, value
 
 
-def _write_output(text: str, out_path: Optional[str]) -> None:
-    """Print to stdout, or write atomically to the given path."""
+@contextmanager
+def _output(out_path: Optional[str]):
+    """stdout, or a temporary sibling of the given path that replaces it
+    once everything is written."""
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dmzv-tmp-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            yield handle
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -89,8 +107,25 @@ def _write_output(text: str, out_path: Optional[str]) -> None:
         raise
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+def _write_output(text: str, out_path: Optional[str]) -> None:
+    """Print to stdout, or write atomically to the given path."""
+    with _output(out_path) as handle:
+        handle.write(text)
+        if not text.endswith("\n"):
+            handle.write("\n")
+
+
+def _write_json(payload, out_path: Optional[str]) -> None:
+    """Like :func:`_write_output` for a JSON payload, written while it is
+    encoded so the whole text is never held at once.  The encoder's chunks
+    are a few bytes each, so they are joined in batches: an unbuffered
+    stdout (``PYTHONUNBUFFERED``) would otherwise take one write per chunk,
+    which more than doubled the time of ``gr-coeffs --depth 6 --format json``."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    with _output(out_path) as handle:
+        while batch := "".join(islice(chunks, 4096)):
+            handle.write(batch)
+        handle.write("\n")
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -118,8 +153,9 @@ def _cmd_values(args) -> int:
         return EXIT_USAGE
     table = value_table(args.family, args.depth, args.max_weight)
     if args.format == "json":
-        text = _json_text(table.to_json_dict())
-    elif args.format == "csv":
+        _write_json(table.to_json_dict(), args.out)
+        return EXIT_OK
+    if args.format == "csv":
         text = _csv_text(table.to_csv_rows())
     else:
         rows = table.to_csv_rows()
@@ -134,27 +170,38 @@ def _cmd_values(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite:
-        unknown = [s for s in args.suite if s not in SUITES]
-        if unknown:
-            print(
-                f"error: unknown suite names {unknown}; valid: {', '.join(SUITES)}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    limits = (
+        ("--depth", args.depth, MAX_VERIFY_DEPTH),
+        ("--max-weight", args.max_weight, MAX_VERIFY_WEIGHT),
+        ("--truncation", args.truncation, MAX_VERIFY_TRUNCATION),
+    )
+    oversized = [
+        f"{flag} {value} (the limit is {limit})"
+        for flag, value, limit in limits
+        if value is not None and value > limit
+    ]
+    if oversized:
+        print(f"error: verify caps too large: {', '.join(oversized)}", file=sys.stderr)
+        return EXIT_USAGE
     config = VerifyConfig(
         suites=tuple(args.suite) if args.suite else None,
+        depth=args.depth,
+        max_weight=args.max_weight,
+        truncation=args.truncation,
         corrupt_bernoulli=tuple(args.corrupt_bernoulli or ()),
-    ).capped(args.depth, args.max_weight, args.truncation)
-
-    reports = run_all(config)
+    )
+    try:
+        reports = run_all(config)
+    except ValueError as exc:  # an unknown suite name
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     passed = reports_pass(reports)
     payload = {"passed": passed, "reports": [r.to_json_dict() for r in reports]}
 
     if args.out is not None:
-        _write_output(_json_text(payload), args.out)
+        _write_json(payload, args.out)
     if args.format == "json" and args.out is None:
-        _write_output(_json_text(payload), None)
+        _write_json(payload, None)
     else:
         for report in reports:
             print(report.summary_line())
@@ -168,8 +215,9 @@ def _cmd_gr_coeffs(args) -> int:
     coeffs = shift_coefficients(args.depth)
     expression = shifted_zeta_expression(args.depth)
     if args.format == "json":
-        text = _json_text(expression.to_json_dict())
-    elif args.format == "csv":
+        _write_json(expression.to_json_dict(), args.out)
+        return EXIT_OK
+    if args.format == "csv":
         rows = [
             [f"l{i}" for i in range(1, args.depth + 1)]
             + [f"m{i}" for i in range(1, args.depth + 1)]
@@ -207,8 +255,9 @@ def _cmd_convert(args) -> int:
         for k, (fkmt, ems, first, second) in enumerate(conversion_table(args.max_weight))
     ]
     if args.format == "json":
-        text = _json_text({"max_weight": args.max_weight, "rows": rows})
-    elif args.format == "csv":
+        _write_json({"max_weight": args.max_weight, "rows": rows}, args.out)
+        return EXIT_OK
+    if args.format == "csv":
         header = ["k", "fkmt", "ems", "ems_from_fkmt_residual", "fkmt_from_ems_residual"]
         table = [header] + [[str(row[h]) for h in header] for row in rows]
         text = _csv_text(table)

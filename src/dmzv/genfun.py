@@ -55,6 +55,7 @@ __all__ = [
     "conversion_table",
     "depth1_conversion_residuals",
     "ValueTable",
+    "index_box",
     "value_table",
     "series_value_table",
 ]
@@ -63,7 +64,13 @@ __all__ = [
 # depth-1 factors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Entries kept by each cached factor and series builder below.  A
+# ``verify`` run, the largest user of these caches, builds at most 10 of
+# any one of them, also at its largest accepted caps.
+SERIES_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def fkmt_factor(order: int) -> UniSeries:
     """((1 - u) exp(u) - 1) / (exp(u) - 1)^2, exact through ``order``.
 
@@ -77,7 +84,7 @@ def fkmt_factor(order: int) -> UniSeries:
     return divide_with_valuation(num, den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def ems_factor(order: int) -> UniSeries:
     """(u - (exp(u) - 1)) / (u (exp(u) - 1)), exact through ``order``.
 
@@ -89,7 +96,7 @@ def ems_factor(order: int) -> UniSeries:
     return divide_with_valuation(num, den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def ems_prefactor(order: int) -> UniSeries:
     """(1 - exp(-u)) / u, the unit factor of the family conversion."""
     work = order + 1
@@ -114,13 +121,13 @@ def _product_series(family: Family, depth: int, cap: int) -> MultiSeries:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def fkmt_series(depth: int, cap: int) -> MultiSeries:
     """Generating function of the desingularized values."""
     return _product_series(FKMT, depth, cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def ems_series(depth: int, cap: int) -> MultiSeries:
     """Generating function of the renormalized values."""
     return _product_series(EMS, depth, cap)
@@ -382,7 +389,9 @@ class ValueTable:
         return rows
 
 
-def _index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:
+def index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:
+    """Every depth-``depth`` multi-index with entries <= max_weight, in
+    lexicographic order."""
     return iter_product(range(max_weight + 1), repeat=depth)
 
 
@@ -399,7 +408,7 @@ def value_table(family: str, depth: int, max_weight: int) -> ValueTable:
     series = fam.series(depth, max_weight)
     entries = {
         k: _coefficient_to_value(series.coefficient(k), k)
-        for k in _index_box(depth, max_weight)
+        for k in index_box(depth, max_weight)
     }
     return ValueTable(fam.name, depth, entries)
 

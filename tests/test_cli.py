@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -118,6 +119,26 @@ def test_verify_single_suite(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "not-a-suite"]) == 2
+    assert "unknown suite names: ['not-a-suite']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--corrupt-bernoulli=-1=1/2"],
+    ["--corrupt-bernoulli", "100000000=1/2"],
+    ["--corrupt-bernoulli", f"{cli.MAX_CORRUPT_INDEX + 1}=1/2"],
+    ["--depth", str(cli.MAX_VERIFY_DEPTH + 1)],
+    ["--max-weight", str(cli.MAX_VERIFY_WEIGHT + 1)],
+    ["--truncation", str(cli.MAX_VERIFY_TRUNCATION + 1)],
+])
+def test_verify_refuses_out_of_range_input(capsys, monkeypatch, argv):
+    def unreachable(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_all", unreachable)
+    with pytest.raises(SystemExit) as err:
+        sys.exit(main(["verify", "--suite", "bernoulli", *argv]))
+    assert err.value.code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_verify_fault_injection(capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from dmzv import verify
+from dmzv.bernoulli import BernoulliCache
 from dmzv.report import Check, IdentityReport
 from dmzv.verify import (
     SUITES,
@@ -31,7 +33,9 @@ def test_check_invariant():
 
 def test_small_suites_pass():
     store = ValueStore()
-    assert verify_recurrence((2,), (2,), store).passed
+    report = verify_recurrence((2,), (2,), store)
+    assert (report.suite, report.parameters) == ("recurrence", {"depths": (2,), "weights": (2,)})
+    assert report.passed
     assert verify_shuffle(((1, 1),), 2, store).passed
     assert verify_last_entry((2,), 2, store).passed
     assert verify_inversion((2,), (2,), store).passed
@@ -95,74 +99,102 @@ def test_default_cache_survives_fault_injection():
     assert reports_pass(run_all(VerifyConfig(suites=["bernoulli"])))
 
 
-_CAPPED_CASES = {
+# The arguments run_all passes each suite, store and cache left out: the
+# acceptance caps, then how each set of limits changes them.
+_DEFAULT_ARGUMENTS = {
+    "bernoulli": (40,),
+    "depth1": (20,),
+    "routes": (3, 4),
+    "recurrence": ((2, 3, 4), (4, 4, 2)),
+    "telescope": ((2, 3), 3),
+    "shuffle": (((1, 1), (1, 2), (2, 1), (2, 2)), 3),
+    "last-entry": ((2, 3), 4),
+    "inversion": ((2, 3), (4, 2)),
+    "ems-shuffle": (3,),
+    "conversion": (3, 5, 10),
+    "shift-coeffs": (4,),
+    "words": (3, 10),
+}
+
+_LIMITED_ARGUMENTS = {
+    "default": ({}, {}),
     "depth": (
         {"depth": 2},
         {
-            "routes_depth": 2,
-            "recurrence_depths": (2,),
-            "recurrence_weights": (4,),
-            "telescope_depths": (2,),
-            "last_entry_depths": (2,),
-            "inversion_depths": (2,),
-            "inversion_weights": (4,),
-            "conversion_depth": 2,
-            "shift_depth": 2,
+            "routes": (2, 4),
+            "recurrence": ((2,), (4,)),
+            "telescope": ((2,), 3),
+            "last-entry": ((2,), 4),
+            "inversion": ((2,), (4,)),
+            "conversion": (2, 5, 10),
+            "shift-coeffs": (2,),
         },
     ),
     "max_weight": (
         {"max_weight": 2},
         {
-            "depth1_weight": 2,
-            "routes_weight": 2,
-            "recurrence_weights": (2, 2, 2),
-            "telescope_weight": 2,
-            "shuffle_weight": 2,
-            "last_entry_weight": 2,
-            "inversion_weights": (2, 2),
-            "ems_weight": 2,
-            "conversion_weight": 2,
+            "depth1": (2,),
+            "routes": (3, 2),
+            "recurrence": ((2, 3, 4), (2, 2, 2)),
+            "telescope": ((2, 3), 2),
+            "shuffle": (((1, 1), (1, 2), (2, 1), (2, 2)), 2),
+            "last-entry": ((2, 3), 2),
+            "inversion": ((2, 3), (2, 2)),
+            "ems-shuffle": (2,),
+            "conversion": (3, 5, 2),
         },
     ),
-    "truncation": ({"truncation": 0}, {"conversion_cap": 0, "words_order": 0}),
+    # above some caps: the routes, last-entry, conversion and depth1
+    # weights are replaced, the others only ever lowered
+    "max_weight_above": (
+        {"max_weight": 5},
+        {
+            "depth1": (5,),
+            "routes": (3, 5),
+            "last-entry": ((2, 3), 5),
+            "conversion": (3, 5, 5),
+        },
+    ),
+    "truncation": ({"truncation": 0}, {"conversion": (3, 0, 10), "words": (3, 0)}),
     "all": (
         {"depth": 2, "max_weight": 2, "truncation": 0},
         {
-            "depth1_weight": 2,
-            "routes_depth": 2,
-            "routes_weight": 2,
-            "recurrence_depths": (2,),
-            "recurrence_weights": (2,),
-            "telescope_depths": (2,),
-            "telescope_weight": 2,
-            "shuffle_weight": 2,
-            "last_entry_depths": (2,),
-            "last_entry_weight": 2,
-            "inversion_depths": (2,),
-            "inversion_weights": (2,),
-            "ems_weight": 2,
-            "conversion_depth": 2,
-            "conversion_cap": 0,
-            "conversion_weight": 2,
-            "shift_depth": 2,
-            "words_order": 0,
+            "depth1": (2,),
+            "routes": (2, 2),
+            "recurrence": ((2,), (2,)),
+            "telescope": ((2,), 2),
+            "shuffle": (((1, 1), (1, 2), (2, 1), (2, 2)), 2),
+            "last-entry": ((2,), 2),
+            "inversion": ((2,), (2,)),
+            "ems-shuffle": (2,),
+            "conversion": (2, 0, 2),
+            "shift-coeffs": (2,),
+            "words": (3, 0),
         },
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CAPPED_CASES))
-def test_capped_config_fields(case):
-    caps, changed = _CAPPED_CASES[case]
-    default = VerifyConfig()
-    capped = default.capped(**caps)
-    differing = {
-        f.name: getattr(capped, f.name)
-        for f in dataclasses.fields(VerifyConfig)
-        if getattr(capped, f.name) != getattr(default, f.name)
-    }
-    assert differing == changed
-    assert default == VerifyConfig()  # the receiver is left unchanged
+@pytest.mark.parametrize("case", sorted(_LIMITED_ARGUMENTS))
+def test_run_all_suite_arguments(case, monkeypatch):
+    limits, changed = _LIMITED_ARGUMENTS[case]
+    received = {}
+    for name in SUITES:
+        def record(*args, _name=name):
+            received[_name] = tuple(
+                a for a in args if not isinstance(a, (ValueStore, BernoulliCache))
+            )
+            return IdentityReport(_name)
+
+        monkeypatch.setattr(verify, "verify_" + name.replace("-", "_"), record)
+    run_all(VerifyConfig(**limits))
+    assert received == {**_DEFAULT_ARGUMENTS, **changed}
+
+
+def test_config_holds_only_what_a_caller_sets():
+    assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
+        "suites", "depth", "max_weight", "truncation", "corrupt_bernoulli"
+    ]
 
 
 def test_report_serialization():

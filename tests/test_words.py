@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmzv.series import exp_over_one_minus_exp
 from dmzv.words import (
@@ -131,3 +133,19 @@ def test_wordsum_rendering():
     assert str(s) == "dydy - yddy"
     assert str(WordSum({Word(): Fraction(1, 2)})) == "1/2*1"
     assert str(WordSum()) == "0"
+
+
+words_over_dy = st.text(alphabet="dy", max_size=6).map(Word.parse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_over_dy, words_over_dy)
+def test_word_product_preserves_length(u, v):
+    product = word_product(u, v)
+    assert all(len(w) == len(u) + len(v) for w in product.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_over_dy, words_over_dy, st.integers(min_value=0, max_value=10))
+def test_character_multiplicative_on_random_words(u, v, order):
+    assert multiplicativity_defect(u, v, order).is_zero()
