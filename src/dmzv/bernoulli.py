@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import comb, gcd, lcm
 
-from .rationals import RationalLike, binomial
+from .rationals import RationalLike
 
 __all__ = ["BernoulliCache", "bernoulli", "default_cache"]
 
@@ -43,13 +44,23 @@ class BernoulliCache:
         return self._table[m]
 
     def _fill(self, m: int) -> None:
+        # The recurrence runs on integer numerators over the lcm of the
+        # entries' denominators, with one Fraction per new entry.  It reads
+        # the table as it stands, so later entries are computed from a
+        # corrupted one.
         table = self._table
+        common = lcm(*(b.denominator for b in table))
+        scaled = [b.numerator * (common // b.denominator) for b in table]
         while len(table) <= m:
             n = len(table)
-            acc = Fraction(0)
-            for j in range(n):
-                acc += binomial(n + 1, j) * table[j]
-            table.append(-acc / (n + 1))
+            acc = sum(comb(n + 1, j) * x for j, x in enumerate(scaled))
+            value = Fraction(-acc, (n + 1) * common)
+            table.append(value)
+            factor = value.denominator // gcd(common, value.denominator)
+            if factor > 1:
+                common *= factor
+                scaled = [x * factor for x in scaled]
+            scaled.append(value.numerator * (common // value.denominator))
 
     def known(self) -> int:
         """Number of values currently in the table."""

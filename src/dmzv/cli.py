@@ -44,6 +44,10 @@ MAX_TABLE_SPAN = 500
 # Bernoulli table fill and the residual sums grow with about the cube of
 # the weight: 2.3 s at 500, 11 s at 800 and 130 s at 1600.
 MAX_CONVERT_WEIGHT = 500
+# Bound on ``gr-coeffs --depth``, checked before any arithmetic.  The
+# shifted-zeta expansion takes about 0.25 s at depth 6 and 2 s at depth 7,
+# and each further depth costs about nine times more.
+MAX_GR_DEPTH = 7
 # Bounds on ``verify``'s caps, checked before any arithmetic.  A whole
 # ``verify`` run takes 3.2 s at ``--depth 6`` (past depth 3 it only
 # deepens the shift-coeffs expansion, which grows about eightfold per
@@ -100,6 +104,11 @@ def _output(out_path: Optional[str]):
     try:
         with os.fdopen(fd, "w") as handle:
             yield handle
+        # mkstemp creates the file with mode 0600; give it the mode a
+        # shell redirect would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -212,6 +221,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gr_coeffs(args) -> int:
+    if args.depth > MAX_GR_DEPTH:
+        print(
+            f"error: gr-coeffs --depth {args.depth} is too large: "
+            f"the limit is depth <= {MAX_GR_DEPTH}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     coeffs = shift_coefficients(args.depth)
     expression = shifted_zeta_expression(args.depth)
     if args.format == "json":

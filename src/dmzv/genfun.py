@@ -11,9 +11,10 @@ Two independent routes are provided for each family:
 * a series route: build the closed-form generating function as a
   truncated multivariate series and read values off its coefficients
   (value = (-1)^{k_1+...+k_r} * k_1! ... k_r! * coefficient);
-* a Bernoulli multi-sum route: enumerate upper-triangular non-negative
-  integer matrices with prescribed column sums and weight each row tail
-  with a Bernoulli factor.
+* a Bernoulli multi-sum route: a sum over the row-tail vectors of the
+  upper-triangular non-negative integer matrices with prescribed column
+  sums, each counted with its integer multinomial weight and weighted by
+  one Bernoulli factor per row tail.
 
 The series route never touches the Bernoulli table and the multi-sum
 route never builds a series, so agreement between them is a meaningful
@@ -30,11 +31,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, factorial, lcm
+from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, multinomial, parse_rational
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
 
 __all__ = [
@@ -243,30 +245,46 @@ def _compositions(total: int, parts: int):
 
 
 def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowWeight) -> Fraction:
-    # every upper-triangular matrix (nu_ij), 1 <= i <= j <= r, whose column
-    # sums are the entries of k, with row i weighted by
-    # row_weight(nu_ii + ... + nu_ir)
-    r = len(k)
-    columns = [list(_compositions(k[j], j + 1)) for j in range(r)]
-    numerator = 1
-    for x in k:
-        numerator *= factorial(x)
-    total = Fraction(0)
-    for cols in iter_product(*columns):
-        row_tails = [0] * r
-        denom = 1
-        for col in cols:
-            for i, entry in enumerate(col):
-                row_tails[i] += entry
-                denom *= factorial(entry)
-        term = Fraction(numerator, denom)
-        for tail in row_tails:
-            weight = row_weight(tail, cache)
-            if not weight:
-                term = Fraction(0)
+    # The sum over every upper-triangular matrix (nu_ij), 1 <= i <= j <= r,
+    # whose column sums are the entries of k, of prod_j k_j! / prod_i nu_ij!
+    # times prod_i row_weight(nu_ii + ... + nu_ir).  Matrices with the same
+    # row-tail vector carry the same weight, so the columns are folded in
+    # one at a time, keeping only the integer multinomial count of each
+    # partial row-tail vector; the weights are read once per distinct tail
+    # vector at the end.
+    tails: dict[tuple[int, ...], int] = {(): 1}
+    for j, total in enumerate(k):
+        column = [
+            (entries, entries[-1:], multinomial(entries))
+            for entries in _compositions(total, j + 1)
+        ]
+        folded: dict[tuple[int, ...], int] = {}
+        for tail, count in tails.items():
+            for entries, last, ways in column:
+                key = tuple(map(add, tail, entries)) + last
+                folded[key] = folded.get(key, 0) + count * ways
+        tails = folded
+    # Each tail vector reads its rows' weights in row order up to the first
+    # zero, so the Bernoulli indices read are those of the matrix-by-matrix
+    # enumeration; the terms are summed as integers over a common denominator.
+    weights: dict[int, tuple[int, int]] = {}
+    numerator, denominator = 0, 1
+    for tail, count in tails.items():
+        term_den = 1
+        for n in tail:
+            weight = weights.get(n)
+            if weight is None:
+                value = row_weight(n, cache)
+                weight = weights[n] = (value.numerator, value.denominator)
+            if not weight[0]:
                 break
-            term *= weight
-        total += term
+            count *= weight[0]
+            term_den *= weight[1]
+        else:
+            common = lcm(denominator, term_den)
+            numerator = numerator * (common // denominator) + count * (common // term_den)
+            denominator = common
+    total = Fraction(numerator, denominator)
     return -total if sum(k) % 2 else total
 
 

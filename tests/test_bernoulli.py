@@ -40,6 +40,28 @@ def test_egf_cross_check():
     assert product == UniSeries.one(product.order)
 
 
+def fraction_recurrence(table, m):
+    # the fill recurrence term by term in Fractions, from the table as it is
+    table = list(table)
+    while len(table) <= m:
+        n = len(table)
+        table.append(-sum(binomial(n + 1, j) * table[j] for j in range(n)) / (n + 1))
+    return table
+
+
+@pytest.mark.parametrize("corruption", [None, (4, Fraction(1, 5))])
+def test_fill_matches_fraction_recurrence(corruption):
+    cache = BernoulliCache()
+    if corruption is not None:
+        cache.corrupt(*corruption)
+    start = [cache.value(m) for m in range(cache.known())]
+    expected = fraction_recurrence(start, 120)
+    # two multi-entry fills, the second resuming from a table it did not build
+    for m in (60, 120):
+        cache.value(m)
+        assert [cache.value(j) for j in range(cache.known())] == expected[: m + 1]
+
+
 def test_negative_index_raises():
     with pytest.raises(ValueError):
         bernoulli(-1)

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import sys
 
 import pytest
@@ -103,6 +105,21 @@ def test_gr_coeffs_schema_round_trip(tmp_path, capsys):
 
     assert ShiftedZetaExpression.from_json_dict(data) == shifted_zeta_expression(2)
     assert json.dumps(data, sort_keys=True, indent=2) + "\n" == blob
+
+
+def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("an oversized depth must be refused before any arithmetic")
+
+    monkeypatch.setattr(cli, "shift_coefficients", no_arithmetic)
+    monkeypatch.setattr(cli, "shifted_zeta_expression", no_arithmetic)
+    assert main(["gr-coeffs", "--depth", str(cli.MAX_GR_DEPTH + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large" in captured.err
+
+    with pytest.raises(AssertionError, match="refused"):
+        main(["gr-coeffs", "--depth", str(cli.MAX_GR_DEPTH)])
 
 
 def test_gr_coeffs_depth0_exits_2():
@@ -228,3 +245,13 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert out_path.exists()
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
     assert leftovers == []
+
+
+def test_out_file_gets_the_umask_mode(tmp_path):
+    out_path = tmp_path / "out.txt"
+    previous = os.umask(0o022)
+    try:
+        assert main(["convert", "--max-weight", "3", "--out", str(out_path)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o644

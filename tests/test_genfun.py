@@ -4,9 +4,13 @@ from itertools import product as iter_product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmzv.bernoulli import BernoulliCache, bernoulli
 from dmzv.genfun import (
+    EMS,
+    FKMT,
     ValueTable,
     conversion_table,
     depth1_conversion_residuals,
@@ -80,6 +84,69 @@ def test_multisum_depth2_hand_expansion():
             if (k1 + k2) % 2:
                 expected = -expected
             assert fkmt_value((k1, k2)) == expected
+
+
+def enumerated_multisum(k, cache, row_weight):
+    # the multi-sum matrix by matrix: every upper-triangular matrix whose
+    # column j is a composition of k_j into j + 1 parts, each row's weights
+    # read in row order up to the first zero, as the row-tail sum must
+    # reproduce in both value and Bernoulli reads
+    r = len(k)
+    numerator = 1
+    for x in k:
+        numerator *= factorial(x)
+    columns = [
+        [c for c in iter_product(range(x + 1), repeat=j + 1) if sum(c) == x]
+        for j, x in enumerate(k)
+    ]
+    total = Fraction(0)
+    for cols in iter_product(*columns):
+        row_tails = [0] * r
+        denom = 1
+        for col in cols:
+            for i, entry in enumerate(col):
+                row_tails[i] += entry
+                denom *= factorial(entry)
+        term = Fraction(numerator, denom)
+        for tail in row_tails:
+            weight = row_weight(tail, cache)
+            if not weight:
+                term = Fraction(0)
+                break
+            term *= weight
+        total += term
+    return -total if sum(k) % 2 else total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+def test_multisum_matches_matrix_enumeration(k):
+    k = tuple(k)
+    assert fkmt_value(k) == enumerated_multisum(k, None, FKMT.row_weight)
+    assert ems_value(k) == enumerated_multisum(k, None, EMS.row_weight)
+
+
+# Besides a few generic indices, (m + 2, m - 1) reads B_m, for m = 4, 6
+# and 8, only in a tail vector whose first row weight is 0, so a multi-sum
+# that reads past a zero weight leaves a different unread set.  B_13 has no
+# such index: the fill computes every later odd entry from the corrupted
+# one, so none of them is 0.
+CORRUPTED_CASE_INDICES = [(0,), (5,), (1, 2), (3, 3), (6, 3), (8, 5), (10, 7),
+                          (1, 2, 3), (3, 0, 2, 1), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("corrupted", [4, 6, 8, 13])
+@pytest.mark.parametrize("family, multisum", [(FKMT, fkmt_value), (EMS, ems_value)],
+                         ids=["FKMT", "EMS"])
+def test_multisum_under_a_corrupted_bernoulli_table(corrupted, family, multisum):
+    for k in CORRUPTED_CASE_INDICES:
+        row_tail_cache, reference_cache = BernoulliCache(), BernoulliCache()
+        row_tail_cache.corrupt(corrupted, Fraction(1, 5))
+        reference_cache.corrupt(corrupted, Fraction(1, 5))
+        value = multisum(k, row_tail_cache)
+        assert value == enumerated_multisum(k, reference_cache, family.row_weight), k
+        assert row_tail_cache.unread_corruptions() == reference_cache.unread_corruptions(), k
+        assert row_tail_cache.known() == reference_cache.known(), k
 
 
 def test_routes_agree_small_boxes():
