@@ -92,6 +92,24 @@ def _corruption(text: str) -> tuple[int, Fraction]:
     return m, value
 
 
+def _usage_error(message: str) -> int:
+    """Report a usage error on stderr and return its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _oversized(*limits: tuple[str, Optional[int], int]) -> str:
+    """The flags whose values are above their limits, listed for a usage
+    error ('' when there are none).  Each limit is (flag, value, limit);
+    an unset flag (None) is within it.  A command checks this before any
+    arithmetic."""
+    return ", ".join(
+        f"{flag} {value} (the limit is {limit})"
+        for flag, value, limit in limits
+        if value is not None and value > limit
+    )
+
+
 @contextmanager
 def _output(out_path: Optional[str]):
     """stdout, or a temporary sibling of the given path that replaces it
@@ -153,13 +171,11 @@ def _csv_text(rows: list[list[str]]) -> str:
 def _cmd_values(args) -> int:
     span = args.depth * (args.max_weight + 1)
     if span > MAX_TABLE_SPAN or (args.max_weight + 1) ** args.depth > MAX_TABLE_ENTRIES:
-        print(
-            f"error: a depth-{args.depth} table with max weight {args.max_weight} is too "
+        return _usage_error(
+            f"a depth-{args.depth} table with max weight {args.max_weight} is too "
             f"large: the limits are (max_weight + 1) ** depth <= {MAX_TABLE_ENTRIES:,} "
-            f"entries and depth * (max_weight + 1) <= {MAX_TABLE_SPAN}",
-            file=sys.stderr,
+            f"entries and depth * (max_weight + 1) <= {MAX_TABLE_SPAN}"
         )
-        return EXIT_USAGE
     table = value_table(args.family, args.depth, args.max_weight)
     if args.format == "json":
         _write_json(table.to_json_dict(), args.out)
@@ -179,19 +195,12 @@ def _cmd_values(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    limits = (
+    if oversized := _oversized(
         ("--depth", args.depth, MAX_VERIFY_DEPTH),
         ("--max-weight", args.max_weight, MAX_VERIFY_WEIGHT),
         ("--truncation", args.truncation, MAX_VERIFY_TRUNCATION),
-    )
-    oversized = [
-        f"{flag} {value} (the limit is {limit})"
-        for flag, value, limit in limits
-        if value is not None and value > limit
-    ]
-    if oversized:
-        print(f"error: verify caps too large: {', '.join(oversized)}", file=sys.stderr)
-        return EXIT_USAGE
+    ):
+        return _usage_error(f"verify caps too large: {oversized}")
     config = VerifyConfig(
         suites=tuple(args.suite) if args.suite else None,
         depth=args.depth,
@@ -202,8 +211,7 @@ def _cmd_verify(args) -> int:
     try:
         reports = run_all(config)
     except ValueError as exc:  # an unknown suite name
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     passed = reports_pass(reports)
     payload = {"passed": passed, "reports": [r.to_json_dict() for r in reports]}
 
@@ -221,13 +229,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gr_coeffs(args) -> int:
-    if args.depth > MAX_GR_DEPTH:
-        print(
-            f"error: gr-coeffs --depth {args.depth} is too large: "
-            f"the limit is depth <= {MAX_GR_DEPTH}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    if oversized := _oversized(("--depth", args.depth, MAX_GR_DEPTH)):
+        return _usage_error(f"gr-coeffs request too large: {oversized}")
     coeffs = shift_coefficients(args.depth)
     expression = shifted_zeta_expression(args.depth)
     if args.format == "json":
@@ -253,13 +256,8 @@ def _cmd_gr_coeffs(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    if args.max_weight > MAX_CONVERT_WEIGHT:
-        print(
-            f"error: a conversion table with max weight {args.max_weight} is too large: "
-            f"the limit is max_weight <= {MAX_CONVERT_WEIGHT}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    if oversized := _oversized(("--max-weight", args.max_weight, MAX_CONVERT_WEIGHT)):
+        return _usage_error(f"conversion table too large: {oversized}")
     rows = [
         {
             "k": k,
@@ -294,8 +292,7 @@ def _cmd_shuffle(args) -> int:
         u = Word.parse(args.u)
         v = Word.parse(args.v)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     product = word_product(u, v)
     print(f"{u} * {v} = {product}")
     defect = multiplicativity_defect(u, v, args.truncation)

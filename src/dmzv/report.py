@@ -23,12 +23,9 @@ class Check:
             raise ValueError("a check fails exactly when it carries a witness")
 
     @classmethod
-    def passed(cls, description: str) -> "Check":
-        return cls(description, "pass")
-
-    @classmethod
-    def failed(cls, description: str, witness: dict) -> "Check":
-        return cls(description, "fail", witness)
+    def of(cls, description: str, witness: Optional[dict] = None) -> "Check":
+        """The check ``description``: it fails exactly when given a witness."""
+        return cls(description, "pass" if witness is None else "fail", witness)
 
     def to_json_dict(self) -> dict:
         return {

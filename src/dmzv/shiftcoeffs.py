@@ -112,17 +112,12 @@ def shift_coefficients(depth: int) -> ShiftCoefficients:
 def check_trailing_shift(depth: int) -> list[Check]:
     """Every nonzero coefficient has last shift in {l_r - 1, l_r} and >= 0."""
     coeffs = shift_coefficients(depth)
-    checks = []
     bad = []
     for (l, m), value in sorted(coeffs.entries.items()):
         if m[-1] < 0 or m[-1] not in (l[-1] - 1, l[-1]):
             bad.append({"l": list(l), "m": list(m), "coefficient": value})
     desc = f"trailing-shift vanishing at depth {depth} ({len(coeffs.entries)} entries)"
-    if bad:
-        checks.append(Check.failed(desc, {"violations": bad}))
-    else:
-        checks.append(Check.passed(desc))
-    return checks
+    return [Check.of(desc, {"violations": bad} if bad else None)]
 
 
 def _zero_sum_vectors(length: int, lo: int, hi: int):
@@ -162,7 +157,6 @@ def check_contraction(depth: int) -> list[Check]:
         m_values.update(m)
     lo, hi = min(m_values | {0}), max(m_values | {0})
 
-    checks = []
     bad = []
     count = 0
     for l in iter_product(*(range(b + 1) for b in l_bounds)):
@@ -186,11 +180,7 @@ def check_contraction(depth: int) -> list[Check]:
                     }
                 )
     desc = f"contraction identity at depth {depth} ({count} index pairs scanned)"
-    if bad:
-        checks.append(Check.failed(desc, {"violations": bad[:10]}))
-    else:
-        checks.append(Check.passed(desc))
-    return checks
+    return [Check.of(desc, {"violations": bad[:10]} if bad else None)]
 
 
 def check_merge_substitution(depth: int) -> list[Check]:
@@ -229,96 +219,73 @@ def check_merge_substitution(depth: int) -> list[Check]:
     lhs_cleared = lhs.shift_variable(last_u, clearing)
     rhs_cleared = rhs.shift_variable(last_u, clearing)
 
+    witness = None
+    if lhs_cleared != rhs_cleared:
+        diff = lhs_cleared - rhs_cleared
+        exps, coeff = diff.sorted_terms()[0]
+        witness = {"monomial": dict(zip(diff.variables, exps)), "difference": str(coeff)}
     desc = f"merge substitution identity at depth {depth} (cleared by u{depth}^{clearing})"
-    if lhs_cleared == rhs_cleared:
-        return [Check.passed(desc)]
-    diff = lhs_cleared - rhs_cleared
-    exps, coeff = diff.sorted_terms()[0]
-    witness = {
-        "monomial": dict(zip(diff.variables, exps)),
-        "difference": str(coeff),
-    }
-    return [Check.failed(desc, witness)]
+    return [Check.of(desc, witness)]
+
+
+def _regrouping_check(description: str, totals: dict, splits) -> Check:
+    """Sum ``totals`` (vector -> coefficient sum) directly, then regroup it
+    through the bijection v <-> (v_1..v_{r-2}, v_{r-1} + v_r; p=v_{r-1},
+    q=v_r): over each merged vector w and each p in ``splits(w)``, with
+    q = w_{r-1} - p.  The regrouping must hit every vector exactly once and
+    preserve the total."""
+    direct = sum(totals.values())
+    keyed = {(v[:-2] + (v[-2] + v[-1],), v[-2], v[-1]): value for v, value in totals.items()}
+    regrouped = 0
+    hits = 0
+    for merged in sorted({key[0] for key in keyed}):
+        for p in splits(merged):
+            key = (merged, p, merged[-1] - p)
+            if key in keyed:
+                regrouped += keyed[key]
+                hits += 1
+    witness = None
+    if direct != regrouped or hits != len(totals):
+        witness = {
+            "direct_sum": direct,
+            "regrouped_sum": regrouped,
+            "hits": hits,
+            "points": len(totals),
+        }
+    return Check.of(description, witness)
 
 
 def check_reindexing(depth: int) -> list[Check]:
     """Regrouping correctness of the scans over the coefficient family.
 
     Shift side: summing over all zero-sum shift vectors n equals summing
-    over zero-sum (r-1)-vectors m and splittings p + q = m_{r-1}, via the
-    bijection n <-> (m_1..m_{r-2}, n_{r-1} + n_r; p=n_{r-1}, q=n_r).
-    Degree side: the same regrouping for l via l <-> (l', p=l_{r-1},
-    q=l_r).  Both directions must hit every support point exactly once
-    and preserve the total.
+    over zero-sum (r-1)-vectors m and integer splittings p + q = m_{r-1}.
+    Degree side: summing over all degree vectors l equals summing over
+    merged degree vectors k and non-negative splittings p + q = k_{r-1}.
     """
     if depth < 2:
         raise ValueError(f"reindexing check needs depth >= 2, got {depth}")
-    coeffs = shift_coefficients(depth)
-    checks = []
-
-    # shift side: sum over zero-sum n directly, then re-enumerate over
-    # zero-sum (r-1)-vectors m and integer splittings p + q = m_{r-1}
-    f: dict[tuple[int, ...], int] = {}
-    for (_, m), value in coeffs.entries.items():
-        f[m] = f.get(m, 0) + value
-    direct = sum(f.values())
-    lo = min((min(n) for n in f), default=0)
-    hi = max((max(n) for n in f), default=0)
-    keyed = {(n[:-2] + (n[-2] + n[-1],), n[-2], n[-1]): value for n, value in f.items()}
-    regrouped = 0
-    hit = 0
-    m_candidates = {n[:-2] + (n[-2] + n[-1],) for n in f}
-    for m in sorted(m_candidates):
-        for p in range(lo, hi + 1):
-            q = m[-1] - p
-            key = (m, p, q)
-            if key in keyed:
-                regrouped += keyed[key]
-                hit += 1
-    desc = f"shift regrouping at depth {depth} ({len(f)} shift vectors)"
-    if direct == regrouped and hit == len(f) and all(sum(m) == 0 for m in m_candidates):
-        checks.append(Check.passed(desc))
-    else:
-        checks.append(
-            Check.failed(
-                desc,
-                {"direct_sum": direct, "regrouped_sum": regrouped, "hits": hit, "points": len(f)},
-            )
-        )
-
-    # degree side: sum over l directly, then re-enumerate over merged
-    # degree vectors k and non-negative splittings p + q = k_{r-1}
-    g: dict[tuple[int, ...], int] = {}
-    for (l, _), value in coeffs.entries.items():
-        g[l] = g.get(l, 0) + value
-    direct_l = sum(g.values())
-    keyed_l = {(l[:-2] + (l[-2] + l[-1],), l[-2], l[-1]): value for l, value in g.items()}
-    regrouped_l = 0
-    hit_l = 0
-    k_candidates = {l[:-2] + (l[-2] + l[-1],) for l in g}
-    for k in sorted(k_candidates):
-        for p in range(k[-1] + 1):
-            q = k[-1] - p
-            key = (k, p, q)
-            if key in keyed_l:
-                regrouped_l += keyed_l[key]
-                hit_l += 1
-    desc = f"degree regrouping at depth {depth} ({len(g)} degree vectors)"
-    if direct_l == regrouped_l and hit_l == len(g):
-        checks.append(Check.passed(desc))
-    else:
-        checks.append(
-            Check.failed(
-                desc,
-                {
-                    "direct_sum": direct_l,
-                    "regrouped_sum": regrouped_l,
-                    "hits": hit_l,
-                    "points": len(g),
-                },
-            )
-        )
-    return checks
+    shifts: dict[tuple[int, ...], int] = {}
+    degrees: dict[tuple[int, ...], int] = {}
+    for (l, m), value in shift_coefficients(depth).entries.items():
+        shifts[m] = shifts.get(m, 0) + value
+        degrees[l] = degrees.get(l, 0) + value
+    lo = min((min(n) for n in shifts), default=0)
+    hi = max((max(n) for n in shifts), default=0)
+    return [
+        # a merged shift vector that is not zero-sum is outside the
+        # regrouped range, so its points go unhit and the check fails
+        _regrouping_check(
+            f"shift regrouping at depth {depth} ({len(shifts)} shift vectors)",
+            shifts,
+            lambda m: range(lo, hi + 1) if sum(m) == 0 else (),
+        ),
+        _regrouping_check(
+            f"degree regrouping at depth {depth} ({len(degrees)} degree vectors)",
+            degrees,
+            lambda k: range(k[-1] + 1),
+        ),
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """Golden outputs: CLI commands whose exit code and sha256 output digest
 are recorded in ``bench/references.json`` must reproduce them byte for
-byte.  The commands run in-process; the file is only read."""
+byte.  The commands run in-process; the file is only read.
+
+A verify report is digested the way the references were recorded: each
+report keeps its suite, parameters, checks and verdict, and drops its
+``elapsed`` timing."""
 
 import hashlib
 import json
@@ -22,6 +26,8 @@ GOLDEN = [
     ),
     "shuffle dddyyyy dydydyy --truncation 24",
     "shuffle ydyddyy ddyyydy --truncation 24",
+    "verify --format json",
+    "verify --suite bernoulli --corrupt-bernoulli 4=1/5 --format json",
 ]
 
 
@@ -34,6 +40,18 @@ def references():
 def test_output_matches_recorded_digest(capsys, references, command):
     code = main(command.split())
     out = capsys.readouterr().out
+    if command.startswith("verify"):
+        payload = json.loads(out)
+        out = json.dumps(
+            {
+                "passed": payload["passed"],
+                "reports": [
+                    {k: r[k] for k in ("suite", "parameters", "checks", "passed")}
+                    for r in payload["reports"]
+                ],
+            },
+            sort_keys=True,
+        )
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
         references[command]["exit"],
         references[command]["sha256"],

@@ -27,8 +27,8 @@ def test_check_invariant():
         Check("x", "fail")  # fail without witness
     with pytest.raises(ValueError):
         Check("x", "pass", {"unexpected": 1})
-    assert Check.passed("ok").witness is None
-    assert Check.failed("bad", {"k": 1}).witness == {"k": 1}
+    assert Check.of("ok") == Check("ok", "pass", None)
+    assert Check.of("bad", {"k": 1}) == Check("bad", "fail", {"k": 1})
 
 
 def test_small_suites_pass():
@@ -81,6 +81,30 @@ def test_fault_injection_flips_suites():
     assert {"bernoulli", "depth1", "routes", "conversion"} <= failing
     witness = next(c for r in reports for c in r.failures()).witness
     assert witness is not None and "lhs" in witness and "rhs" in witness
+
+
+@pytest.mark.parametrize("suite, first_keys, last_keys", [
+    ("recurrence", {"k"}, {"k"}),
+    ("shuffle", {"p", "q", "k", "l"}, {"p", "q", "k", "l"}),
+    ("last-entry", {"k"}, {"k"}),
+    ("inversion", {"k", "l"}, {"k", "l"}),
+    ("ems-shuffle", {"a", "b"}, {"a", "b", "c"}),
+])
+def test_value_identity_suites_can_fail(monkeypatch, suite, first_keys, last_keys):
+    # these suites hold for any Bernoulli table, so the fault goes into
+    # the values the store returns instead
+    fkmt, ems = ValueStore.fkmt, ValueStore.ems
+
+    def shifted(lookup, at):
+        return lambda store, k: lookup(store, k) + (Fraction(1, 7) if tuple(k) == at else 0)
+
+    monkeypatch.setattr(ValueStore, "fkmt", shifted(fkmt, (1, 1)))
+    monkeypatch.setattr(ValueStore, "ems", shifted(ems, (1,)))
+    [report] = run_all(VerifyConfig(suites=[suite]))
+    witnesses = [check.witness for check in report.failures()]
+    assert witnesses, f"{suite} passed on a corrupted value"
+    assert set(witnesses[0]) == first_keys | {"lhs", "rhs"}
+    assert set(witnesses[-1]) == last_keys | {"lhs", "rhs"}
 
 
 def test_fault_injection_every_single_index():
@@ -201,7 +225,7 @@ def test_report_serialization():
     report = IdentityReport(
         suite="demo",
         parameters={"n": 1},
-        checks=[Check.passed("fine"), Check.failed("broken", {"k": 2})],
+        checks=[Check.of("fine"), Check.of("broken", {"k": 2})],
         elapsed=0.5,
     )
     data = report.to_json_dict()
