@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 from .rationals import RationalLike
 
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+K = TypeVar("K")
 
 
 class UniSeries:
@@ -160,14 +161,6 @@ class UniSeries:
         out = {d - 1: d * c for d, c in self.coeffs.items() if d != 0}
         return UniSeries(out, self.order - 1)
 
-    def derivative_n(self, n: int) -> "UniSeries":
-        if n < 0:
-            raise ValueError("derivative order must be >= 0")
-        out = self
-        for _ in range(n):
-            out = out.derivative()
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniSeries):
             return NotImplemented
@@ -180,9 +173,10 @@ class UniSeries:
         return f"UniSeries({{{terms}}}, order={self.order})"
 
 
-def _numerators(coeffs: Mapping[int, Fraction]) -> tuple[list[tuple[int, int]], int]:
-    """Terms as (degree, integer numerator) over the common denominator of
-    all coefficients, and that denominator."""
+def _numerators(coeffs: Mapping[K, Fraction]) -> tuple[list[tuple[K, int]], int]:
+    """Terms as (key, integer numerator) over the common denominator of all
+    coefficients, and that denominator; the keys are degrees for a series
+    and words for a word sum."""
     # pairwise rather than lcm(*...): argument tuples of a dozen or more
     # entries would stay allocated in the interpreter's tuple free lists
     den = 1

@@ -4,8 +4,8 @@ Every finite identity the library implements is packaged as a named
 suite that checks it exhaustively over a capped index range, with exact
 rational comparisons and a witness for every failure.  The caps
 :func:`run_all` gives the suites are the ones the acceptance criteria
-prescribe; the whole default run (``dmzv verify``) takes about 0.6 s in a
-fresh process on a 2-vCPU x86-64 host.
+prescribe; the whole default run (``dmzv verify``) takes about 0.5 s in a
+fresh process on a 2-vCPU x86-64 host (median of 9 runs).
 
 Value lookups go through a per-run memo (:class:`ValueStore`) so the
 shuffle-type suites, which revisit indices heavily, stay fast, and so a

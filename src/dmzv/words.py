@@ -21,16 +21,23 @@ differentiate a_i times) to x(z) = exp(z)/(1 - exp(z)), finishing with
 a_1 plain derivatives.  Words ending in d map to 0 and the empty word to
 1, which is the unique linear extension killing the ideal generated by
 the Leibniz defects and by words ending in d.
+
+Since x' = x + x^2, differentiating a polynomial p(x) gives the
+polynomial p'(x) (x + x^2).  So a word's image is an integer polynomial
+in x of degree at most its length, and :func:`character` evaluates the
+combined polynomial of a word sum once, against a cached table of the
+powers of x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .rationals import RationalLike, format_rational
-from .series import UniSeries, exp_over_one_minus_exp
+from .series import UniSeries, _numerators, exp_over_one_minus_exp
 
 __all__ = [
     "Word",
@@ -165,11 +172,13 @@ class WordSum:
         return f"WordSum({str(self)})"
 
 
-# The product and the character are cached on letter tuples (hashing a
-# tuple is cheaper than calling Word.__hash__).  The sizes hold the
-# largest working sets measured: 2,800 products and 720 characters for
-# all 400 shuffle pairs the benchmark draws from, in one process, and
-# 1,138 products and 361 characters for the default words suite.
+# The product and the character's polynomials are cached on letter tuples
+# (hashing a tuple is cheaper than calling Word.__hash__), and the kernel's
+# power tables on (order, top power).  The sizes hold the largest working
+# sets measured: 2,800 products, 3,060 polynomials (suffixes included) and
+# 2 power tables for all 400 shuffle pairs the benchmark draws from, in one
+# process, and 1,138 products, 373 polynomials and 17 power tables for a
+# default verify run, the same as at its largest accepted caps.
 @lru_cache(maxsize=4096)
 def _product_letters(u: tuple[str, ...], v: tuple[str, ...]) -> WordSum:
     if not u:
@@ -200,50 +209,71 @@ def word_product(
     return out
 
 
-def _derivative_counts(letters: tuple[str, ...]) -> list[int]:
-    # the letters must end with y: count the d-run before each y
-    counts, run = [], 0
-    for ch in letters:
-        if ch == "d":
-            run += 1
-        else:
-            counts.append(run)
-            run = 0
-    return counts
-
-
 def character(w: Union[Word, WordSum], order: int) -> UniSeries:
     """The algebra character into Laurent series, exact through ``order``.
 
-    The kernel series is computed with enough working order that every
-    derivative and every multiplication by the valuation -1 kernel still
-    leaves the result exact through the requested order.
+    The kernel x = exp(z)/(1 - exp(z)) satisfies x' = x + x^2, so every
+    word's image is an integer polynomial in x (:func:`_character_poly`),
+    and the image of a word sum is the one rational polynomial sum c P_w.
+    That polynomial is evaluated once, as integer numerators against a
+    cached table of the kernel's powers, with one ``Fraction`` per degree.
     """
-    if isinstance(w, WordSum):
-        acc = UniSeries.zero(order)
-        for word, coeff in w.terms.items():
-            acc = acc + character(word, order) * coeff
-        return acc
-    return _character_letters(w.letters, order)
-
-
-@lru_cache(maxsize=1024)
-def _character_letters(letters: tuple[str, ...], order: int) -> UniSeries:
-    if not letters:
-        return UniSeries.one(order)
-    if letters[-1] == "d":
+    terms, poly_den = ([(w, 1)], 1) if isinstance(w, Word) else _numerators(w.terms)
+    poly: dict[int, int] = {}
+    for word, n in terms:
+        for power, count in _character_poly(word.letters):
+            poly[power] = poly.get(power, 0) + count * n
+    poly = {power: n for power, n in poly.items() if n}
+    if not poly:
         return UniSeries.zero(order)
-    counts = _derivative_counts(letters)
-    kernel = exp_over_one_minus_exp(order + len(letters) + 1)
-    out = kernel
-    for k in reversed(counts[1:]):
-        out = kernel * out.derivative_n(k)
-    out = out.derivative_n(counts[0])
-    if out.order < order:
-        raise ValueError(
-            f"insufficient order: got {out.order}, need {order} for word {Word(letters)}"
-        )
-    return out.truncate(order)
+    powers, den = _kernel_powers(order, max(poly))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for power, n in poly.items():
+        for d, m in powers[power]:
+            acc[d] = get(d, 0) + n * m
+    den *= poly_den
+    return UniSeries._trusted({d: Fraction(acc[d], den) for d in sorted(acc) if acc[d]}, order)
+
+
+@lru_cache(maxsize=4096)
+def _character_poly(letters: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+    """A word's image as an integer polynomial in the kernel x, as
+    (power, coefficient) pairs.  Read right to left from 1, a y multiplies
+    by x and a d differentiates, p(x) -> p'(x) (x + x^2); so the empty
+    word gives 1 and a word ending in d gives 0."""
+    if not letters:
+        return ((0, 1),)
+    rest = _character_poly(letters[1:])
+    if letters[0] == "y":
+        return tuple((power + 1, count) for power, count in rest)
+    out: dict[int, int] = {}
+    for power, count in rest:
+        if power:
+            out[power] = out.get(power, 0) + power * count
+            out[power + 1] = out.get(power + 1, 0) + power * count
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=32)
+def _kernel_powers(
+    order: int, top: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """x^0 .. x^top for the kernel x, exact through ``order``: for each
+    power its (degree, integer numerator) pairs over one common
+    denominator, and that denominator.  x has valuation -1, so x^j needs x
+    exact through order + j - 1."""
+    powers = [UniSeries.one(order)]
+    if top:
+        kernel = exp_over_one_minus_exp(order + top - 1)
+        powers.append(kernel)
+        while len(powers) <= top:
+            powers.append(powers[-1] * kernel)
+    table = [_numerators(power.truncate(order).coeffs) for power in powers]
+    den = 1
+    for _, den_j in table:
+        den = lcm(den, den_j)
+    return tuple(tuple((d, n * (den // den_j)) for d, n in terms) for terms, den_j in table), den
 
 
 def multiplicativity_defect(u: Word, v: Word, order: int) -> UniSeries:

@@ -238,6 +238,27 @@ def test_shuffle_empty_word(capsys):
     assert "1 * y = y" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["y" * 17, "y"], ["dy", "d" * 16 + "y"], ["dy", "dy", "--truncation", "65"]],
+)
+def test_shuffle_refuses_oversized_input(capsys, monkeypatch, argv):
+    def no_arithmetic(*args):
+        raise AssertionError("an oversized shuffle must be refused before any arithmetic")
+
+    monkeypatch.setattr(cli, "word_product", no_arithmetic)
+    assert main(["shuffle", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large" in captured.err
+
+    # at the limits, and the benchmark's length-7 words at truncation 24
+    for accepted in (["y" * 16, "d" * 15 + "y", "--truncation", "64"],
+                     ["dydydyy", "yyydddy", "--truncation", "24"], ["dy", "dy"]):
+        with pytest.raises(AssertionError, match="refused"):
+            main(["shuffle", *accepted])
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     out_path = tmp_path / "out.json"
     assert main(["values", "--family", "ems", "--depth", "1", "--max-weight", "3",

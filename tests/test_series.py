@@ -155,6 +155,15 @@ def test_kernel_series_functional_equation():
     assert lhs.truncate(N) == rhs.truncate(N)
 
 
+@pytest.mark.parametrize("N", [0, 1, 6, 24])
+def test_kernel_derivative_is_x_plus_x_squared(N):
+    # x' = x + x^2: the word character evaluates polynomials in x on it
+    x = exp_over_one_minus_exp(N)
+    lhs, rhs = x.derivative(), x + x * x
+    common = min(lhs.order, rhs.order)
+    assert lhs.truncate(common) == rhs.truncate(common)
+
+
 def test_laurent_derivative():
     s = UniSeries({-1: 1}, 5)
     assert s.derivative() == UniSeries({-2: -1}, 4)

@@ -1,8 +1,9 @@
 """The benchmark's layer tracer (``bench/layers.py``) installs its spans on
 names in ``dmzv``: the ``verify_<suite>`` functions, ``ValueStore.fkmt``
-and ``ValueStore.ems``, and the ``(family, index)`` keys of the store's
-memo.  A traced verify run must still find all of them.  The tracer
-runs in a subprocess; nothing under ``bench/`` is written."""
+and ``ValueStore.ems``, the ``(family, index)`` keys of the store's memo,
+and ``words.word_product`` and ``words.character``.  A traced run
+must still find all of them.  The tracer runs in a subprocess; nothing
+under ``bench/`` is written."""
 
 import json
 import os
@@ -13,16 +14,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_verify_finds_every_verify_hook():
+def traced(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "layers.py"), "traced",
-         "verify", "--suite", "depth1", "--format", "json"],
+        [sys.executable, str(ROOT / "bench" / "layers.py"), "traced", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_traced_verify_finds_every_verify_hook():
+    result = traced("verify", "--suite", "depth1", "--format", "json")
     assert result["exit"] == 0
     assert [name for name in result["missing"] if name.startswith("verify")] == []
     assert result["counts"]["verify.store_lookups"] > 0
     assert result["calls"]["verify.depth1"] == 1
+
+
+def test_traced_shuffle_finds_the_words_spans():
+    result = traced("shuffle", "dy", "dy")
+    assert result["exit"] == 0
+    assert [name for name in result["missing"] if name.startswith("words")] == []
+    assert result["calls"]["words.character"] >= 1
+    assert result["calls"]["words.product"] >= 1

@@ -5,15 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmzv.series import exp_over_one_minus_exp
+from dmzv.series import UniSeries, exp_over_one_minus_exp
 from dmzv.words import (
     Word,
     WordSum,
+    _character_poly,
     character,
     leibniz_defect,
     multiplicativity_defect,
     word_product,
 )
+
+
+def operator_character(w, order):
+    """The character by its definition, on Fraction series: starting from
+    the kernel for the last y, read the word right to left, multiplying by
+    the kernel for each further y and differentiating for each d."""
+    if isinstance(w, WordSum):
+        acc = UniSeries.zero(order)
+        for word, coeff in w.terms.items():
+            acc = acc + operator_character(word, order) * coeff
+        return acc
+    letters = w.letters
+    if not letters:
+        return UniSeries.one(order)
+    if letters[-1] == "d":
+        return UniSeries.zero(order)
+    kernel = exp_over_one_minus_exp(order + len(letters) + 1)
+    out = kernel
+    for letter in reversed(letters[:-1]):
+        out = out.derivative() if letter == "d" else kernel * out
+    return out.truncate(order)
 
 
 def words_up_to(n, ending_in_y=False):
@@ -108,6 +130,15 @@ def test_character_dy_is_kernel_derivative():
     assert got.coefficient(0) == Fraction(-1, 12)
 
 
+def test_character_poly_examples():
+    # dy -> x' = x + x^2; ddy -> (1 + 2x)(x + x^2) = x + 3x^2 + 2x^3
+    assert _character_poly(("d", "y")) == ((1, 1), (2, 1))
+    assert _character_poly(("d", "d", "y")) == ((1, 1), (2, 3), (3, 2))
+    assert _character_poly(("y", "d", "y")) == ((2, 1), (3, 1))
+    assert _character_poly(("y", "d")) == ()
+    assert _character_poly(()) == ((0, 1),)
+
+
 def test_multiplicativity_examples():
     for a, b in (("y", "y"), ("dy", "y"), ("dy", "dy")):
         defect = multiplicativity_defect(Word.parse(a), Word.parse(b), 10)
@@ -149,3 +180,25 @@ def test_word_product_preserves_length(u, v):
 @given(words_over_dy, words_over_dy, st.integers(min_value=0, max_value=10))
 def test_character_multiplicative_on_random_words(u, v, order):
     assert multiplicativity_defect(u, v, order).is_zero()
+
+
+words_up_to_10 = st.text(alphabet="dy", max_size=10).map(Word.parse)
+word_sums = st.dictionaries(
+    st.text(alphabet="dy", max_size=8).map(Word.parse),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    max_size=6,
+).map(WordSum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words_up_to_10, st.integers(min_value=0, max_value=24))
+def test_character_matches_operator_route_on_words(w, order):
+    got, want = character(w, order), operator_character(w, order)
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_sums, st.integers(min_value=0, max_value=24))
+def test_character_matches_operator_route_on_word_sums(s, order):
+    got, want = character(s, order), operator_character(s, order)
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
