@@ -1,10 +1,13 @@
 """Multivariate polynomials with integer exponents of either sign.
 
-These carry named variables so that rings over different variable sets
-combine naturally: binary operations align the operands to the union of
-their variable tuples first.  Exponents may be negative on any variable,
-which is what the coefficient-polynomial machinery needs for its 1/v_j
-factors; substitution, however, is only defined into non-negative powers.
+A polynomial lives in the ring named by its variable tuple.  Binary
+operations (``+``, ``-``, ``*`` and ``substitute``) work in one ring: both
+operands must have the same variable tuple, or a ``ValueError`` names the
+two; polynomials of different rings are never equal.  ``with_variables``
+embeds a polynomial into a larger ring first.  Exponents may be negative
+on any variable, which is what the coefficient-polynomial machinery needs
+for its 1/v_j factors; substitution, however, is only defined into
+non-negative powers.
 """
 
 from __future__ import annotations
@@ -12,11 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .rationals import RationalLike
+from .rationals import RationalLike, accumulate
 
 __all__ = ["LaurentPolynomial"]
-
-_ZERO = Fraction(0)
 
 
 class LaurentPolynomial:
@@ -70,12 +71,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient_of(self, exps: Sequence[int]) -> Fraction:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(self.variables):
-            raise ValueError(f"exponent vector {exps} does not match variables {self.variables}")
-        return self.terms.get(exps, _ZERO)
-
     def with_variables(self, new_variables: Sequence[str]) -> "LaurentPolynomial":
         """Re-embed into a ring whose variables are a superset of the current ones."""
         new_variables = tuple(str(v) for v in new_variables)
@@ -92,42 +87,21 @@ class LaurentPolynomial:
             out[tuple(e)] = c
         return LaurentPolynomial(out, new_variables)
 
-    def _aligned(self, other: "LaurentPolynomial"):
-        if self.variables == other.variables:
-            return self, other
-        union = list(self.variables)
-        for name in other.variables:
-            if name not in union:
-                union.append(name)
-        return self.with_variables(union), other.with_variables(union)
+    def _same_ring(self, other: "LaurentPolynomial") -> None:
+        if self.variables != other.variables:
+            raise ValueError(f"operands in different rings: {self.variables} vs {other.variables}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.constant(other, self.variables)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        a, b = self._aligned(other)
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPolynomial(out, a.variables)
-
-    __radd__ = __add__
+        self._same_ring(other)
+        return LaurentPolynomial(accumulate(dict(self.terms), other.terms.items()), self.variables)
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial({e: -c for e, c in self.terms.items()}, self.variables)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.constant(other, self.variables)
+    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, factor: RationalLike) -> "LaurentPolynomial":
         factor = Fraction(factor)
@@ -140,17 +114,16 @@ class LaurentPolynomial:
             return self.scale(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPolynomial(out, a.variables)
+        self._same_ring(other)
+        out = accumulate(
+            {},
+            (
+                (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
+        return LaurentPolynomial(out, self.variables)
 
     __rmul__ = __mul__
 
@@ -169,20 +142,17 @@ class LaurentPolynomial:
     def substitute(self, name: str, replacement: "LaurentPolynomial") -> "LaurentPolynomial":
         """Replace every occurrence of the named variable by a polynomial.
 
-        Homomorphic: substitution commutes with ring operations.  Requires
-        every exponent of the substituted variable to be non-negative.
+        Homomorphic: substitution commutes with ring operations.  The
+        replacement must be in the same ring, and every exponent of the
+        substituted variable must be non-negative.
         """
+        self._same_ring(replacement)
         if name not in self.variables:
             raise ValueError(f"variable {name!r} not in {self.variables}")
-        union = list(self.variables)
-        for v in replacement.variables:
-            if v not in union:
-                union.append(v)
-        poly = self.with_variables(union)
-        rep = replacement.with_variables(union)
-        idx = union.index(name)
+        variables = self.variables
+        idx = variables.index(name)
         grouped: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exps, c in poly.terms.items():
+        for exps, c in self.terms.items():
             n = exps[idx]
             if n < 0:
                 raise ValueError(
@@ -190,56 +160,27 @@ class LaurentPolynomial:
                 )
             cleared = exps[:idx] + (0,) + exps[idx + 1 :]
             grouped.setdefault(n, {})[cleared] = c
-        powers: dict[int, LaurentPolynomial] = {0: LaurentPolynomial.constant(1, union)}
+        powers: dict[int, LaurentPolynomial] = {0: LaurentPolynomial.constant(1, variables)}
 
         def rep_power(n: int) -> LaurentPolynomial:
             while n not in powers:
                 top = max(powers)
-                powers[top + 1] = powers[top] * rep
+                powers[top + 1] = powers[top] * replacement
             return powers[n]
 
-        out = LaurentPolynomial.zero(union)
+        out: dict[tuple[int, ...], Fraction] = {}
         for n, terms in grouped.items():
-            out = out + LaurentPolynomial(terms, union) * rep_power(n)
-        return out
-
-    def evaluate(self, values: Mapping[str, RationalLike]) -> Fraction:
-        """Evaluate at a rational point; variables with negative exponents
-        must be assigned nonzero values."""
-        point = []
-        for name in self.variables:
-            if name not in values:
-                raise ValueError(f"no value supplied for variable {name!r}")
-            point.append(Fraction(values[name]))
-        total = Fraction(0)
-        pow_cache: dict[tuple[int, int], Fraction] = {}
-        for exps, c in self.terms.items():
-            prod = c
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                key = (i, e)
-                if key not in pow_cache:
-                    if point[i] == 0 and e < 0:
-                        raise ZeroDivisionError(
-                            f"variable {self.variables[i]!r} has a pole at 0"
-                        )
-                    pow_cache[key] = point[i] ** e
-                prod *= pow_cache[key]
-            total += prod
-        return total
+            accumulate(out, (LaurentPolynomial(terms, variables) * rep_power(n)).terms.items())
+        return LaurentPolynomial(out, variables)
 
     def sorted_terms(self):
         """Terms in lexicographic exponent order."""
         return sorted(self.terms.items())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.constant(other, self.variables)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        a, b = self._aligned(other)
-        return a.terms == b.terms
+        return self.variables == other.variables and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 

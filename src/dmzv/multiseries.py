@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
 from typing import Mapping, Sequence
 
-from .rationals import RationalLike, multinomial
+from .rationals import RationalLike, accumulate, multinomial, numerators
 from .series import UniSeries
 
 __all__ = ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"]
@@ -93,14 +92,8 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         self._check_shape(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiSeries(out, self.nvars, self.cap)
+        out = accumulate(dict(self.coeffs), other.coeffs.items())
+        return MultiSeries._trusted(out, self.nvars, self.cap)
 
     def __neg__(self) -> "MultiSeries":
         return MultiSeries({e: -c for e, c in self.coeffs.items()}, self.nvars, self.cap)
@@ -192,14 +185,10 @@ class MultiSeries:
 
 
 def _packed(coeffs: Mapping[tuple[int, ...], Fraction], shifts: Sequence[int]):
-    """Terms as (packed exponent code, integer numerator) over the common
-    denominator of all coefficients, and that denominator."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    terms = [
-        (sum(e << sh for e, sh in zip(exps, shifts)), c.numerator * (den // c.denominator))
-        for exps, c in coeffs.items()
-    ]
-    return terms, den
+    """:func:`numerators` with each exponent vector packed into one int,
+    ``shifts[i]`` bits up for variable i."""
+    terms, den = numerators(coeffs)
+    return [(sum(e << sh for e, sh in zip(exps, shifts)), n) for exps, n in terms], den
 
 
 def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) -> MultiSeries:
@@ -288,10 +277,5 @@ def substitute_linear_forms(
                 term = term * power(i, a)
                 if term.is_zero():
                     break
-        for e, value in term.coeffs.items():
-            s = acc.get(e, _ZERO) + value
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-    return MultiSeries(acc, nvars, cap)
+        accumulate(acc, term.coeffs.items())
+    return MultiSeries._trusted(acc, nvars, cap)

@@ -1,27 +1,62 @@
-"""Exact rational scalars and elementary combinatorial functions.
+"""Exact rational scalars, the sum and common denominator of sparse
+exact terms, and elementary combinatorial functions.
 
 Every coefficient and every value in this package is a
 ``fractions.Fraction``: arbitrary precision, reduced on construction,
 denominator always positive.  There is no floating-point mode anywhere.
+Every sparse type adds through :func:`accumulate`, and the series
+products and the word character put their terms over one denominator
+through :func:`numerators`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence, Union
+from math import comb, lcm
+from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
+K = TypeVar("K")
 
 __all__ = [
     "Rational",
+    "accumulate",
+    "numerators",
     "binomial",
     "pochhammer",
     "multinomial",
     "format_rational",
     "parse_rational",
 ]
+
+_ZERO = Fraction(0)
+
+
+def accumulate(acc: dict[K, Fraction], terms: Iterable[tuple[K, Fraction]]) -> dict[K, Fraction]:
+    """Add the (key, coefficient) pairs ``terms`` into ``acc`` in place and
+    return ``acc``; a key whose sum is zero is dropped, so ``acc`` never
+    stores a zero coefficient.  This is the sum of every sparse exact type."""
+    get = acc.get
+    for key, c in terms:
+        s = get(key, _ZERO) + c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def numerators(coeffs: Mapping[K, Fraction]) -> tuple[list[tuple[K, int]], int]:
+    """Terms as (key, integer numerator) over the common denominator of all
+    coefficients, and that denominator; the keys are degrees for a series,
+    exponent vectors for a multivariate series and words for a word sum."""
+    # pairwise rather than lcm(*...): argument tuples of a dozen or more
+    # entries would stay allocated in the interpreter's tuple free lists
+    den = 1
+    for c in coeffs.values():
+        den = lcm(den, c.denominator)
+    return [(d, c.numerator * (den // c.denominator)) for d, c in coeffs.items()], den
 
 
 def binomial(n: int, k: int) -> int:

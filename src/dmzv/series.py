@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
-from typing import Mapping, TypeVar
+from math import factorial
+from typing import Mapping
 
-from .rationals import RationalLike
+from .rationals import RationalLike, accumulate, numerators
 
 __all__ = [
     "UniSeries",
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-K = TypeVar("K")
 
 
 class UniSeries:
@@ -98,15 +97,8 @@ class UniSeries:
             return NotImplemented
         order = min(self.order, other.order)
         out = {d: c for d, c in self.coeffs.items() if d <= order}
-        for d, c in other.coeffs.items():
-            if d > order:
-                continue
-            s = out.get(d, _ZERO) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return UniSeries(out, order)
+        accumulate(out, ((d, c) for d, c in other.coeffs.items() if d <= order))
+        return UniSeries._trusted(out, order)
 
     def __neg__(self) -> "UniSeries":
         return UniSeries({d: -c for d, c in self.coeffs.items()}, self.order)
@@ -131,8 +123,8 @@ class UniSeries:
         # integer numerators over each operand's common denominator; the
         # right terms in increasing degree, so a left term stops at the
         # first right term past the order
-        left, left_den = _numerators(self.coeffs)
-        right, right_den = _numerators(other.coeffs)
+        left, left_den = numerators(self.coeffs)
+        right, right_den = numerators(other.coeffs)
         right.sort()
         acc: dict[int, int] = {}
         get = acc.get
@@ -171,18 +163,6 @@ class UniSeries:
     def __repr__(self) -> str:
         terms = ", ".join(f"{d}: {c}" for d, c in sorted(self.coeffs.items()))
         return f"UniSeries({{{terms}}}, order={self.order})"
-
-
-def _numerators(coeffs: Mapping[K, Fraction]) -> tuple[list[tuple[K, int]], int]:
-    """Terms as (key, integer numerator) over the common denominator of all
-    coefficients, and that denominator; the keys are degrees for a series
-    and words for a word sum."""
-    # pairwise rather than lcm(*...): argument tuples of a dozen or more
-    # entries would stay allocated in the interpreter's tuple free lists
-    den = 1
-    for c in coeffs.values():
-        den = lcm(den, c.denominator)
-    return [(d, c.numerator * (den // c.denominator)) for d, c in coeffs.items()], den
 
 
 def divide_with_valuation(num: UniSeries, den: UniSeries) -> UniSeries:

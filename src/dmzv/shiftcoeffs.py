@@ -299,6 +299,15 @@ class ShiftedZetaExpression:
     depth: int
     terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
+    def __post_init__(self):
+        for _, l, m in self.terms:
+            if len(l) != self.depth or len(m) != self.depth:
+                raise ValueError(f"term l={l}, m={m} does not have depth {self.depth}")
+            if any(x < 0 for x in l):
+                raise ValueError(f"negative Pochhammer degree in l={l}")
+            if sum(m) != 0:
+                raise ValueError(f"shifts m={m} do not sum to zero")
+
     def to_json_dict(self) -> dict:
         return {
             "depth": self.depth,

@@ -36,8 +36,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .rationals import RationalLike, format_rational
-from .series import UniSeries, _numerators, exp_over_one_minus_exp
+from .rationals import RationalLike, accumulate, format_rational, numerators
+from .series import UniSeries, exp_over_one_minus_exp
 
 __all__ = [
     "Word",
@@ -119,32 +119,17 @@ class WordSum:
     def of(cls, word: Word, coeff: RationalLike = 1) -> "WordSum":
         return cls({word: coeff})
 
-    @classmethod
-    def zero(cls) -> "WordSum":
-        return cls()
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "WordSum") -> "WordSum":
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            s = out.get(word, Fraction(0)) + coeff
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
-        return WordSum(out)
+        return WordSum(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "WordSum":
         return WordSum({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "WordSum") -> "WordSum":
         return self + (-other)
-
-    def scale(self, factor: RationalLike) -> "WordSum":
-        factor = Fraction(factor)
-        return WordSum({w: c * factor for w, c in self.terms.items()})
 
     def prepend(self, letter: str) -> "WordSum":
         return WordSum({w.prepend(letter): c for w, c in self.terms.items()})
@@ -202,11 +187,13 @@ def word_product(
         left = WordSum.of(left)
     if isinstance(right, Word):
         right = WordSum.of(right)
-    out = WordSum.zero()
+    out: dict[Word, Fraction] = {}
     for wu, cu in left.terms.items():
         for wv, cv in right.terms.items():
-            out = out + _product_letters(wu.letters, wv.letters).scale(cu * cv)
-    return out
+            c = cu * cv
+            product = _product_letters(wu.letters, wv.letters).terms
+            accumulate(out, ((w, c * cw) for w, cw in product.items()))
+    return WordSum(out)
 
 
 def character(w: Union[Word, WordSum], order: int) -> UniSeries:
@@ -218,7 +205,7 @@ def character(w: Union[Word, WordSum], order: int) -> UniSeries:
     That polynomial is evaluated once, as integer numerators against a
     cached table of the kernel's powers, with one ``Fraction`` per degree.
     """
-    terms, poly_den = ([(w, 1)], 1) if isinstance(w, Word) else _numerators(w.terms)
+    terms, poly_den = ([(w, 1)], 1) if isinstance(w, Word) else numerators(w.terms)
     poly: dict[int, int] = {}
     for word, n in terms:
         for power, count in _character_poly(word.letters):
@@ -269,7 +256,7 @@ def _kernel_powers(
         powers.append(kernel)
         while len(powers) <= top:
             powers.append(powers[-1] * kernel)
-    table = [_numerators(power.truncate(order).coeffs) for power in powers]
+    table = [numerators(power.truncate(order).coeffs) for power in powers]
     den = 1
     for _, den_j in table:
         den = lcm(den, den_j)

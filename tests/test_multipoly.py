@@ -61,31 +61,20 @@ def test_substitute_into_negative_power_raises():
         p.substitute("v1", mono({"v2": 1}))
 
 
-def test_evaluate_matches_direct():
-    p = mono({"u1": 2}, 3) + mono({"v1": -1}, Fraction(1, 2)) - LaurentPolynomial.constant(
-        4, VARS
-    )
-    point = {"u1": Fraction(2), "v1": Fraction(1, 3), "v2": Fraction(5)}
-    expected = 3 * Fraction(2) ** 2 + Fraction(1, 2) * 3 - 4
-    assert p.evaluate(point) == expected
-
-
-def test_evaluate_requires_all_variables():
-    p = mono({"u1": 1})
-    with pytest.raises(ValueError, match="no value supplied"):
-        p.evaluate({"u1": 1, "v1": 1})
-
-
-def test_variable_alignment():
+def test_operations_work_in_one_ring():
     a = LaurentPolynomial({(1,): 1}, ("x",))
     b = LaurentPolynomial({(1,): 1}, ("y",))
-    s = a + b
-    assert set(s.variables) == {"x", "y"}
-    assert s.coefficient_of((1, 0)) == 1
-    assert s.coefficient_of((0, 1)) == 1
-    # equality aligns too
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.substitute("x", b)):
+        with pytest.raises(ValueError, match=r"\('x',\) vs \('y',\)"):
+            op()
     a_wide = a.with_variables(("x", "y"))
-    assert a == a_wide
+    assert a != a_wide
+    # embedded into one ring, the same operands combine and agree
+    b_wide = b.with_variables(("x", "y"))
+    assert a_wide + b_wide == LaurentPolynomial({(1, 0): 1, (0, 1): 1}, ("x", "y"))
+    assert a_wide * b_wide == LaurentPolynomial({(1, 1): 1}, ("x", "y"))
+    assert a_wide.substitute("x", b_wide) == b_wide
+    assert a_wide == LaurentPolynomial({(1, 0): 1}, ("x", "y"))
 
 
 def test_shift_variable_and_degrees():

@@ -172,6 +172,17 @@ def test_expression_round_trip_and_bijection():
     assert json.dumps(json.loads(blob), sort_keys=True) == blob
 
 
+@pytest.mark.parametrize("term, message", [
+    ({"coef": 1, "l": [0], "m": [0, 0, 3]}, "does not have depth 2"),
+    ({"coef": 1, "l": [0, 1, 2], "m": [0, 0]}, "does not have depth 2"),
+    ({"coef": 1, "l": [-1, 0], "m": [0, 0]}, "negative Pochhammer degree"),
+    ({"coef": 1, "l": [0, 0], "m": [1, 0]}, "do not sum to zero"),
+])
+def test_expression_refuses_malformed_terms(term, message):
+    with pytest.raises(ValueError, match=message):
+        ShiftedZetaExpression.from_json_dict({"depth": 2, "terms": [term]})
+
+
 def test_zero_sum_constraint_enforced():
     for depth in (1, 2, 3, 4):
         for (_, m) in shift_coefficients(depth).entries:

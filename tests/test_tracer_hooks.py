@@ -1,8 +1,10 @@
 """The benchmark's layer tracer (``bench/layers.py``) installs its spans on
 names in ``dmzv``: the ``verify_<suite>`` functions, ``ValueStore.fkmt``
 and ``ValueStore.ems``, the ``(family, index)`` keys of the store's memo,
-and ``words.word_product`` and ``words.character``.  A traced run
-must still find all of them.  The tracer runs in a subprocess; nothing
+``words.word_product`` and ``words.character``, the ``LaurentPolynomial``
+product and substitution, and the ``MultiSeries`` and ``UniSeries``
+products and the linear-form substitutions.  A traced run must still find
+all of them.  The tracer runs in a subprocess; nothing
 under ``bench/`` is written."""
 
 import json
@@ -38,3 +40,22 @@ def test_traced_shuffle_finds_the_words_spans():
     assert [name for name in result["missing"] if name.startswith("words")] == []
     assert result["calls"]["words.character"] >= 1
     assert result["calls"]["words.product"] >= 1
+
+
+def test_traced_shift_coeffs_finds_the_polynomial_spans():
+    result = traced("verify", "--suite", "shift-coeffs", "--format", "json")
+    assert result["exit"] == 0
+    assert [name for name in result["missing"]
+            if name.startswith(("multipoly", "shiftcoeffs"))] == []
+    assert result["calls"]["multipoly.mul"] >= 1
+    assert result["calls"]["multipoly.substitute"] >= 1
+
+
+def test_traced_values_finds_the_series_spans():
+    result = traced("values", "--family", "fkmt", "--depth", "2", "--max-weight", "2",
+                    "--format", "json")
+    assert result["exit"] == 0
+    for name in ("multiseries.MultiSeries.__mul__", "multiseries.substitute_linear_form",
+                 "series.UniSeries.__mul__"):
+        assert name not in result["missing"]
+    assert result["calls"]["multiseries.mul"] >= 1
