@@ -18,6 +18,7 @@ import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .genfun import FAMILIES, conversion_table, value_table
@@ -45,8 +46,8 @@ MAX_TABLE_SPAN = 500
 # the weight: 2.3 s at 500, 11 s at 800 and 130 s at 1600.
 MAX_CONVERT_WEIGHT = 500
 # Bound on ``gr-coeffs --depth``, checked before any arithmetic.  The
-# shifted-zeta expansion takes about 0.25 s at depth 6 and 2 s at depth 7,
-# and each further depth costs about nine times more.
+# shifted-zeta expansion takes about 0.1 s at depth 6 and 0.8 s at depth 7,
+# and each further depth costs about eight times more.
 MAX_GR_DEPTH = 7
 # Bounds on ``verify``'s caps, checked before any arithmetic.  A whole
 # ``verify`` run takes 3.2 s at ``--depth 6`` (past depth 3 it only
@@ -149,15 +150,58 @@ def _write_output(text: str, out_path: Optional[str]) -> None:
             handle.write("\n")
 
 
+_encode_scalar = json.JSONEncoder().encode
+_INT = frozenset({int})
+
+
+def _json_chunks(value, indent: str = ""):
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)`` in
+    chunks, for a payload whose dict keys are all strings.  The stdlib's
+    indenting encoder is pure Python and yields a few bytes per call; here
+    a dict key with its separator is one chunk, a list of plain ints is
+    one, and every scalar but a plain int goes through the C encoder.  A
+    bool is an int, but prints as true or false, so the int paths test the
+    exact type."""
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key in sorted(value):
+            yield head + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(value[key], inner)
+            head = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = indent + "  "
+        if _INT.issuperset(map(type, value)):
+            yield "[\n" + inner + (",\n" + inner).join(map(int.__repr__, value))
+        else:
+            head = "[\n" + inner
+            for item in value:
+                yield head
+                yield from _json_chunks(item, inner)
+                head = ",\n" + inner
+        yield "\n" + indent + "]"
+    elif type(value) is int:
+        yield int.__repr__(value)
+    else:
+        yield _encode_scalar(value)
+
+
 def _write_json(payload, out_path: Optional[str]) -> None:
     """Like :func:`_write_output` for a JSON payload, written while it is
-    encoded so the whole text is never held at once.  The encoder's chunks
-    are a few bytes each, so they are joined in batches: an unbuffered
-    stdout (``PYTHONUNBUFFERED``) would otherwise take one write per chunk,
-    which more than doubled the time of ``gr-coeffs --depth 6 --format json``."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    encoded so the whole text is never held at once.  Chunks are joined in
+    batches of 256: an unbuffered stdout (``PYTHONUNBUFFERED``) would
+    otherwise take one write per chunk, and larger batches raise the peak
+    RSS of the smaller outputs."""
+    chunks = _json_chunks(payload)
     with _output(out_path) as handle:
-        while batch := "".join(islice(chunks, 4096)):
+        while batch := "".join(islice(chunks, 256)):
             handle.write(batch)
         handle.write("\n")
 

@@ -13,9 +13,10 @@ non-negative powers.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
-from .rationals import RationalLike, accumulate
+from .rationals import RationalLike, accumulate, numerators
 
 __all__ = ["LaurentPolynomial"]
 
@@ -46,6 +47,18 @@ class LaurentPolynomial:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentPolynomial is immutable")
+
+    @classmethod
+    def _trusted(
+        cls, terms: dict[tuple[int, ...], Fraction], variables: tuple[str, ...]
+    ) -> "LaurentPolynomial":
+        """Wrap terms already known to be non-zero ``Fraction``s on integer
+        exponent tuples of the ring's length, skipping the constructor's
+        checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "variables", variables)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "LaurentPolynomial":
@@ -95,7 +108,9 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._same_ring(other)
-        return LaurentPolynomial(accumulate(dict(self.terms), other.terms.items()), self.variables)
+        return LaurentPolynomial._trusted(
+            accumulate(dict(self.terms), other.terms.items()), self.variables
+        )
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial({e: -c for e, c in self.terms.items()}, self.variables)
@@ -115,15 +130,19 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._same_ring(other)
-        out = accumulate(
-            {},
-            (
-                (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-                for e1, c1 in self.terms.items()
-                for e2, c2 in other.terms.items()
-            ),
+        # integer numerators over each operand's common denominator
+        left, left_den = numerators(self.terms)
+        right, right_den = numerators(other.terms)
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for e1, n1 in left:
+            for e2, n2 in right:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + n1 * n2
+        den = left_den * right_den
+        return LaurentPolynomial._trusted(
+            {e: Fraction(n, den) for e, n in acc.items() if n}, self.variables
         )
-        return LaurentPolynomial(out, self.variables)
 
     __rmul__ = __mul__
 
@@ -170,8 +189,9 @@ class LaurentPolynomial:
 
         out: dict[tuple[int, ...], Fraction] = {}
         for n, terms in grouped.items():
-            accumulate(out, (LaurentPolynomial(terms, variables) * rep_power(n)).terms.items())
-        return LaurentPolynomial(out, variables)
+            product = LaurentPolynomial._trusted(terms, variables) * rep_power(n)
+            accumulate(out, product.terms.items())
+        return LaurentPolynomial._trusted(out, variables)
 
     def sorted_terms(self):
         """Terms in lexicographic exponent order."""

@@ -4,9 +4,9 @@ exact terms, and elementary combinatorial functions.
 Every coefficient and every value in this package is a
 ``fractions.Fraction``: arbitrary precision, reduced on construction,
 denominator always positive.  There is no floating-point mode anywhere.
-Every sparse type adds through :func:`accumulate`, and the series
-products and the word character put their terms over one denominator
-through :func:`numerators`.
+Every sparse type adds through :func:`accumulate`, and the products of
+``UniSeries``, ``MultiSeries`` and ``LaurentPolynomial`` and the word
+character put their terms over one denominator through :func:`numerators`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def accumulate(acc: dict[K, Fraction], terms: Iterable[tuple[K, Fraction]]) -> d
 def numerators(coeffs: Mapping[K, Fraction]) -> tuple[list[tuple[K, int]], int]:
     """Terms as (key, integer numerator) over the common denominator of all
     coefficients, and that denominator; the keys are degrees for a series,
-    exponent vectors for a multivariate series and words for a word sum."""
+    exponent vectors for a multivariate series or a polynomial and words
+    for a word sum."""
     # pairwise rather than lcm(*...): argument tuples of a dozen or more
     # entries would stay allocated in the interpreter's tuple free lists
     den = 1

@@ -43,9 +43,6 @@ def poly_variables(depth: int) -> tuple[str, ...]:
     )
 
 
-# One cache entry per depth: a ``verify`` run, whose depth is capped at 6,
-# needs depths 1 through 6.
-@lru_cache(maxsize=8)
 def coefficient_polynomial(depth: int) -> LaurentPolynomial:
     """Exact expansion of the defining product in u_1..u_r, v_1..v_r."""
     if depth < 1:
@@ -86,6 +83,9 @@ class ShiftCoefficients:
         return tuple(bounds)
 
 
+# One cache entry per depth: a ``verify`` run, whose depth is capped at 6,
+# needs depths 1 through 6.  The expanded polynomial is not cached; only
+# the merge-substitution check expands it again.
 @lru_cache(maxsize=8)
 def shift_coefficients(depth: int) -> ShiftCoefficients:
     """Read the coefficient family off the expanded polynomial.
@@ -99,13 +99,13 @@ def shift_coefficients(depth: int) -> ShiftCoefficients:
     for exps, coeff in poly.terms.items():
         l = exps[:depth]
         m = exps[depth:]
-        if any(e < 0 for e in l):
+        if min(l) < 0:
             raise ValueError(f"negative u-exponent in monomial {exps}")
         if sum(m) != 0:
             raise ValueError(f"nonzero m-sum on monomial {exps}")
         if coeff.denominator != 1:
             raise ValueError(f"non-integer coefficient {coeff} on monomial {exps}")
-        entries[(l, m)] = int(coeff)
+        entries[(l, m)] = coeff.numerator
     return ShiftCoefficients(depth, entries)
 
 
@@ -288,6 +288,13 @@ def check_reindexing(depth: int) -> list[Check]:
     ]
 
 
+def _integer(value, what: str) -> int:
+    # a bool is an int, but true is not a Pochhammer degree
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ShiftedZetaExpression:
     """Symbolic transcription: value = sum of coef * prod_j (s_j)_{l_j}
@@ -318,10 +325,18 @@ class ShiftedZetaExpression:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ShiftedZetaExpression":
+        """Inverse of :meth:`to_json_dict`; every coefficient, depth and
+        entry of l and m must be a JSON integer (a float, a string or a
+        bool is refused, not converted)."""
         terms = tuple(
-            (int(t["coef"]), tuple(t["l"]), tuple(t["m"])) for t in data["terms"]
+            (
+                _integer(t["coef"], "coef"),
+                tuple(_integer(x, "l entry") for x in t["l"]),
+                tuple(_integer(x, "m entry") for x in t["m"]),
+            )
+            for t in data["terms"]
         )
-        return cls(depth=int(data["depth"]), terms=terms)
+        return cls(depth=_integer(data["depth"], "depth"), terms=terms)
 
     def render_text(self) -> str:
         """Human-readable one-liner, e.g. zeta_des(s1) = (1 - s1) zeta(s1)."""

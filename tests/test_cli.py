@@ -4,6 +4,8 @@ import stat
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmzv import cli, verify
 from dmzv.cli import main
@@ -276,3 +278,38 @@ def test_out_file_gets_the_umask_mode(tmp_path):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(out_path.stat().st_mode) == 0o644
+
+
+# JSON trees as the CLI's payloads hold them: string keys, lists and
+# tuples, ints (bools mixed in, which an int fast path must not print as
+# 1 or 0), None, floats of every kind and non-ASCII strings
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=st.characters(max_codepoint=0x1F600), max_size=6)
+)
+json_trees = st.recursive(
+    json_scalars | st.lists(st.integers() | st.booleans(), max_size=5),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_json_chunks_match_the_stdlib_encoder(value):
+    assert "".join(cli._json_chunks(value)) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_write_json_streams_the_same_text(capsys, tmp_path):
+    # more chunks than one batch holds
+    payload = {"b": [1, True, None], "a": {"x": [[], {}], "é": 1.5},
+               "c": [{"k": [k, -k], "v": str(k)} for k in range(300)]}
+    cli._write_json(payload, None)
+    cli._write_json(payload, str(tmp_path / "out.json"))
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+    assert (tmp_path / "out.json").read_text() == expected

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmzv.multipoly import LaurentPolynomial
 
@@ -83,3 +85,37 @@ def test_shift_variable_and_degrees():
     cleared = p.shift_variable("u1", 2)
     assert cleared.min_degree("u1") == 0
     assert cleared == mono({"u1": 3}) + LaurentPolynomial.constant(1, VARS)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two sparse polynomials in one ring of 1-4 variables, exponents of
+    either sign; either may be zero."""
+    variables = tuple(f"x{i}" for i in range(draw(st.integers(1, 4))))
+    exps = st.tuples(*[st.integers(-3, 3)] * len(variables))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = st.dictionaries(exps, coeffs, max_size=12)
+    return (
+        LaurentPolynomial(draw(terms), variables),
+        LaurentPolynomial(draw(terms), variables),
+    )
+
+
+def naive_product(a, b):
+    """Termwise Fraction convolution."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return LaurentPolynomial(out, a.variables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomial_pairs())
+def test_product_matches_naive_convolution(pair):
+    a, b = pair
+    product = a * b
+    assert product == naive_product(a, b)
+    assert all(type(c) is Fraction and c for c in product.terms.values())
+    assert product.variables == a.variables

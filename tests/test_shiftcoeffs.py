@@ -177,10 +177,24 @@ def test_expression_round_trip_and_bijection():
     ({"coef": 1, "l": [0, 1, 2], "m": [0, 0]}, "does not have depth 2"),
     ({"coef": 1, "l": [-1, 0], "m": [0, 0]}, "negative Pochhammer degree"),
     ({"coef": 1, "l": [0, 0], "m": [1, 0]}, "do not sum to zero"),
+    ({"coef": 1, "l": [0.5, 0], "m": [0, 0]}, "l entry must be an integer, got 0.5"),
+    ({"coef": 1, "l": [True, 0], "m": [0, 0]}, "l entry must be an integer, got True"),
+    ({"coef": 1, "l": [0, 0], "m": [1.0, -1]}, "m entry must be an integer, got 1.0"),
+    ({"coef": 1, "l": [0, 0], "m": [False, 0]}, "m entry must be an integer, got False"),
+    ({"coef": 1.7, "l": [0, 0], "m": [0, 0]}, "coef must be an integer, got 1.7"),
+    ({"coef": "3", "l": [0, 0], "m": [0, 0]}, "coef must be an integer, got '3'"),
+    ({"coef": True, "l": [0, 0], "m": [0, 0]}, "coef must be an integer, got True"),
 ])
 def test_expression_refuses_malformed_terms(term, message):
     with pytest.raises(ValueError, match=message):
         ShiftedZetaExpression.from_json_dict({"depth": 2, "terms": [term]})
+
+
+@pytest.mark.parametrize("depth", [2.0, "2", True])
+def test_expression_refuses_a_non_integer_depth(depth):
+    data = shifted_zeta_expression(2).to_json_dict()
+    with pytest.raises(ValueError, match=f"depth must be an integer, got {depth!r}"):
+        ShiftedZetaExpression.from_json_dict({**data, "depth": depth})
 
 
 def test_zero_sum_constraint_enforced():

@@ -2,10 +2,10 @@
 names in ``dmzv``: the ``verify_<suite>`` functions, ``ValueStore.fkmt``
 and ``ValueStore.ems``, the ``(family, index)`` keys of the store's memo,
 ``words.word_product`` and ``words.character``, the ``LaurentPolynomial``
-product and substitution, and the ``MultiSeries`` and ``UniSeries``
-products and the linear-form substitutions.  A traced run must still find
-all of them.  The tracer runs in a subprocess; nothing
-under ``bench/`` is written."""
+product and substitution, the shifted-zeta expansion, the ``MultiSeries``
+and ``UniSeries`` products and the linear-form substitutions.  A traced
+run must still find all of them.  The tracer runs in a subprocess;
+nothing under ``bench/`` is written."""
 
 import json
 import os
@@ -49,6 +49,18 @@ def test_traced_shift_coeffs_finds_the_polynomial_spans():
             if name.startswith(("multipoly", "shiftcoeffs"))] == []
     assert result["calls"]["multipoly.mul"] >= 1
     assert result["calls"]["multipoly.substitute"] >= 1
+
+
+def test_traced_gr_coeffs_sees_the_expansion():
+    # shift_coefficients expands through the module-global name
+    # coefficient_polynomial, so the span counts the depth-4 polynomial's
+    # 236 terms
+    result = traced("gr-coeffs", "--depth", "4", "--format", "json")
+    assert result["exit"] == 0
+    assert [name for name in result["missing"]
+            if name.startswith(("multipoly", "shiftcoeffs"))] == []
+    assert result["calls"]["multipoly.mul"] >= 1
+    assert result["counts"]["shiftcoeffs.terms"] == 236
 
 
 def test_traced_values_finds_the_series_spans():
