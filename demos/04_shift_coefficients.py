@@ -12,7 +12,7 @@ print("the defining product, expanded at depth 2:")
 print(" ", coefficient_polynomial(2))
 
 print("\ncoefficient family at depth 2:")
-for (l, m), value in sorted(shift_coefficients(2).entries.items()):
+for (l, m), value in shift_coefficients(2).items():
     print(f"  l={l}  m={m}  ->  {value}")
 
 for depth in (1, 2, 3):

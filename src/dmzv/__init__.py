@@ -46,7 +46,6 @@ from .series import (
     laurent_divide,
 )
 from .shiftcoeffs import (
-    ShiftCoefficients,
     ShiftedZetaExpression,
     coefficient_polynomial,
     shift_coefficients,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .genfun import FAMILIES, conversion_table, value_table
 from .rationals import format_rational, parse_rational
-from .shiftcoeffs import shift_coefficients, shifted_zeta_expression
+from .shiftcoeffs import shifted_zeta_expression
 from .verify import SUITES, VerifyConfig, reports_pass, run_all
 from .words import Word, multiplicativity_defect, word_product
 
@@ -282,7 +282,6 @@ def _cmd_verify(args) -> int:
 def _cmd_gr_coeffs(args) -> int:
     if oversized := _oversized(("--depth", args.depth, MAX_GR_DEPTH)):
         return _usage_error(f"gr-coeffs request too large: {oversized}")
-    coeffs = shift_coefficients(args.depth)
     expression = shifted_zeta_expression(args.depth)
     if args.format == "json":
         _write_json(expression.to_json_dict(), args.out)
@@ -297,7 +296,7 @@ def _cmd_gr_coeffs(args) -> int:
             rows.append([str(x) for x in l] + [str(x) for x in m] + [str(coef)])
         text = _csv_text(rows)
     else:
-        lines = [f"depth {args.depth}: {len(coeffs.entries)} nonzero coefficients"]
+        lines = [f"depth {args.depth}: {len(expression.terms)} nonzero coefficients"]
         for coef, l, m in expression.terms:
             lines.append(f"  l={list(l)}  m={list(m)}  coef={coef}")
         lines.append(expression.render_text())

@@ -11,6 +11,11 @@ For every monomial, the u-exponents give the Pochhammer degrees l and the
 v-exponents give the argument shifts m; the shifts of each monomial sum
 to zero.  This module expands that product exactly, extracts the family,
 verifies its structural identities, and exports the symbolic expression.
+
+The family is stored once, as the sorted terms of the cached record
+:func:`shifted_zeta_expression`; :func:`shift_coefficients` is an
+uncached (l, m) -> coefficient lookup built from that record for the
+checks that read coefficients at arbitrary indices.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .report import Check
 
 __all__ = [
     "coefficient_polynomial",
-    "ShiftCoefficients",
     "shift_coefficients",
     "check_trailing_shift",
     "check_contraction",
@@ -63,60 +67,21 @@ def coefficient_polynomial(depth: int) -> LaurentPolynomial:
     return poly
 
 
-@dataclass(frozen=True)
-class ShiftCoefficients:
-    """Map (l, m) -> nonzero integer coefficient for one depth."""
-
-    depth: int
-    entries: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int]
-
-    def get(self, l: tuple[int, ...], m: tuple[int, ...]) -> int:
-        """Coefficient at (l, m); unlisted pairs are zero."""
-        return self.entries.get((tuple(l), tuple(m)), 0)
-
-    def l_support_bounds(self) -> tuple[int, ...]:
-        """Componentwise maximum of l over the support."""
-        bounds = [0] * self.depth
-        for l, _ in self.entries:
-            for j, x in enumerate(l):
-                bounds[j] = max(bounds[j], x)
-        return tuple(bounds)
-
-
-# One cache entry per depth: a ``verify`` run, whose depth is capped at 6,
-# needs depths 1 through 6.  The expanded polynomial is not cached; only
-# the merge-substitution check expands it again.
-@lru_cache(maxsize=8)
-def shift_coefficients(depth: int) -> ShiftCoefficients:
-    """Read the coefficient family off the expanded polynomial.
-
-    Raises if any monomial has a negative u-exponent, a non-integer
-    coefficient, or shifts that do not sum to zero; any of those would
-    indicate an expansion bug.
-    """
-    poly = coefficient_polynomial(depth)
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for exps, coeff in poly.terms.items():
-        l = exps[:depth]
-        m = exps[depth:]
-        if min(l) < 0:
-            raise ValueError(f"negative u-exponent in monomial {exps}")
-        if sum(m) != 0:
-            raise ValueError(f"nonzero m-sum on monomial {exps}")
-        if coeff.denominator != 1:
-            raise ValueError(f"non-integer coefficient {coeff} on monomial {exps}")
-        entries[(l, m)] = coeff.numerator
-    return ShiftCoefficients(depth, entries)
+def shift_coefficients(depth: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """The coefficient family as a lookup (l, m) -> nonzero integer
+    coefficient, built from :func:`shifted_zeta_expression` on each call;
+    unlisted pairs are zero."""
+    return {(l, m): coef for coef, l, m in shifted_zeta_expression(depth).terms}
 
 
 def check_trailing_shift(depth: int) -> list[Check]:
     """Every nonzero coefficient has last shift in {l_r - 1, l_r} and >= 0."""
-    coeffs = shift_coefficients(depth)
+    terms = shifted_zeta_expression(depth).terms
     bad = []
-    for (l, m), value in sorted(coeffs.entries.items()):
+    for value, l, m in terms:
         if m[-1] < 0 or m[-1] not in (l[-1] - 1, l[-1]):
             bad.append({"l": list(l), "m": list(m), "coefficient": value})
-    desc = f"trailing-shift vanishing at depth {depth} ({len(coeffs.entries)} entries)"
+    desc = f"trailing-shift vanishing at depth {depth} ({len(terms)} entries)"
     return [Check.of(desc, {"violations": bad} if bad else None)]
 
 
@@ -148,12 +113,13 @@ def check_contraction(depth: int) -> list[Check]:
     cur = shift_coefficients(depth)
     prev = shift_coefficients(depth - 1)
 
-    l_bounds = [b + 1 for b in cur.l_support_bounds()]
+    # the componentwise maximum of l over the support, plus one
+    l_bounds = [max(column) + 1 for column in zip(*(l for l, _ in cur))]
     m_values: set[int] = set()
-    for _, m in cur.entries:
+    for _, m in cur:
         m_values.update(m)
         m_values.add(m[-2] + m[-1])
-    for _, m in prev.entries:
+    for _, m in prev:
         m_values.update(m)
     lo, hi = min(m_values | {0}), max(m_values | {0})
 
@@ -164,11 +130,11 @@ def check_contraction(depth: int) -> list[Check]:
         l_merged = l[:-2] + (l[-2] + l[-1],)
         for m in _zero_sum_vectors(depth - 1, lo, hi):
             count += 1
-            left = cur.get(l, m[:-1] + (m[-1] - lr, lr)) + cur.get(
-                l, m[:-1] + (m[-1] - lr + 1, lr - 1)
+            left = cur.get((l, m[:-1] + (m[-1] - lr, lr)), 0) + cur.get(
+                (l, m[:-1] + (m[-1] - lr + 1, lr - 1)), 0
             )
-            mid = binomial(l[-2] + lr, l[-2]) * prev.get(l_merged, m)
-            right = -cur.get(l[:-1] + (lr + 1,), m[:-1] + (m[-1] - lr, lr))
+            mid = binomial(l[-2] + lr, l[-2]) * prev.get((l_merged, m), 0)
+            right = -cur.get((l[:-1] + (lr + 1,), m[:-1] + (m[-1] - lr, lr)), 0)
             if left != mid or mid != right:
                 bad.append(
                     {
@@ -267,7 +233,7 @@ def check_reindexing(depth: int) -> list[Check]:
         raise ValueError(f"reindexing check needs depth >= 2, got {depth}")
     shifts: dict[tuple[int, ...], int] = {}
     degrees: dict[tuple[int, ...], int] = {}
-    for (l, m), value in shift_coefficients(depth).entries.items():
+    for value, l, m in shifted_zeta_expression(depth).terms:
         shifts[m] = shifts.get(m, 0) + value
         degrees[l] = degrees.get(l, 0) + value
     lo = min((min(n) for n in shifts), default=0)
@@ -316,10 +282,11 @@ class ShiftedZetaExpression:
                 raise ValueError(f"shifts m={m} do not sum to zero")
 
     def to_json_dict(self) -> dict:
+        # l and m are the record's own tuples; JSON writes them as lists
         return {
             "depth": self.depth,
             "terms": [
-                {"coef": coef, "l": list(l), "m": list(m)} for coef, l, m in self.terms
+                {"coef": coef, "l": l, "m": m} for coef, l, m in self.terms
             ],
         }
 
@@ -361,10 +328,21 @@ class ShiftedZetaExpression:
         return f"value({args}) = " + " + ".join(bits).replace("+ -", "- ")
 
 
+# One cache entry per depth: a ``verify`` run, whose depth is capped at 6,
+# needs depths 1 through 6.  The expanded polynomial is not cached; only
+# the merge-substitution check expands it again.
+@lru_cache(maxsize=8)
 def shifted_zeta_expression(depth: int) -> ShiftedZetaExpression:
-    """Faithful transcription of the coefficient family, sorted by (l, m)."""
-    coeffs = shift_coefficients(depth)
-    terms = tuple(
-        (value, l, m) for (l, m), value in sorted(coeffs.entries.items())
-    )
-    return ShiftedZetaExpression(depth, terms)
+    """Read the coefficient family off the expanded polynomial, sorted by
+    (l, m): each exponent tuple is l + m, so that is exponent order.
+
+    Raises on a non-integer coefficient, and the record refuses a negative
+    u-exponent or shifts that do not sum to zero; any of those would
+    indicate an expansion bug.
+    """
+    terms = []
+    for exps, coeff in sorted(coefficient_polynomial(depth).terms.items()):
+        if coeff.denominator != 1:
+            raise ValueError(f"non-integer coefficient {coeff} on monomial {exps}")
+        terms.append((coeff.numerator, exps[:depth], exps[depth:]))
+    return ShiftedZetaExpression(depth, tuple(terms))

@@ -45,7 +45,7 @@ from .shiftcoeffs import (
     check_merge_substitution,
     check_reindexing,
     check_trailing_shift,
-    shift_coefficients,
+    shifted_zeta_expression,
 )
 from .words import Word, character, leibniz_defect, multiplicativity_defect, word_product
 
@@ -469,11 +469,11 @@ def verify_shift_coeffs(max_depth: int) -> list[Check]:
     """Structural identities of the shifted-zeta coefficient family."""
     checks = []
     for depth in range(1, max_depth + 1):
-        coeffs = shift_coefficients(depth)
+        terms = shifted_zeta_expression(depth).terms
         checks.append(
             Check.of(
                 f"zero-sum shifts and integer coefficients at depth {depth} "
-                f"({len(coeffs.entries)} entries)"
+                f"({len(terms)} entries)"
             )
         )
         checks.extend(check_trailing_shift(depth))

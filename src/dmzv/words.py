@@ -112,6 +112,14 @@ class WordSum:
                 clean[word] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, terms: dict[Word, Fraction]) -> "WordSum":
+        """Wrap terms already known to be non-zero ``Fraction``s, skipping
+        the constructor's checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("WordSum is immutable")
 
@@ -123,16 +131,16 @@ class WordSum:
         return not self.terms
 
     def __add__(self, other: "WordSum") -> "WordSum":
-        return WordSum(accumulate(dict(self.terms), other.terms.items()))
+        return WordSum._trusted(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "WordSum":
-        return WordSum({w: -c for w, c in self.terms.items()})
+        return WordSum._trusted({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "WordSum") -> "WordSum":
         return self + (-other)
 
     def prepend(self, letter: str) -> "WordSum":
-        return WordSum({w.prepend(letter): c for w, c in self.terms.items()})
+        return WordSum._trusted({w.prepend(letter): c for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WordSum) and self.terms == other.terms
@@ -193,7 +201,7 @@ def word_product(
             c = cu * cv
             product = _product_letters(wu.letters, wv.letters).terms
             accumulate(out, ((w, c * cw) for w, cw in product.items()))
-    return WordSum(out)
+    return WordSum._trusted(out)
 
 
 def character(w: Union[Word, WordSum], order: int) -> UniSeries:

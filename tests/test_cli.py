@@ -113,7 +113,6 @@ def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch):
     def no_arithmetic(*args):
         raise AssertionError("an oversized depth must be refused before any arithmetic")
 
-    monkeypatch.setattr(cli, "shift_coefficients", no_arithmetic)
     monkeypatch.setattr(cli, "shifted_zeta_expression", no_arithmetic)
     assert main(["gr-coeffs", "--depth", str(cli.MAX_GR_DEPTH + 1)]) == 2
     captured = capsys.readouterr()

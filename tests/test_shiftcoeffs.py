@@ -4,6 +4,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from dmzv import shiftcoeffs
 from dmzv.multipoly import LaurentPolynomial
 from dmzv.shiftcoeffs import (
     ShiftedZetaExpression,
@@ -74,26 +75,26 @@ def test_depth1_polynomial():
         variables, {"u1": 1}
     )
     assert coefficient_polynomial(1) == expected
-    assert shift_coefficients(1).entries == {((0,), (0,)): 1, ((1,), (0,)): -1}
+    assert shift_coefficients(1) == {((0,), (0,)): 1, ((1,), (0,)): -1}
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_expansion_matches_brute_force(depth):
-    assert dict(shift_coefficients(depth).entries) == family_from_brute_force(depth)
+    assert shift_coefficients(depth) == family_from_brute_force(depth)
 
 
 def test_depth2_specific_entries():
     coeffs = shift_coefficients(2)
-    assert coeffs.get((0, 1), (0, 0)) == -1
-    assert coeffs.get((0, 0), (0, 0)) == 1
+    assert coeffs[((0, 1), (0, 0))] == -1
+    assert coeffs[((0, 0), (0, 0))] == 1
     oracle = family_from_brute_force(2)
-    assert len(coeffs.entries) == len(oracle) == 7
+    assert len(coeffs) == len(oracle) == 7
 
 
 def test_depth2_vanishing_pattern():
     # entries with last shift outside {l2 - 1, l2} are absent
     coeffs = shift_coefficients(2)
-    for (l, m) in coeffs.entries:
+    for (l, m) in coeffs:
         assert m[-1] in (l[-1] - 1, l[-1])
         assert m[-1] >= 0
 
@@ -118,9 +119,9 @@ def test_contraction_specific_entries_depth2():
     for l in ((0, 0), (1, 1)):
         lr = l[-1]
         m = (0,)
-        left = cur.get(l, (m[-1] - lr, lr)) + cur.get(l, (m[-1] - lr + 1, lr - 1))
-        mid = binomial(l[0] + l[1], l[0]) * prev.get((l[0] + l[1],), m)
-        right = -cur.get((l[0], lr + 1), (m[-1] - lr, lr))
+        left = cur.get((l, (m[-1] - lr, lr)), 0) + cur.get((l, (m[-1] - lr + 1, lr - 1)), 0)
+        mid = binomial(l[0] + l[1], l[0]) * prev.get(((l[0] + l[1],), m), 0)
+        right = -cur.get(((l[0], lr + 1), (m[-1] - lr, lr)), 0)
         assert left == mid == right
 
 
@@ -167,7 +168,7 @@ def test_expression_round_trip_and_bijection():
     expr = shifted_zeta_expression(2)
     data = expr.to_json_dict()
     assert ShiftedZetaExpression.from_json_dict(data) == expr
-    assert len(expr.terms) == len(shift_coefficients(2).entries)
+    assert len(expr.terms) == len(shift_coefficients(2))
     blob = json.dumps(data, sort_keys=True)
     assert json.dumps(json.loads(blob), sort_keys=True) == blob
 
@@ -199,5 +200,29 @@ def test_expression_refuses_a_non_integer_depth(depth):
 
 def test_zero_sum_constraint_enforced():
     for depth in (1, 2, 3, 4):
-        for (_, m) in shift_coefficients(depth).entries:
+        for (_, m) in shift_coefficients(depth):
             assert sum(m) == 0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_expression_terms_are_sorted_and_the_lookup_matches(depth):
+    terms = shifted_zeta_expression(depth).terms
+    keys = [(l, m) for _, l, m in terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    lookup = shift_coefficients(depth)
+    assert lookup == {(l, m): coef for coef, l, m in terms}
+    assert len(lookup) == len(terms)
+
+
+def test_expression_refuses_a_non_integer_coefficient(monkeypatch):
+    def halved(depth):
+        variables = shiftcoeffs.poly_variables(depth)
+        return LaurentPolynomial.constant(Fraction(1, 2), variables)
+
+    shifted_zeta_expression.cache_clear()
+    monkeypatch.setattr(shiftcoeffs, "coefficient_polynomial", halved)
+    try:
+        with pytest.raises(ValueError, match="non-integer coefficient"):
+            shifted_zeta_expression(2)
+    finally:
+        shifted_zeta_expression.cache_clear()

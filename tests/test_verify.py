@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dmzv import verify
+from dmzv import genfun, shiftcoeffs, verify, words
 from dmzv.bernoulli import BernoulliCache
 from dmzv.report import Check, IdentityReport
 from dmzv.verify import (
@@ -105,6 +105,72 @@ def test_value_identity_suites_can_fail(monkeypatch, suite, first_keys, last_key
     assert witnesses, f"{suite} passed on a corrupted value"
     assert set(witnesses[0]) == first_keys | {"lhs", "rhs"}
     assert set(witnesses[-1]) == last_keys | {"lhs", "rhs"}
+
+
+def _failed_checks(suite):
+    """The failed checks of one suite's default run; a suite that raised
+    instead of failing a check does not count."""
+    [report] = run_all(VerifyConfig(suites=[suite]))
+    failures = report.failures()
+    assert all("exception" not in (check.witness or {}) for check in failures)
+    assert not report.passed, f"{suite} passed on an injected fault"
+    return failures
+
+
+def test_telescope_can_fail(monkeypatch):
+    # the factorization holds for any depth-1 factor, so the fault goes
+    # into the tail weights that build the full generating function
+    tail_weights = genfun._tail_weights
+
+    def reversed_second(depth, i):
+        weights = tail_weights(depth, i)
+        return weights[::-1] if i == 2 else weights
+
+    genfun.fkmt_series.cache_clear()
+    monkeypatch.setattr(genfun, "_tail_weights", reversed_second)
+    try:
+        failures = _failed_checks("telescope")
+    finally:
+        genfun.fkmt_series.cache_clear()
+    assert all("telescoped factorization" in check.description for check in failures)
+
+
+def test_shift_coeffs_can_fail(monkeypatch):
+    expression = shiftcoeffs.shifted_zeta_expression
+
+    def raised_first(depth):
+        record = expression(depth)
+        if depth != 2:
+            return record
+        (coef, l, m), *rest = record.terms
+        return dataclasses.replace(record, terms=((coef + 1, l, m), *rest))
+
+    monkeypatch.setattr(shiftcoeffs, "shifted_zeta_expression", raised_first)
+    failures = _failed_checks("shift-coeffs")
+    assert [check.description.split(" (")[0] for check in failures] == [
+        "contraction identity at depth 2",
+        "contraction identity at depth 3",
+    ]
+
+
+def test_words_can_fail(monkeypatch):
+    product_letters = words._product_letters
+
+    def with_extra_yy(u, v):
+        product = product_letters(u, v)
+        if (u, v) == (("y",), ("d", "y")):
+            product = product + words.WordSum.of(words.Word("yy"))
+        return product
+
+    # the original recurses through the module-global name, so its cache
+    # would keep products built from the faulty term
+    product_letters.cache_clear()
+    monkeypatch.setattr(words, "_product_letters", with_extra_yy)
+    try:
+        failures = _failed_checks("words")
+    finally:
+        product_letters.cache_clear()
+    assert len(failures) == 26
 
 
 def test_fault_injection_every_single_index():
