@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .genfun import FAMILIES, conversion_table, value_table
 from .rationals import format_rational, parse_rational
-from .shiftcoeffs import shifted_zeta_expression
+from .shiftcoeffs import shifted_zeta_expression, shifted_zeta_terms
 from .verify import SUITES, VerifyConfig, reports_pass, run_all
 from .words import Word, multiplicativity_defect, word_product
 
@@ -45,9 +45,10 @@ MAX_TABLE_SPAN = 500
 # Bernoulli table fill and the residual sums grow with about the cube of
 # the weight: 2.3 s at 500, 11 s at 800 and 130 s at 1600.
 MAX_CONVERT_WEIGHT = 500
-# Bound on ``gr-coeffs --depth``, checked before any arithmetic.  The
-# shifted-zeta expansion takes about 0.1 s at depth 6 and 0.8 s at depth 7,
-# and each further depth costs about eight times more.
+# Bound on ``gr-coeffs --depth``, checked before any arithmetic.  In a
+# fresh process, ``--format json`` takes about 0.2 s and peaks at 20 MiB
+# RSS at depth 6, and 1.0 s and 43 MiB at depth 7 (Python 3.11, a shared
+# 2-vCPU host); each further depth costs about eight times more of both.
 MAX_GR_DEPTH = 7
 # Bounds on ``verify``'s caps, checked before any arithmetic.  A whole
 # ``verify`` run takes 3.2 s at ``--depth 6`` (past depth 3 it only
@@ -193,17 +194,26 @@ def _json_chunks(value, indent: str = ""):
         yield _encode_scalar(value)
 
 
+def _write_joined(head: str, items, sep: str, tail: str, out_path: Optional[str]) -> None:
+    """Like :func:`_write_output` for head, the strings ``items`` joined by
+    ``sep``, and tail, written while the items are made so the whole text
+    is never held at once.  Items are joined in batches of 256: an
+    unbuffered stdout (``PYTHONUNBUFFERED``) would otherwise take one write
+    per item, and larger batches raise the peak RSS of the smaller
+    outputs."""
+    with _output(out_path) as handle:
+        handle.write(head)
+        lead = ""
+        while batch := sep.join(islice(items, 256)):
+            handle.write(lead + batch)
+            lead = sep
+        handle.write(tail)
+
+
 def _write_json(payload, out_path: Optional[str]) -> None:
     """Like :func:`_write_output` for a JSON payload, written while it is
-    encoded so the whole text is never held at once.  Chunks are joined in
-    batches of 256: an unbuffered stdout (``PYTHONUNBUFFERED``) would
-    otherwise take one write per chunk, and larger batches raise the peak
-    RSS of the smaller outputs."""
-    chunks = _json_chunks(payload)
-    with _output(out_path) as handle:
-        while batch := "".join(islice(chunks, 256)):
-            handle.write(batch)
-        handle.write("\n")
+    encoded."""
+    _write_joined("", _json_chunks(payload), "", "\n", out_path)
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -282,26 +292,35 @@ def _cmd_verify(args) -> int:
 def _cmd_gr_coeffs(args) -> int:
     if oversized := _oversized(("--depth", args.depth, MAX_GR_DEPTH)):
         return _usage_error(f"gr-coeffs request too large: {oversized}")
-    expression = shifted_zeta_expression(args.depth)
-    if args.format == "json":
-        _write_json(expression.to_json_dict(), args.out)
+    depth = args.depth
+    if args.format == "text":
+        # the one-line rendering needs every term at once
+        expression = shifted_zeta_expression(depth)
+        _write_joined(
+            f"depth {depth}: {len(expression.terms)} nonzero coefficients\n",
+            (f"  l={list(l)}  m={list(m)}  coef={coef}\n" for coef, l, m in expression.terms),
+            "", expression.render_text() + "\n", args.out,
+        )
         return EXIT_OK
-    if args.format == "csv":
-        rows = [
-            [f"l{i}" for i in range(1, args.depth + 1)]
-            + [f"m{i}" for i in range(1, args.depth + 1)]
-            + ["coef"]
-        ]
-        for coef, l, m in expression.terms:
-            rows.append([str(x) for x in l] + [str(x) for x in m] + [str(coef)])
-        text = _csv_text(rows)
+    # every term is checked before the first byte is written, and the
+    # depth fixes each term's shape, so one template formats them all
+    terms = shifted_zeta_terms(depth)
+    if args.format == "json":
+        # the text of json.dumps(record.to_json_dict(), sort_keys=True, indent=2)
+        entries = "[\n        " + ",\n        ".join(["%d"] * depth) + "\n      ]"
+        template = (
+            '    {\n      "coef": %d,\n      "l": ' + entries + ',\n      "m": ' + entries
+            + "\n    }"
+        )
+        head = '{\n  "depth": %d,\n  "terms": [\n' % depth
+        _write_joined(head, (template % (coef, *l, *m) for coef, l, m in terms),
+                      ",\n", "\n  ]\n}\n", args.out)
     else:
-        lines = [f"depth {args.depth}: {len(expression.terms)} nonzero coefficients"]
-        for coef, l, m in expression.terms:
-            lines.append(f"  l={list(l)}  m={list(m)}  coef={coef}")
-        lines.append(expression.render_text())
-        text = "\n".join(lines)
-    _write_output(text, args.out)
+        # integers never need CSV quoting
+        header = [f"l{i}" for i in range(1, depth + 1)] + [f"m{i}" for i in range(1, depth + 1)]
+        template = ",".join(["%d"] * (2 * depth + 1))
+        _write_joined(",".join(header + ["coef"]) + "\n",
+                      (template % (*l, *m, coef) for coef, l, m in terms), "\n", "\n", args.out)
     return EXIT_OK
 
 

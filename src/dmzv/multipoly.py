@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence
 
-from .rationals import RationalLike, accumulate, numerators
+from .rationals import RationalLike, accumulate, common_denominator, numerators
 
 __all__ = ["LaurentPolynomial"]
 
@@ -130,19 +130,24 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._same_ring(other)
-        # integer numerators over each operand's common denominator
-        left, left_den = numerators(self.terms)
+        # integer numerators over each operand's common denominator; the
+        # left operand's are taken term by term, and the sums become
+        # Fractions in place, so the product is held once
+        left_den = common_denominator(self.terms.values())
         right, right_den = numerators(other.terms)
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
-        for e1, n1 in left:
+        for e1, c1 in self.terms.items():
+            n1 = c1.numerator * (left_den // c1.denominator)
             for e2, n2 in right:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + n1 * n2
+        for e in [e for e, n in acc.items() if not n]:
+            del acc[e]
         den = left_den * right_den
-        return LaurentPolynomial._trusted(
-            {e: Fraction(n, den) for e, n in acc.items() if n}, self.variables
-        )
+        for e, n in acc.items():
+            acc[e] = Fraction(n) if den == 1 else Fraction(n, den)
+        return LaurentPolynomial._trusted(acc, self.variables)
 
     __rmul__ = __mul__
 

@@ -22,6 +22,7 @@ K = TypeVar("K")
 __all__ = [
     "Rational",
     "accumulate",
+    "common_denominator",
     "numerators",
     "binomial",
     "pochhammer",
@@ -47,16 +48,22 @@ def accumulate(acc: dict[K, Fraction], terms: Iterable[tuple[K, Fraction]]) -> d
     return acc
 
 
+def common_denominator(coeffs: Iterable[Fraction]) -> int:
+    """The least common multiple of the coefficients' denominators."""
+    # pairwise rather than lcm(*...): argument tuples of a dozen or more
+    # entries would stay allocated in the interpreter's tuple free lists
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    return den
+
+
 def numerators(coeffs: Mapping[K, Fraction]) -> tuple[list[tuple[K, int]], int]:
     """Terms as (key, integer numerator) over the common denominator of all
     coefficients, and that denominator; the keys are degrees for a series,
     exponent vectors for a multivariate series or a polynomial and words
     for a word sum."""
-    # pairwise rather than lcm(*...): argument tuples of a dozen or more
-    # entries would stay allocated in the interpreter's tuple free lists
-    den = 1
-    for c in coeffs.values():
-        den = lcm(den, c.denominator)
+    den = common_denominator(coeffs.values())
     return [(d, c.numerator * (den // c.denominator)) for d, c in coeffs.items()], den
 
 

@@ -12,10 +12,13 @@ v-exponents give the argument shifts m; the shifts of each monomial sum
 to zero.  This module expands that product exactly, extracts the family,
 verifies its structural identities, and exports the symbolic expression.
 
-The family is stored once, as the sorted terms of the cached record
-:func:`shifted_zeta_expression`; :func:`shift_coefficients` is an
-uncached (l, m) -> coefficient lookup built from that record for the
-checks that read coefficients at arbitrary indices.
+The family has one source, the term stream :func:`shifted_zeta_terms`:
+it reads the checked (coef, l, m) terms off the expanded polynomial in
+sorted (l, m) order.  ``gr-coeffs`` writes its JSON and CSV straight from
+that stream; the cached record :func:`shifted_zeta_expression` is built
+from it for the checks and the text view, and :func:`shift_coefficients`
+is an uncached (l, m) -> coefficient lookup built from that record for
+the checks that read coefficients at arbitrary indices.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .multipoly import LaurentPolynomial
 from .rationals import binomial
@@ -37,6 +40,7 @@ __all__ = [
     "check_merge_substitution",
     "check_reindexing",
     "ShiftedZetaExpression",
+    "shifted_zeta_terms",
     "shifted_zeta_expression",
 ]
 
@@ -254,6 +258,21 @@ def check_reindexing(depth: int) -> list[Check]:
     ]
 
 
+def _check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> None:
+    """Refuse a term that is not of the given depth, whose coefficient is
+    not an integer (an int, or a ``Fraction`` with denominator 1), whose l
+    has a negative entry or whose shifts m do not sum to zero."""
+    if len(l) != depth or len(m) != depth:
+        raise ValueError(f"term l={l}, m={m} does not have depth {depth}")
+    # a float has no denominator
+    if getattr(coef, "denominator", None) != 1:
+        raise ValueError(f"non-integer coefficient {coef} on l={l}, m={m}")
+    if any(x < 0 for x in l):
+        raise ValueError(f"negative Pochhammer degree in l={l}")
+    if sum(m) != 0:
+        raise ValueError(f"shifts m={m} do not sum to zero")
+
+
 def _integer(value, what: str) -> int:
     # a bool is an int, but true is not a Pochhammer degree
     if type(value) is not int:
@@ -273,13 +292,8 @@ class ShiftedZetaExpression:
     terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
     def __post_init__(self):
-        for _, l, m in self.terms:
-            if len(l) != self.depth or len(m) != self.depth:
-                raise ValueError(f"term l={l}, m={m} does not have depth {self.depth}")
-            if any(x < 0 for x in l):
-                raise ValueError(f"negative Pochhammer degree in l={l}")
-            if sum(m) != 0:
-                raise ValueError(f"shifts m={m} do not sum to zero")
+        for coef, l, m in self.terms:
+            _check_term(self.depth, coef, l, m)
 
     def to_json_dict(self) -> dict:
         # l and m are the record's own tuples; JSON writes them as lists
@@ -328,21 +342,28 @@ class ShiftedZetaExpression:
         return f"value({args}) = " + " + ".join(bits).replace("+ -", "- ")
 
 
+def shifted_zeta_terms(depth: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The coefficient family as (coef, l, m) terms read off the expanded
+    polynomial, sorted by (l, m): each exponent tuple is l + m, so that is
+    exponent order.
+
+    Every term is checked before this returns, so a non-integer
+    coefficient, a negative u-exponent or shifts that do not sum to zero,
+    any of which would indicate an expansion bug, raise before the first
+    term is read.  The terms are then made one at a time from the
+    polynomial's sorted keys.
+    """
+    coeffs = coefficient_polynomial(depth).terms
+    keys = sorted(coeffs)
+    for exps in keys:
+        _check_term(depth, coeffs[exps], exps[:depth], exps[depth:])
+    return ((coeffs[exps].numerator, exps[:depth], exps[depth:]) for exps in keys)
+
+
 # One cache entry per depth: a ``verify`` run, whose depth is capped at 6,
 # needs depths 1 through 6.  The expanded polynomial is not cached; only
 # the merge-substitution check expands it again.
 @lru_cache(maxsize=8)
 def shifted_zeta_expression(depth: int) -> ShiftedZetaExpression:
-    """Read the coefficient family off the expanded polynomial, sorted by
-    (l, m): each exponent tuple is l + m, so that is exponent order.
-
-    Raises on a non-integer coefficient, and the record refuses a negative
-    u-exponent or shifts that do not sum to zero; any of those would
-    indicate an expansion bug.
-    """
-    terms = []
-    for exps, coeff in sorted(coefficient_polynomial(depth).terms.items()):
-        if coeff.denominator != 1:
-            raise ValueError(f"non-integer coefficient {coeff} on monomial {exps}")
-        terms.append((coeff.numerator, exps[:depth], exps[depth:]))
-    return ShiftedZetaExpression(depth, tuple(terms))
+    """The record of :func:`shifted_zeta_terms`."""
+    return ShiftedZetaExpression(depth, tuple(shifted_zeta_terms(depth)))

@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -97,30 +98,105 @@ def test_gr_coeffs_depth1(capsys):
     }
 
 
-def test_gr_coeffs_schema_round_trip(tmp_path, capsys):
-    out_path = tmp_path / "coeffs.json"
-    assert main(["gr-coeffs", "--depth", "2", "--format", "json",
-                 "--out", str(out_path)]) == 0
-    blob = out_path.read_text()
-    data = json.loads(blob)
+def test_gr_coeffs_schema_round_trip(tmp_path):
+    # JSON and CSV are streamed from the expansion: equal to the record's
+    # own encodings, and the cached record is never built
+    import csv
+    import io
+
     from dmzv.shiftcoeffs import ShiftedZetaExpression, shifted_zeta_expression
 
-    assert ShiftedZetaExpression.from_json_dict(data) == shifted_zeta_expression(2)
-    assert json.dumps(data, sort_keys=True, indent=2) + "\n" == blob
+    for depth in range(1, 7):
+        shifted_zeta_expression.cache_clear()
+        for fmt in ("json", "csv"):
+            assert main(["gr-coeffs", "--depth", str(depth), "--format", fmt,
+                         "--out", str(tmp_path / f"coeffs.{fmt}")]) == 0
+        assert shifted_zeta_expression.cache_info().misses == 0
+
+        record = shifted_zeta_expression(depth)
+        blob = (tmp_path / "coeffs.json").read_text()
+        assert blob == json.dumps(record.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert ShiftedZetaExpression.from_json_dict(json.loads(blob)) == record
+
+        rows = io.StringIO()
+        writer = csv.writer(rows, lineterminator="\n")
+        writer.writerow([f"l{i}" for i in range(1, depth + 1)]
+                        + [f"m{i}" for i in range(1, depth + 1)] + ["coef"])
+        writer.writerows([*map(str, l), *map(str, m), str(coef)]
+                         for coef, l, m in record.terms)
+        assert (tmp_path / "coeffs.csv").read_text() == rows.getvalue()
 
 
-def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch):
+@pytest.mark.parametrize("extra, coef, message", [
+    ({"u1": 9}, Fraction(1, 2), "non-integer coefficient 1/2"),
+    ({"u1": 9, "u2": -1}, 1, "negative Pochhammer degree"),
+    ({"u1": 9, "v1": 1}, 1, "do not sum to zero"),
+])
+def test_gr_coeffs_stream_keeps_the_record_checks(tmp_path, capsys, monkeypatch,
+                                                  extra, coef, message):
+    # the faulty term sorts last, so a writer that checked terms as it
+    # wrote them would leave a partial output behind
+    from dmzv import shiftcoeffs
+    from dmzv.multipoly import LaurentPolynomial
+
+    expand = shiftcoeffs.coefficient_polynomial
+
+    def faulty(depth):
+        variables = shiftcoeffs.poly_variables(depth)
+        return expand(depth) + LaurentPolynomial.monomial(variables, extra, coef)
+
+    monkeypatch.setattr(shiftcoeffs, "coefficient_polynomial", faulty)
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError, match=message):
+            main(["gr-coeffs", "--depth", "2", "--format", fmt])
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ValueError, match=message):
+            main(["gr-coeffs", "--depth", "2", "--format", fmt,
+                  "--out", str(tmp_path / "coeffs")])
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch, fmt):
     def no_arithmetic(*args):
         raise AssertionError("an oversized depth must be refused before any arithmetic")
 
     monkeypatch.setattr(cli, "shifted_zeta_expression", no_arithmetic)
-    assert main(["gr-coeffs", "--depth", str(cli.MAX_GR_DEPTH + 1)]) == 2
+    monkeypatch.setattr(cli, "shifted_zeta_terms", no_arithmetic)
+    argv = ["gr-coeffs", "--format", fmt, "--depth"]
+    assert main([*argv, str(cli.MAX_GR_DEPTH + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "too large" in captured.err
 
     with pytest.raises(AssertionError, match="refused"):
-        main(["gr-coeffs", "--depth", str(cli.MAX_GR_DEPTH)])
+        main([*argv, str(cli.MAX_GR_DEPTH)])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_gr_coeffs_depth7_json_peak_rss():
+    # a fresh process started through the benchmark's launcher, which
+    # reports the child's own peak RSS; nothing under bench/ is written
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd) as report_pipe:
+        try:
+            subprocess.run(
+                [sys.executable, "-S", str(root / "bench" / "launch.py"), str(write_fd),
+                 "120", sys.executable, "-m", "dmzv", "gr-coeffs", "--depth", "7",
+                 "--format", "json"],
+                env=env, stdout=subprocess.DEVNULL, pass_fds=(write_fd,), timeout=150,
+                check=True,
+            )
+        finally:
+            os.close(write_fd)
+        report = json.loads(report_pipe.read())
+    assert report["exit"] == 0
+    assert report["rss_mb"] < 50, report
 
 
 def test_gr_coeffs_depth0_exits_2():

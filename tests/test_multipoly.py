@@ -119,3 +119,13 @@ def test_product_matches_naive_convolution(pair):
     assert product == naive_product(a, b)
     assert all(type(c) is Fraction and c for c in product.terms.values())
     assert product.variables == a.variables
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (Fraction(1, 2), Fraction(-2, 3))])
+def test_product_drops_cancelled_terms(a, b):
+    # (a x + b y)(a x - b y) = a^2 x^2 - b^2 y^2: the two xy sums are zero
+    variables = ("x", "y")
+    x, y = (LaurentPolynomial.monomial(variables, {name: 1}) for name in variables)
+    product = (x * a + y * b) * (x * a - y * b)
+    assert product.terms == {(2, 0): a * a, (0, 2): -b * b}
+    assert all(type(c) is Fraction and c for c in product.terms.values())

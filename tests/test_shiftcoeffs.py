@@ -191,6 +191,12 @@ def test_expression_refuses_malformed_terms(term, message):
         ShiftedZetaExpression.from_json_dict({"depth": 2, "terms": [term]})
 
 
+@pytest.mark.parametrize("coef", [Fraction(1, 2), 1.0, "1"])
+def test_expression_refuses_a_non_integer_coefficient_object(coef):
+    with pytest.raises(ValueError, match="non-integer coefficient"):
+        ShiftedZetaExpression(2, ((coef, (0, 0), (0, 0)),))
+
+
 @pytest.mark.parametrize("depth", [2.0, "2", True])
 def test_expression_refuses_a_non_integer_depth(depth):
     data = shifted_zeta_expression(2).to_json_dict()

@@ -1,6 +1,7 @@
-"""A third oracle: Bernoulli numbers and depth-1 factor coefficients
-from sympy, which shares no code with either of the library's routes.
-Skipped when sympy is not installed."""
+"""A third oracle: Bernoulli numbers, depth-1 factor coefficients and
+depth-2 generating-function coefficients from sympy, which shares no
+code with either of the library's routes.  Skipped when sympy is not
+installed."""
 
 from fractions import Fraction
 from math import factorial
@@ -8,7 +9,14 @@ from math import factorial
 import pytest
 
 from dmzv.bernoulli import bernoulli
-from dmzv.genfun import ems_factor, ems_value, fkmt_factor, fkmt_value
+from dmzv.genfun import (
+    ems_factor,
+    ems_series,
+    ems_value,
+    fkmt_factor,
+    fkmt_series,
+    fkmt_value,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -44,3 +52,19 @@ def test_depth1_factor_matches_sympy_series(family):
         # the series route's coefficient, and the multi-sum route's value
         assert series.coefficient(d) == expected, d
         assert multisum((d,)) == (-1) ** d * factorial(d) * expected, d
+
+
+@pytest.mark.parametrize("family, series", [("FKMT", fkmt_series), ("EMS", ems_series)])
+def test_depth2_generating_function_matches_sympy(family, series):
+    # f(t1 + t2) f(t2), with f expanded by sympy through the total degree
+    # 2 * cap that the coefficient box reaches
+    cap = 4
+    closed_form = CLOSED_FORMS[family][2]
+    u, t1, t2 = sympy.symbols("u t1 t2")
+    f = sympy.series(closed_form(u, sympy.exp(u)), u, 0, 2 * cap + 1).removeO()
+    product = sympy.Poly(sympy.expand(f.subs(u, t1 + t2) * f.subs(u, t2)), t1, t2)
+    built = series(2, cap)
+    for a in range(cap + 1):
+        for b in range(cap + 1):
+            expected = as_fraction(product.coeff_monomial(t1**a * t2**b))
+            assert built.coefficient((a, b)) == expected, (a, b)
