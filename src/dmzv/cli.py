@@ -5,6 +5,10 @@ Subcommands: ``values``, ``verify``, ``gr-coeffs``, ``convert``,
 2 on usage errors.  Files are written atomically (write to a temporary
 sibling, then rename), and JSON is emitted with sorted keys so output
 files are reproducible byte for byte.
+
+Each command imports the layers it runs when it runs, so a process loads
+only what its command needs; the parser takes its family and suite names
+from :mod:`dmzv.names`, which loads neither.
 """
 
 from __future__ import annotations
@@ -14,18 +18,15 @@ import io
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
-from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .genfun import FAMILIES, conversion_table, value_table
-from .rationals import format_rational, parse_rational
-from .shiftcoeffs import shifted_zeta_expression, shifted_zeta_terms
-from .verify import SUITES, VerifyConfig, reports_pass, run_all
-from .words import Word, multiplicativity_defect, word_product
+from .names import FAMILY_NAMES, SUITES
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["main", "entry"]
 
@@ -46,9 +47,11 @@ MAX_TABLE_SPAN = 500
 # the weight: 2.3 s at 500, 11 s at 800 and 130 s at 1600.
 MAX_CONVERT_WEIGHT = 500
 # Bound on ``gr-coeffs --depth``, checked before any arithmetic.  In a
-# fresh process, ``--format json`` takes about 0.2 s and peaks at 20 MiB
-# RSS at depth 6, and 1.0 s and 43 MiB at depth 7 (Python 3.11, a shared
-# 2-vCPU host); each further depth costs about eight times more of both.
+# fresh process, ``--format json`` takes about 0.14 s and peaks at 16.5 MiB
+# RSS at depth 6, and 0.5 s and 24 MiB at depth 7; ``--format text`` takes
+# 1.4 s at depth 7 in the same 24 MiB (Python 3.11, a shared 2-vCPU host).
+# The family grows about sevenfold per depth (10,992 terms at depth 6,
+# 79,474 at depth 7), and its expansion's time and memory with it.
 MAX_GR_DEPTH = 7
 # Bounds on ``verify``'s caps, checked before any arithmetic.  A whole
 # ``verify`` run takes 3.2 s at ``--depth 6`` (past depth 3 it only
@@ -87,6 +90,8 @@ def _non_negative_int(text: str) -> int:
 
 
 def _corruption(text: str) -> tuple[int, Fraction]:
+    from .rationals import parse_rational
+
     try:
         index, _, value = text.partition("=")
         m, value = int(index), parse_rational(value)
@@ -126,6 +131,8 @@ def _output(out_path: Optional[str]):
     if out_path is None:
         yield sys.stdout
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dmzv-tmp-")
     try:
@@ -194,19 +201,24 @@ def _json_chunks(value, indent: str = ""):
         yield _encode_scalar(value)
 
 
+def _write_batches(handle, items, sep: str = "") -> None:
+    """Write the strings ``items`` joined by ``sep`` while they are made, so
+    the whole text is never held at once.  Items are joined in batches of
+    256: an unbuffered stdout (``PYTHONUNBUFFERED``) would otherwise take
+    one write per item, and larger batches raise the peak RSS of the
+    smaller outputs."""
+    lead = ""
+    while batch := sep.join(islice(items, 256)):
+        handle.write(lead + batch)
+        lead = sep
+
+
 def _write_joined(head: str, items, sep: str, tail: str, out_path: Optional[str]) -> None:
     """Like :func:`_write_output` for head, the strings ``items`` joined by
-    ``sep``, and tail, written while the items are made so the whole text
-    is never held at once.  Items are joined in batches of 256: an
-    unbuffered stdout (``PYTHONUNBUFFERED``) would otherwise take one write
-    per item, and larger batches raise the peak RSS of the smaller
-    outputs."""
+    ``sep``, and tail, written through :func:`_write_batches`."""
     with _output(out_path) as handle:
         handle.write(head)
-        lead = ""
-        while batch := sep.join(islice(items, 256)):
-            handle.write(lead + batch)
-            lead = sep
+        _write_batches(handle, items, sep)
         handle.write(tail)
 
 
@@ -237,6 +249,8 @@ def _cmd_values(args) -> int:
             f"large: the limits are (max_weight + 1) ** depth <= {MAX_TABLE_ENTRIES:,} "
             f"entries and depth * (max_weight + 1) <= {MAX_TABLE_SPAN}"
         )
+    from .genfun import value_table
+
     table = value_table(args.family, args.depth, args.max_weight)
     if args.format == "json":
         _write_json(table.to_json_dict(), args.out)
@@ -262,6 +276,8 @@ def _cmd_verify(args) -> int:
         ("--truncation", args.truncation, MAX_VERIFY_TRUNCATION),
     ):
         return _usage_error(f"verify caps too large: {oversized}")
+    from .verify import VerifyConfig, reports_pass, run_all
+
     config = VerifyConfig(
         suites=tuple(args.suite) if args.suite else None,
         depth=args.depth,
@@ -292,19 +308,22 @@ def _cmd_verify(args) -> int:
 def _cmd_gr_coeffs(args) -> int:
     if oversized := _oversized(("--depth", args.depth, MAX_GR_DEPTH)):
         return _usage_error(f"gr-coeffs request too large: {oversized}")
+    from .shiftcoeffs import rendered_text, shifted_zeta_terms
+
+    # every term is checked before the first byte is written
     depth = args.depth
-    if args.format == "text":
-        # the one-line rendering needs every term at once
-        expression = shifted_zeta_expression(depth)
-        _write_joined(
-            f"depth {depth}: {len(expression.terms)} nonzero coefficients\n",
-            (f"  l={list(l)}  m={list(m)}  coef={coef}\n" for coef, l, m in expression.terms),
-            "", expression.render_text() + "\n", args.out,
-        )
-        return EXIT_OK
-    # every term is checked before the first byte is written, and the
-    # depth fixes each term's shape, so one template formats them all
     terms = shifted_zeta_terms(depth)
+    if args.format == "text":
+        # one pass for the term lines, one for the one-line rendering
+        with _output(args.out) as handle:
+            handle.write(f"depth {depth}: {len(terms)} nonzero coefficients\n")
+            _write_batches(
+                handle, (f"  l={list(l)}  m={list(m)}  coef={coef}\n" for coef, l, m in terms)
+            )
+            _write_batches(handle, rendered_text(depth, terms))
+            handle.write("\n")
+        return EXIT_OK
+    # the depth fixes each term's shape, so one template formats them all
     if args.format == "json":
         # the text of json.dumps(record.to_json_dict(), sort_keys=True, indent=2)
         entries = "[\n        " + ",\n        ".join(["%d"] * depth) + "\n      ]"
@@ -327,6 +346,9 @@ def _cmd_gr_coeffs(args) -> int:
 def _cmd_convert(args) -> int:
     if oversized := _oversized(("--max-weight", args.max_weight, MAX_CONVERT_WEIGHT)):
         return _usage_error(f"conversion table too large: {oversized}")
+    from .genfun import conversion_table
+    from .rationals import format_rational
+
     rows = [
         {
             "k": k,
@@ -357,6 +379,9 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
+    from .rationals import format_rational
+    from .words import Word, multiplicativity_defect, word_product
+
     try:
         u = Word.parse(args.u)
         v = Word.parse(args.v)
@@ -398,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_values = sub.add_parser("values", help="emit a grid of exact values")
     p_values.add_argument(
-        "--family", choices=[name.lower() for name in FAMILIES], required=True
+        "--family", choices=[name.lower() for name in FAMILY_NAMES], required=True
     )
     p_values.add_argument("--depth", type=_positive_int, default=1)
     p_values.add_argument("--max-weight", type=_non_negative_int, default=4)

@@ -26,7 +26,6 @@ tables against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -37,6 +36,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
 from .rationals import format_rational, multinomial, parse_rational
+from .report import Record
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
 
 __all__ = [
@@ -364,20 +364,20 @@ def depth1_conversion_residuals(
 # value tables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValueTable:
+class ValueTable(Record):
     """A grid of exact values for one family at one depth."""
 
-    family: str
-    depth: int
-    entries: dict[tuple[int, ...], Fraction]
+    __slots__ = ("family", "depth", "entries")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
-        for key in self.entries:
-            if len(key) != self.depth:
-                raise ValueError(f"multi-index {key} does not have depth {self.depth}")
+    def __init__(self, family: str, depth: int, entries: dict[tuple[int, ...], Fraction]):
+        if family not in FAMILIES:
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {family!r}")
+        for key in entries:
+            if len(key) != depth:
+                raise ValueError(f"multi-index {key} does not have depth {depth}")
+        self.family = family
+        self.depth = depth
+        self.entries = entries
 
     def value(self, k: Sequence[int]) -> Fraction:
         return self.entries[tuple(k)]

@@ -34,13 +34,16 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def accumulate(acc: dict[K, Fraction], terms: Iterable[tuple[K, Fraction]]) -> dict[K, Fraction]:
+def accumulate(
+    acc: dict[K, Fraction], terms: Iterable[tuple[K, Fraction]], zero: RationalLike = _ZERO
+) -> dict[K, Fraction]:
     """Add the (key, coefficient) pairs ``terms`` into ``acc`` in place and
     return ``acc``; a key whose sum is zero is dropped, so ``acc`` never
-    stores a zero coefficient.  This is the sum of every sparse exact type."""
+    stores a zero coefficient.  This is the sum of every sparse exact type;
+    with ``zero=0`` it sums integer numerators."""
     get = acc.get
     for key, c in terms:
-        s = get(key, _ZERO) + c
+        s = get(key, zero) + c
         if s:
             acc[key] = s
         else:

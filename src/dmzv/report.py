@@ -1,26 +1,64 @@
-"""Pass/fail reporting for the identity verification harness."""
+"""Pass/fail reporting for the identity verification harness, and the
+slotted record base that the package's result types share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = ["Check", "IdentityReport"]
 
 
-@dataclass(frozen=True)
-class Check:
+class Record:
+    """Equality and repr over the fields named in ``__slots__``, as a
+    dataclass has them.  A record is unhashable unless it is frozen."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, in its constructor (through
+    ``object.__setattr__``), and hashed together."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor
+        return type(self), self._fields()
+
+
+class Check(FrozenRecord):
     """One verified statement: a failure always carries a witness."""
 
-    description: str
-    status: str
-    witness: Optional[dict] = None
+    __slots__ = ("description", "status", "witness")
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"status must be 'pass' or 'fail', got {self.status!r}")
-        if (self.status == "fail") != (self.witness is not None):
+    def __init__(self, description: str, status: str, witness: Optional[dict] = None):
+        if status not in ("pass", "fail"):
+            raise ValueError(f"status must be 'pass' or 'fail', got {status!r}")
+        if (status == "fail") != (witness is not None):
             raise ValueError("a check fails exactly when it carries a witness")
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
     @classmethod
     def of(cls, description: str, witness: Optional[dict] = None) -> "Check":
@@ -35,14 +73,22 @@ class Check:
         }
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one verification suite."""
 
-    suite: str
-    parameters: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("suite", "parameters", "checks", "elapsed")
+
+    def __init__(
+        self,
+        suite: str,
+        parameters: Optional[dict] = None,
+        checks: Optional[list[Check]] = None,
+        elapsed: float = 0.0,
+    ):
+        self.suite = suite
+        self.parameters = {} if parameters is None else parameters
+        self.checks = [] if checks is None else checks
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

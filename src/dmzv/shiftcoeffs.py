@@ -13,24 +13,25 @@ to zero.  This module expands that product exactly, extracts the family,
 verifies its structural identities, and exports the symbolic expression.
 
 The family has one source, the term stream :func:`shifted_zeta_terms`:
-it reads the checked (coef, l, m) terms off the expanded polynomial in
-sorted (l, m) order.  ``gr-coeffs`` writes its JSON and CSV straight from
-that stream; the cached record :func:`shifted_zeta_expression` is built
-from it for the checks and the text view, and :func:`shift_coefficients`
-is an uncached (l, m) -> coefficient lookup built from that record for
-the checks that read coefficients at arbitrary indices.
+it checks every term of the expanded polynomial once, then reads the
+(coef, l, m) terms off it in sorted (l, m) order, unpacking one at a time.
+``gr-coeffs`` writes all its formats straight from that stream; the
+cached record :func:`shifted_zeta_expression` is built from it for the
+checks, and :func:`shift_coefficients` is an uncached (l, m) ->
+coefficient lookup built from that record for the checks that read
+coefficients at arbitrary indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .multipoly import LaurentPolynomial
 from .rationals import binomial
-from .report import Check
+from .report import Check, FrozenRecord
 
 __all__ = [
     "coefficient_polynomial",
@@ -40,7 +41,9 @@ __all__ = [
     "check_merge_substitution",
     "check_reindexing",
     "ShiftedZetaExpression",
+    "ShiftedZetaTerms",
     "shifted_zeta_terms",
+    "rendered_text",
     "shifted_zeta_expression",
 ]
 
@@ -258,6 +261,9 @@ def check_reindexing(depth: int) -> list[Check]:
     ]
 
 
+Term = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
 def _check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> None:
     """Refuse a term that is not of the given depth, whose coefficient is
     not an integer (an int, or a ``Fraction`` with denominator 1), whose l
@@ -267,7 +273,7 @@ def _check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> Non
     # a float has no denominator
     if getattr(coef, "denominator", None) != 1:
         raise ValueError(f"non-integer coefficient {coef} on l={l}, m={m}")
-    if any(x < 0 for x in l):
+    if min(l, default=0) < 0:
         raise ValueError(f"negative Pochhammer degree in l={l}")
     if sum(m) != 0:
         raise ValueError(f"shifts m={m} do not sum to zero")
@@ -280,20 +286,62 @@ def _integer(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ShiftedZetaExpression:
+def _render_term(coef: int, l: tuple[int, ...], m: tuple[int, ...]) -> str:
+    if coef == -1:
+        head = "-"
+    elif coef == 1:
+        head = ""
+    else:
+        head = f"{coef}*"
+    factors = [f"poch(s{j},{lj})" for j, lj in enumerate(l, start=1) if lj]
+    shifted = ", ".join(
+        f"s{j}" + (f"{mj:+d}" if mj else "") for j, mj in enumerate(m, start=1)
+    )
+    factors.append(f"zeta({shifted})")
+    return head + "*".join(factors)
+
+
+def rendered_text(depth: int, terms: Iterable[Term]) -> Iterator[str]:
+    """The one-line rendering of the terms, e.g. value(s1) = zeta(s1) -
+    poch(s1,1)*zeta(s1), in pieces made while the terms are read: the
+    head, then each term with the sign that joins it to the line."""
+    yield "value(" + ", ".join(f"s{j}" for j in range(1, depth + 1)) + ") = "
+    lead = ""
+    for term in terms:
+        text = _render_term(*term)
+        if lead and text.startswith("-"):
+            yield " - " + text[1:]
+        else:
+            yield lead + text
+        lead = " + "
+
+
+class ShiftedZetaExpression(FrozenRecord):
     """Symbolic transcription: value = sum of coef * prod_j (s_j)_{l_j}
     times the classical function at arguments shifted by m.
 
     Exported as data only; nothing in this package evaluates it.
     """
 
-    depth: int
-    terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ("depth", "terms")
 
-    def __post_init__(self):
-        for coef, l, m in self.terms:
-            _check_term(self.depth, coef, l, m)
+    def __init__(self, depth: int, terms: Iterable[Term]):
+        terms = tuple(terms)
+        for coef, l, m in terms:
+            _check_term(depth, coef, l, m)
+        self._set(depth, terms)
+
+    def _set(self, depth: int, terms: tuple[Term, ...]) -> None:
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _checked(cls, depth: int, terms: tuple[Term, ...]) -> "ShiftedZetaExpression":
+        """The record of terms that :func:`shifted_zeta_terms` has already
+        checked, not checked again."""
+        out = object.__new__(cls)
+        out._set(depth, terms)
+        return out
 
     def to_json_dict(self) -> dict:
         # l and m are the record's own tuples; JSON writes them as lists
@@ -321,43 +369,43 @@ class ShiftedZetaExpression:
 
     def render_text(self) -> str:
         """Human-readable one-liner, e.g. zeta_des(s1) = (1 - s1) zeta(s1)."""
-        args = ", ".join(f"s{j}" for j in range(1, self.depth + 1))
-        bits = []
-        for coef, l, m in self.terms:
-            factors = []
-            if coef == -1:
-                head = "-"
-            elif coef == 1:
-                head = ""
-            else:
-                head = f"{coef}*"
-            for j, lj in enumerate(l, start=1):
-                if lj:
-                    factors.append(f"poch(s{j},{lj})")
-            shifted = ", ".join(
-                f"s{j}" + (f"{mj:+d}" if mj else "") for j, mj in enumerate(m, start=1)
-            )
-            factors.append(f"zeta({shifted})")
-            bits.append(head + "*".join(factors))
-        return f"value({args}) = " + " + ".join(bits).replace("+ -", "- ")
+        return "".join(rendered_text(self.depth, self.terms))
 
 
-def shifted_zeta_terms(depth: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """The coefficient family as (coef, l, m) terms read off the expanded
-    polynomial, sorted by (l, m): each exponent tuple is l + m, so that is
-    exponent order.
+class ShiftedZetaTerms:
+    """The coefficient family of one depth as (coef, l, m) terms in sorted
+    (l, m) order: each exponent tuple of the expanded polynomial is l + m,
+    so that is exponent order.  It has a length, and every pass over it
+    unpacks the terms one at a time from the packed polynomial."""
 
-    Every term is checked before this returns, so a non-integer
+    __slots__ = ("depth", "_polynomial")
+
+    def __init__(self, depth: int, polynomial: LaurentPolynomial):
+        self.depth = depth
+        self._polynomial = polynomial
+
+    def __len__(self) -> int:
+        return len(self._polynomial)
+
+    def __iter__(self) -> Iterator[Term]:
+        depth = self.depth
+        for exps, n in self._polynomial.numerator_terms(ordered=True):
+            yield n, exps[:depth], exps[depth:]
+
+
+def shifted_zeta_terms(depth: int) -> ShiftedZetaTerms:
+    """The coefficient family read off the expanded polynomial.
+
+    Every term is checked once, before this returns, so a non-integer
     coefficient, a negative u-exponent or shifts that do not sum to zero,
     any of which would indicate an expansion bug, raise before the first
-    term is read.  The terms are then made one at a time from the
-    polynomial's sorted keys.
+    term is read.
     """
-    coeffs = coefficient_polynomial(depth).terms
-    keys = sorted(coeffs)
-    for exps in keys:
-        _check_term(depth, coeffs[exps], exps[:depth], exps[depth:])
-    return ((coeffs[exps].numerator, exps[:depth], exps[depth:]) for exps in keys)
+    polynomial = coefficient_polynomial(depth)
+    den = polynomial.denominator
+    for exps, n in polynomial.numerator_terms():
+        _check_term(depth, n if den == 1 else Fraction(n, den), exps[:depth], exps[depth:])
+    return ShiftedZetaTerms(depth, polynomial)
 
 
 # One cache entry per depth: a ``verify`` run, whose depth is capped at 6,
@@ -366,4 +414,4 @@ def shifted_zeta_terms(depth: int) -> Iterator[tuple[int, tuple[int, ...], tuple
 @lru_cache(maxsize=8)
 def shifted_zeta_expression(depth: int) -> ShiftedZetaExpression:
     """The record of :func:`shifted_zeta_terms`."""
-    return ShiftedZetaExpression(depth, tuple(shifted_zeta_terms(depth)))
+    return ShiftedZetaExpression._checked(depth, tuple(shifted_zeta_terms(depth)))

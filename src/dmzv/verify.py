@@ -38,6 +38,7 @@ from .genfun import (
     value_table,
 )
 from .multiseries import substitute_linear_form, substitute_linear_forms
+from .names import SUITES
 from .rationals import binomial, format_rational
 from .report import Check, IdentityReport
 from .shiftcoeffs import (
@@ -565,22 +566,6 @@ class VerifyConfig:
     max_weight: Optional[int] = None
     truncation: Optional[int] = None
     corrupt_bernoulli: tuple[tuple[int, Fraction], ...] = ()
-
-
-SUITES = (
-    "bernoulli",
-    "depth1",
-    "routes",
-    "recurrence",
-    "telescope",
-    "shuffle",
-    "last-entry",
-    "inversion",
-    "ems-shuffle",
-    "conversion",
-    "shift-coeffs",
-    "words",
-)
 
 
 def _suite_arguments(config: VerifyConfig, store: ValueStore) -> dict[str, tuple]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmzv import cli, verify
+from dmzv import cli, genfun, shiftcoeffs, verify, words
 from dmzv.cli import main
 
 
@@ -64,7 +64,7 @@ def test_values_refuses_oversized_tables(capsys, monkeypatch, depth, weight):
     def no_arithmetic(*args):
         raise AssertionError("an oversized table must be refused before it is built")
 
-    monkeypatch.setattr(cli, "value_table", no_arithmetic)
+    monkeypatch.setattr(genfun, "value_table", no_arithmetic)
     assert main(["values", "--family", "fkmt", "--depth", str(depth),
                  "--max-weight", str(weight)]) == 2
     captured = capsys.readouterr()
@@ -76,13 +76,13 @@ def test_convert_refuses_oversized_tables(capsys, monkeypatch):
     def no_arithmetic(*args):
         raise AssertionError("an oversized table must be refused before it is built")
 
-    monkeypatch.setattr(cli, "conversion_table", no_arithmetic)
+    monkeypatch.setattr(genfun, "conversion_table", no_arithmetic)
     assert main(["convert", "--max-weight", str(cli.MAX_CONVERT_WEIGHT + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "too large" in captured.err
 
-    monkeypatch.setattr(cli, "conversion_table", lambda max_weight: [])
+    monkeypatch.setattr(genfun, "conversion_table", lambda max_weight: [])
     assert main(["convert", "--max-weight", str(cli.MAX_CONVERT_WEIGHT)]) == 0
 
 
@@ -127,6 +127,40 @@ def test_gr_coeffs_schema_round_trip(tmp_path):
         assert (tmp_path / "coeffs.csv").read_text() == rows.getvalue()
 
 
+DEPTH2_TEXT = """\
+depth 2: 7 nonzero coefficients
+  l=[0, 0]  m=[0, 0]  coef=1
+  l=[0, 1]  m=[0, 0]  coef=-1
+  l=[0, 2]  m=[-2, 2]  coef=-1
+  l=[0, 2]  m=[-1, 1]  coef=1
+  l=[1, 0]  m=[0, 0]  coef=-1
+  l=[1, 1]  m=[-1, 1]  coef=-1
+  l=[1, 1]  m=[0, 0]  coef=1
+value(s1, s2) = zeta(s1, s2) - poch(s2,1)*zeta(s1, s2) - poch(s2,2)*zeta(s1-2, s2+2) \
++ poch(s2,2)*zeta(s1-1, s2+1) - poch(s1,1)*zeta(s1, s2) - poch(s1,1)*poch(s2,1)*zeta(s1-1, s2+1) \
++ poch(s1,1)*poch(s2,1)*zeta(s1, s2)
+"""
+
+
+def test_gr_coeffs_text_is_streamed(tmp_path, capsys):
+    # the term lines and the one-line rendering are written from the term
+    # stream; the cached record is never built
+    from dmzv.shiftcoeffs import shifted_zeta_expression
+
+    shifted_zeta_expression.cache_clear()
+    assert main(["gr-coeffs", "--depth", "2"]) == 0
+    assert capsys.readouterr().out == DEPTH2_TEXT
+    for depth in range(1, 6):
+        assert main(["gr-coeffs", "--depth", str(depth), "--out", str(tmp_path / "text")]) == 0
+        assert shifted_zeta_expression.cache_info().misses == 0
+        record = shifted_zeta_expression(depth)
+        lines = [f"  l={list(l)}  m={list(m)}  coef={coef}\n" for coef, l, m in record.terms]
+        head = f"depth {depth}: {len(record.terms)} nonzero coefficients\n"
+        expected = head + "".join(lines) + record.render_text() + "\n"
+        assert (tmp_path / "text").read_text() == expected
+        shifted_zeta_expression.cache_clear()
+
+
 @pytest.mark.parametrize("extra, coef, message", [
     ({"u1": 9}, Fraction(1, 2), "non-integer coefficient 1/2"),
     ({"u1": 9, "u2": -1}, 1, "negative Pochhammer degree"),
@@ -136,7 +170,6 @@ def test_gr_coeffs_stream_keeps_the_record_checks(tmp_path, capsys, monkeypatch,
                                                   extra, coef, message):
     # the faulty term sorts last, so a writer that checked terms as it
     # wrote them would leave a partial output behind
-    from dmzv import shiftcoeffs
     from dmzv.multipoly import LaurentPolynomial
 
     expand = shiftcoeffs.coefficient_polynomial
@@ -161,8 +194,8 @@ def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch, fmt):
     def no_arithmetic(*args):
         raise AssertionError("an oversized depth must be refused before any arithmetic")
 
-    monkeypatch.setattr(cli, "shifted_zeta_expression", no_arithmetic)
-    monkeypatch.setattr(cli, "shifted_zeta_terms", no_arithmetic)
+    monkeypatch.setattr(shiftcoeffs, "shifted_zeta_expression", no_arithmetic)
+    monkeypatch.setattr(shiftcoeffs, "shifted_zeta_terms", no_arithmetic)
     argv = ["gr-coeffs", "--format", fmt, "--depth"]
     assert main([*argv, str(cli.MAX_GR_DEPTH + 1)]) == 2
     captured = capsys.readouterr()
@@ -173,10 +206,10 @@ def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch, fmt):
         main([*argv, str(cli.MAX_GR_DEPTH)])
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_gr_coeffs_depth7_json_peak_rss():
-    # a fresh process started through the benchmark's launcher, which
-    # reports the child's own peak RSS; nothing under bench/ is written
+def launched_gr_coeffs_depth7(fmt):
+    """The launcher's report on a fresh ``gr-coeffs --depth 7`` process,
+    started through the benchmark's launcher, which reports the child's
+    own peak RSS; nothing under bench/ is written."""
     import subprocess
     from pathlib import Path
 
@@ -188,13 +221,26 @@ def test_gr_coeffs_depth7_json_peak_rss():
             subprocess.run(
                 [sys.executable, "-S", str(root / "bench" / "launch.py"), str(write_fd),
                  "120", sys.executable, "-m", "dmzv", "gr-coeffs", "--depth", "7",
-                 "--format", "json"],
+                 "--format", fmt],
                 env=env, stdout=subprocess.DEVNULL, pass_fds=(write_fd,), timeout=150,
                 check=True,
             )
         finally:
             os.close(write_fd)
-        report = json.loads(report_pipe.read())
+        return json.loads(report_pipe.read())
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_gr_coeffs_depth7_json_peak_rss():
+    report = launched_gr_coeffs_depth7("json")
+    assert report["exit"] == 0
+    assert report["rss_mb"] < 50, report
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_gr_coeffs_depth7_text_peak_rss():
+    # streamed like json: no record and no joined one-line rendering
+    report = launched_gr_coeffs_depth7("text")
     assert report["exit"] == 0
     assert report["rss_mb"] < 50, report
 
@@ -228,7 +274,7 @@ def test_verify_refuses_out_of_range_input(capsys, monkeypatch, argv):
     def unreachable(*args):
         raise AssertionError("the run started")
 
-    monkeypatch.setattr(cli, "run_all", unreachable)
+    monkeypatch.setattr(verify, "run_all", unreachable)
     with pytest.raises(SystemExit) as err:
         sys.exit(main(["verify", "--suite", "bernoulli", *argv]))
     assert err.value.code == 2
@@ -323,7 +369,7 @@ def test_shuffle_refuses_oversized_input(capsys, monkeypatch, argv):
     def no_arithmetic(*args):
         raise AssertionError("an oversized shuffle must be refused before any arithmetic")
 
-    monkeypatch.setattr(cli, "word_product", no_arithmetic)
+    monkeypatch.setattr(words, "word_product", no_arithmetic)
     assert main(["shuffle", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

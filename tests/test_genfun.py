@@ -256,6 +256,19 @@ def test_value_table_json_and_csv():
     assert json.dumps(round_trip, sort_keys=True) == json.dumps(data, sort_keys=True)
 
 
+def test_value_table_is_a_checked_record():
+    table = value_table("ems", 1, 1)
+    assert table == ValueTable("EMS", 1, dict(table.entries))
+    assert table != ValueTable("FKMT", 1, dict(table.entries))
+    assert repr(ValueTable("EMS", 1, {})) == "ValueTable(family='EMS', depth=1, entries={})"
+    with pytest.raises(TypeError):
+        hash(table)
+    with pytest.raises(ValueError, match="family must be one of"):
+        ValueTable("ems", 1, {})
+    with pytest.raises(ValueError, match="does not have depth 2"):
+        ValueTable("EMS", 2, {(0,): Fraction(1)})
+
+
 def test_series_and_multisum_tables_match():
     # every table entry, read off one generating function, equals the
     # value computed on its own by the Bernoulli multi-sum

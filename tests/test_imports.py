@@ -1,0 +1,125 @@
+"""What each command loads.  The package resolves its public names on
+first use and the CLI imports each command's layers inside the command,
+so a process holds only the layers its command runs.  Each probe runs in
+a fresh ``python -S`` process, so no site hook has loaded a module first."""
+
+import argparse
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dmzv
+from dmzv import cli, genfun, names, verify
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs ``dmzv.cli.main`` on the arguments with stdout discarded, then
+# prints its exit code, the dmzv modules loaded and whether dataclasses is.
+PROBE = """
+import contextlib, io, json, sys
+from dmzv.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({
+    "exit": code,
+    "modules": sorted(m for m in sys.modules if m == "dmzv" or m.startswith("dmzv.")),
+    "dataclasses": "dataclasses" in sys.modules,
+}))
+"""
+
+
+def fresh(code: str, *argv: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+VALUES = ["dmzv", "dmzv.bernoulli", "dmzv.cli", "dmzv.genfun", "dmzv.multiseries",
+          "dmzv.names", "dmzv.rationals", "dmzv.report", "dmzv.series"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["values", "--family", "ems", "--depth", "2", "--max-weight", "2"], VALUES),
+    (["gr-coeffs", "--depth", "3", "--format", "json"],
+     ["dmzv", "dmzv.cli", "dmzv.multipoly", "dmzv.names", "dmzv.rationals", "dmzv.report",
+      "dmzv.shiftcoeffs"]),
+    (["convert", "--max-weight", "5"], VALUES),
+    (["shuffle", "dy", "ydy"],
+     ["dmzv", "dmzv.cli", "dmzv.names", "dmzv.rationals", "dmzv.series", "dmzv.words"]),
+])
+def test_each_command_loads_only_its_layers(argv, modules):
+    loaded = json.loads(fresh(PROBE, *argv))
+    assert loaded == {"exit": 0, "modules": modules, "dataclasses": False}
+
+
+def test_importing_the_cli_loads_no_engine():
+    code = ("import json, sys, dmzv.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dmzv'))))")
+    assert json.loads(fresh(code)) == ["dmzv", "dmzv.cli", "dmzv.names"]
+
+
+# Every public name of the package and the module that defines it.
+PUBLIC = {
+    "bernoulli": ["BernoulliCache", "bernoulli", "default_cache"],
+    "genfun": ["ValueTable", "conversion_table", "depth1_conversion_residuals", "ems_factor",
+               "ems_prefactor", "ems_series", "ems_series_from_fkmt", "ems_value",
+               "ems_value_series", "fkmt_factor", "fkmt_series", "fkmt_value",
+               "fkmt_value_series", "series_value_table", "value_table"],
+    "multipoly": ["LaurentPolynomial"],
+    "multiseries": ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"],
+    "rationals": ["Rational", "binomial", "format_rational", "multinomial", "parse_rational",
+                  "pochhammer"],
+    "report": ["Check", "IdentityReport"],
+    "series": ["UniSeries", "divide_with_valuation", "exp_minus_one", "exp_over_one_minus_exp",
+               "exp_series", "laurent_divide"],
+    "shiftcoeffs": ["ShiftedZetaExpression", "coefficient_polynomial", "shift_coefficients",
+                    "shifted_zeta_expression"],
+    "verify": ["SUITES", "ValueStore", "VerifyConfig", "reports_pass", "run_all"],
+    "words": ["Word", "WordSum", "character", "leibniz_defect", "multiplicativity_defect",
+              "word_product"],
+}
+
+
+def test_public_names_resolve_to_their_modules():
+    assert sorted(dmzv.__all__) == sorted(name for group in PUBLIC.values() for name in group)
+    for module, group in PUBLIC.items():
+        source = importlib.import_module(f"dmzv.{module}")
+        for name in group:
+            assert getattr(dmzv, name) is getattr(source, name), name
+    assert set(dmzv.__all__) <= set(dir(dmzv))
+    with pytest.raises(AttributeError):
+        dmzv.no_such_name
+    with pytest.raises(ImportError):
+        from dmzv import no_such_name  # noqa: F401
+
+
+def test_bernoulli_stays_the_function_after_its_module_loads():
+    # loading genfun loads the bernoulli module, and the import system
+    # binds each loaded submodule on the package
+    code = ("import sys, dmzv.genfun\n"
+            "from dmzv import bernoulli\n"
+            "import dmzv\n"
+            "module = sys.modules['dmzv.bernoulli']\n"
+            "print(bernoulli is module.bernoulli, dmzv.bernoulli is module.bernoulli)")
+    assert fresh(code).split() == ["True", "True"]
+
+
+def _option(command: str, dest: str) -> argparse.Action:
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in commands.choices[command]._actions if a.dest == dest)
+
+
+def test_parser_lists_the_engines_names():
+    assert _option("values", "family").choices == [name.lower() for name in genfun.FAMILIES]
+    assert names.FAMILY_NAMES == tuple(genfun.FAMILIES)
+    listed = _option("verify", "suite").help.split("default all of: ")[1]
+    assert listed.split(", ") == list(verify.SUITES)
+    assert names.SUITES is verify.SUITES

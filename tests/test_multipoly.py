@@ -129,3 +129,26 @@ def test_product_drops_cancelled_terms(a, b):
     product = (x * a + y * b) * (x * a - y * b)
     assert product.terms == {(2, 0): a * a, (0, 2): -b * b}
     assert all(type(c) is Fraction and c for c in product.terms.values())
+
+
+@pytest.mark.parametrize("big", [3, 127, 128, 200, 40_000, 2**40])
+def test_exponents_of_every_field_width(big):
+    # exponents past 127 need wider packed fields, and a product or a sum
+    # of operands with different widths repacks the narrower one
+    variables = ("x", "y")
+    a = LaurentPolynomial({(big, -1): Fraction(1, 2), (0, 3): 2}, variables)
+    b = LaurentPolynomial({(-big, big): 3, (1, 0): Fraction(-1, 3)}, variables)
+    product = a * b
+    assert product == naive_product(a, b)
+    assert product.sorted_terms() == sorted(naive_product(a, b).terms.items())
+    assert (a + b) - b == a
+    assert product.min_degree("x") == -big
+    # a polynomial equals itself whatever width it is held at
+    x = LaurentPolynomial.monomial(variables, {"x": 1})
+    far = LaurentPolynomial.monomial(variables, {"x": big + 1})
+    assert far * LaurentPolynomial.monomial(variables, {"x": -big}) == x
+
+
+def test_exponents_too_large_to_pack_are_refused():
+    with pytest.raises(ValueError, match="too large to pack"):
+        LaurentPolynomial({(2**63,): 1}, ("x",))

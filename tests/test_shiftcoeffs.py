@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -232,3 +233,95 @@ def test_expression_refuses_a_non_integer_coefficient(monkeypatch):
             shifted_zeta_expression(2)
     finally:
         shifted_zeta_expression.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the packed product against the tuple/Fraction product it replaced
+# ---------------------------------------------------------------------------
+
+def tuple_product(a, b):
+    """The earlier ``LaurentPolynomial`` product: exponent tuples added
+    entrywise, integer numerators over each operand's common denominator,
+    one ``Fraction`` per output term.  The reference route; it lives only
+    here."""
+    from math import lcm
+    from operator import add
+
+    left_den = lcm(*(c.denominator for c in a.values()))
+    right_den = lcm(*(c.denominator for c in b.values()))
+    right = [(e, c.numerator * (right_den // c.denominator)) for e, c in b.items()]
+    acc = {}
+    for e1, c1 in a.items():
+        n1 = c1.numerator * (left_den // c1.denominator)
+        for e2, n2 in right:
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + n1 * n2
+    return {e: Fraction(n, left_den * right_den) for e, n in acc.items() if n}
+
+
+def defining_factors(depth):
+    """The factors 1 - (u_j v_j + ... + u_r v_r)(1/v_j - 1/v_{j-1}) as
+    exponent tuple -> Fraction dicts."""
+    variables = shiftcoeffs.poly_variables(depth)
+    zero = (0,) * (2 * depth)
+
+    def unit(name, power=1):
+        return tuple(power if v == name else 0 for v in variables)
+
+    factors = []
+    for j in range(1, depth + 1):
+        factor = {zero: Fraction(1)}
+        # -u_i v_i / v_j, and +u_i v_i / v_{j-1} past the first factor
+        brackets = [(f"v{j}", -1)] + ([(f"v{j - 1}", 1)] if j > 1 else [])
+        for i in range(j, depth + 1):
+            for v, sign in brackets:
+                e = tuple(map(sum, zip(unit(f"u{i}"), unit(f"v{i}"), unit(v, -1))))
+                factor[e] = factor.get(e, Fraction(0)) + sign
+        factors.append({e: c for e, c in factor.items() if c})
+    return factors
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+def test_packed_expansion_matches_the_tuple_product(depth):
+    expected = {(0,) * (2 * depth): Fraction(1)}
+    for factor in defining_factors(depth):
+        expected = tuple_product(expected, factor)
+    expected = sorted(expected.items())
+    assert coefficient_polynomial(depth).sorted_terms() == expected
+    # the stream unpacks the same terms in the same order
+    assert list(shiftcoeffs.shifted_zeta_terms(depth)) == [
+        (c.numerator, e[:depth], e[depth:]) for e, c in expected
+    ]
+
+
+def test_each_term_is_checked_once(monkeypatch):
+    calls = []
+    check = shiftcoeffs._check_term
+
+    def counted(*term):
+        calls.append(term)
+        return check(*term)
+
+    monkeypatch.setattr(shiftcoeffs, "_check_term", counted)
+    shifted_zeta_expression.cache_clear()
+    try:
+        record = shifted_zeta_expression(4)
+    finally:
+        shifted_zeta_expression.cache_clear()
+    assert len(calls) == len(record.terms) == 236
+    assert sorted((l, m) for _, _, l, m in calls) == [
+        (l, m) for _, l, m in record.terms
+    ]
+
+
+def test_expression_is_a_frozen_record():
+    expr = shifted_zeta_expression(2)
+    copy = ShiftedZetaExpression(2, list(expr.terms))
+    assert copy == expr and hash(copy) == hash(expr) and copy is not expr
+    assert copy.terms == expr.terms and type(copy.terms) is tuple
+    assert ShiftedZetaExpression(2, expr.terms[1:]) != expr
+    assert expr != (2, expr.terms)
+    assert repr(ShiftedZetaExpression(1, ())) == "ShiftedZetaExpression(depth=1, terms=())"
+    with pytest.raises(AttributeError):
+        expr.depth = 3
+    assert pickle.loads(pickle.dumps(expr)) == expr

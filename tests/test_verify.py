@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,23 @@ def test_check_invariant():
         Check("x", "pass", {"unexpected": 1})
     assert Check.of("ok") == Check("ok", "pass", None)
     assert Check.of("bad", {"k": 1}) == Check("bad", "fail", {"k": 1})
+
+
+def test_reports_compare_like_the_dataclasses_they_replaced():
+    check = Check.of("bad", {"k": 1})
+    assert check == Check("bad", "fail", {"k": 1}) != ("bad", "fail", {"k": 1})
+    assert hash(Check.of("ok")) == hash(Check("ok", "pass"))
+    assert repr(Check.of("ok")) == "Check(description='ok', status='pass', witness=None)"
+    with pytest.raises(AttributeError):
+        check.status = "pass"
+    assert copy.deepcopy(check) == pickle.loads(pickle.dumps(check)) == check
+    report = IdentityReport("demo")
+    assert report == IdentityReport("demo", {}, [], 0.0)
+    assert report.parameters is not IdentityReport("demo").parameters
+    report.checks.append(check)
+    assert report != IdentityReport("demo")
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_small_suites_pass():
@@ -143,7 +162,7 @@ def test_shift_coeffs_can_fail(monkeypatch):
         if depth != 2:
             return record
         (coef, l, m), *rest = record.terms
-        return dataclasses.replace(record, terms=((coef + 1, l, m), *rest))
+        return shiftcoeffs.ShiftedZetaExpression(record.depth, ((coef + 1, l, m), *rest))
 
     monkeypatch.setattr(shiftcoeffs, "shifted_zeta_expression", raised_first)
     failures = _failed_checks("shift-coeffs")
