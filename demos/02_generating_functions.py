@@ -13,7 +13,7 @@ from dmzv import (
 
 Z2 = fkmt_series(2, 3)
 print("depth-2 desingularized generating function, cap 3 per variable:")
-for exps, coeff in Z2.terms_sorted():
+for exps, coeff in Z2.sorted_terms():
     print(f"  t1^{exps[0]} t2^{exps[1]}: {coeff}")
 
 # Reading a value off the series: multiply the coefficient by

@@ -196,12 +196,13 @@ FAMILIES = {family.name: family for family in (FKMT, EMS)}
 # values: series-extraction route
 # ---------------------------------------------------------------------------
 
-def _coefficient_to_value(coeff: Fraction, k: Sequence[int]) -> Fraction:
+def _coefficient_to_value(n: int, den: int, k: Sequence[int]) -> Fraction:
+    # the coefficient n / den of t^k times (-1)^|k| k!
     sign = -1 if sum(k) % 2 else 1
     fact = 1
     for x in k:
         fact *= factorial(x)
-    return sign * fact * coeff
+    return Fraction(sign * fact * n, den)
 
 
 def _checked_index(k: Sequence[int]) -> tuple[int, ...]:
@@ -215,8 +216,8 @@ def _checked_index(k: Sequence[int]) -> tuple[int, ...]:
 
 def _value_series(family: Family, k: Sequence[int]) -> Fraction:
     k = _checked_index(k)
-    series = family.series(len(k), max(k))
-    return _coefficient_to_value(series.coefficient(k), k)
+    coeff = family.series(len(k), max(k)).coefficient(k)
+    return _coefficient_to_value(coeff.numerator, coeff.denominator, k)
 
 
 def fkmt_value_series(k: Sequence[int]) -> Fraction:
@@ -424,9 +425,10 @@ def value_table(family: str, depth: int, max_weight: int) -> ValueTable:
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     series = fam.series(depth, max_weight)
+    # the series' integer numerators, unpacked once, over its denominator
+    nums, den = dict(series._unpacked()), series._den
     entries = {
-        k: _coefficient_to_value(series.coefficient(k), k)
-        for k in index_box(depth, max_weight)
+        k: _coefficient_to_value(nums.get(k, 0), den, k) for k in index_box(depth, max_weight)
     }
     return ValueTable(fam.name, depth, entries)
 

@@ -5,6 +5,14 @@ stores exact coefficients for every exponent vector in {0..cap}^nvars.
 Because exponents are non-negative, truncated multiplication is exact on
 that whole box, so there is no order bookkeeping beyond the shape check.
 
+A series is held in the packed form of :class:`rationals.Packed`, which
+it shares with ``LaurentPolynomial``: each exponent vector is one int and
+each coefficient an integer numerator over one common denominator.  The
+fields are as wide as 2 * cap requires, so adding two codes adds their
+exponent vectors without carries, and the product drops the terms past
+the cap by a test of each field's top bit.  :meth:`MultiSeries.coefficient`,
+:attr:`MultiSeries.coeffs` and ``sorted_terms`` unpack when they are read.
+
 The two substitution helpers are the bridge from univariate factors to
 multivariate generating functions; both guard their truncation
 preconditions and refuse to produce inexact coefficients.
@@ -14,9 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import attrgetter
 from typing import Mapping, Sequence
 
-from .rationals import RationalLike, accumulate, multinomial, numerators
+from .rationals import Packed, RationalLike, _layout, _pack, accumulate, multinomial, numerators
 from .series import UniSeries
 
 __all__ = ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"]
@@ -24,10 +33,15 @@ __all__ = ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"]
 _ZERO = Fraction(0)
 
 
-class MultiSeries:
+class MultiSeries(Packed):
     """Sparse r-variable power series over the rationals, capped per variable."""
 
-    __slots__ = ("nvars", "cap", "coeffs")
+    # the ring is (nvars, cap), and the fields are as wide as 2 * cap
+    # requires, the largest exponent of a product before the cap drops it
+    __slots__ = ()
+    _MISMATCH = "shape mismatch: ({0[0]} vars, cap {0[1]}) vs ({1[0]} vars, cap {1[1]})"
+    nvars = property(attrgetter("_nvars"))
+    cap = property(lambda self: self._ring[1])
 
     def __init__(self, coeffs: Mapping[tuple[int, ...], RationalLike], nvars: int, cap: int):
         if nvars < 1:
@@ -44,24 +58,8 @@ class MultiSeries:
             value = Fraction(value)
             if value:
                 clean[exps] = value
-        object.__setattr__(self, "nvars", int(nvars))
-        object.__setattr__(self, "cap", int(cap))
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("MultiSeries is immutable")
-
-    @classmethod
-    def _trusted(
-        cls, coeffs: dict[tuple[int, ...], Fraction], nvars: int, cap: int
-    ) -> "MultiSeries":
-        """Wrap coefficients already known to be non-zero ``Fraction``s on
-        in-box exponent tuples, skipping the constructor's checks."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "nvars", nvars)
-        object.__setattr__(out, "cap", cap)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
+        nvars, cap = int(nvars), int(cap)
+        self._fill((nvars, cap), nvars, 2 * cap, *numerators(clean))
 
     @classmethod
     def constant(cls, value: RationalLike, nvars: int, cap: int) -> "MultiSeries":
@@ -72,123 +70,34 @@ class MultiSeries:
     def zero(cls, nvars: int, cap: int) -> "MultiSeries":
         return cls({}, nvars, cap)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    coeffs = property(Packed._terms, doc="The terms as exponent tuple -> non-zero ``Fraction``.")
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(int(e) for e in exps)
-        if len(exps) != self.nvars or any(e < 0 or e > self.cap for e in exps):
-            raise ValueError(f"exponent vector {exps} outside the box [0, {self.cap}]^{self.nvars}")
-        return self.coeffs.get(exps, _ZERO)
+        nvars, cap = self._ring
+        if len(exps) != nvars or any(e < 0 or e > cap for e in exps):
+            raise ValueError(f"exponent vector {exps} outside the box [0, {cap}]^{nvars}")
+        n = self._codes.get(_pack(_layout(nvars, self._bound), exps))
+        return Fraction(n, self._den) if n else _ZERO
 
-    def _check_shape(self, other: "MultiSeries") -> None:
-        if self.nvars != other.nvars or self.cap != other.cap:
-            raise ValueError(
-                "shape mismatch: "
-                f"({self.nvars} vars, cap {self.cap}) vs ({other.nvars} vars, cap {other.cap})"
-            )
+    def _product_bound(self, other: "MultiSeries") -> int:
+        return self._bound
 
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        self._check_shape(other)
-        out = accumulate(dict(self.coeffs), other.coeffs.items())
-        return MultiSeries._trusted(out, self.nvars, self.cap)
+    def _cap_limit(self, layout) -> int:
+        return _pack(layout, (self.cap + 1,) * self._nvars) - layout.zero
 
-    def __neg__(self) -> "MultiSeries":
-        return MultiSeries({e: -c for e, c in self.coeffs.items()}, self.nvars, self.cap)
-
-    def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self + (-other)
-
-    def scale(self, factor: RationalLike) -> "MultiSeries":
-        factor = Fraction(factor)
-        if not factor:
-            return MultiSeries.zero(self.nvars, self.cap)
-        return MultiSeries({e: c * factor for e, c in self.coeffs.items()}, self.nvars, self.cap)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        self._check_shape(other)
-        nvars, cap = self.nvars, self.cap
-        # Exponent vectors are packed into one int, `width` bits per
-        # variable, so adding two codes adds the vectors without carries.
-        # With `bias` added, a field's top bit is set exactly when that
-        # exponent of the sum exceeds the cap.
-        width = cap.bit_length() + 1
-        mask = (1 << width) - 1
-        shifts = [width * i for i in range(nvars)]
-        top = 1 << (width - 1)
-        high = sum(top << sh for sh in shifts)
-        bias = sum((top - 1 - cap) << sh for sh in shifts)
-        left, left_den = _packed(self.coeffs, shifts)
-        right, right_den = _packed(other.coeffs, shifts)
-        # Whether a right term fits beside a left one depends only on the
-        # left exponents of the variables the right operand uses, so the
-        # fitting right terms are found once per such projection.
-        used = 0
-        for code, _ in right:
-            used |= code
-        projection = sum(mask << sh for sh in shifts if used & (mask << sh))
-        fitting: dict[int, list[tuple[int, int]]] = {}
-        acc: dict[int, int] = {}
-        get = acc.get
-        for c1, n1 in left:
-            key = c1 & projection
-            terms = fitting.get(key)
-            if terms is None:
-                biased = c1 + bias
-                terms = fitting[key] = [t for t in right if not (biased + t[0]) & high]
-            for c2, n2 in terms:
-                e = c1 + c2
-                acc[e] = get(e, 0) + n1 * n2
-        den = left_den * right_den
-        out = {
-            tuple([(code >> sh) & mask for sh in shifts]): Fraction(num, den)
-            for code, num in acc.items()
-            if num
-        }
-        return MultiSeries._trusted(out, nvars, cap)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = Packed.__mul__
 
     def negate_variables(self) -> "MultiSeries":
         """Substitute t_i -> -t_i for every variable: flip odd total degrees."""
-        return MultiSeries(
-            {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.coeffs.items()},
-            self.nvars,
-            self.cap,
-        )
-
-    def terms_sorted(self):
-        """Terms in lexicographic exponent order."""
-        return sorted(self.coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+        # the terms unpack in the order of their codes
+        codes = {c: -n if sum(e) % 2 else n for c, (e, n) in zip(self._codes, self._unpacked())}
+        return self._like(self._bound, codes, self._den)
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{e}: {c}" for e, c in self.terms_sorted()[:6])
-        tail = ", ..." if len(self.coeffs) > 6 else ""
+        head = ", ".join(f"{e}: {c}" for e, c in self.sorted_terms()[:6])
+        tail = ", ..." if len(self._codes) > 6 else ""
         return f"MultiSeries({{{head}{tail}}}, nvars={self.nvars}, cap={self.cap})"
-
-
-def _packed(coeffs: Mapping[tuple[int, ...], Fraction], shifts: Sequence[int]):
-    """:func:`numerators` with each exponent vector packed into one int,
-    ``shifts[i]`` bits up for variable i."""
-    terms, den = numerators(coeffs)
-    return [(sum(e << sh for e, sh in zip(exps, shifts)), n) for exps, n in terms], den
 
 
 def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) -> MultiSeries:
@@ -211,10 +120,15 @@ def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) 
             f"insufficient univariate order: have {series.order}, need {needed} "
             f"for {nvars} variables with cap {cap}"
         )
-    out: dict[tuple[int, ...], Fraction] = {}
+    # integer numerators over the series' common denominator, each
+    # written at its packed code
+    nums, den = numerators(series.coeffs)
+    nums = dict(nums)
+    layout = _layout(nvars, 2 * cap)
+    codes: dict[int, int] = {}
     for exps in iter_product(range(cap + 1), repeat=nvars):
-        c = series.coefficient(sum(exps))
-        if not c:
+        n = nums.get(sum(exps))
+        if not n:
             continue
         w = 1
         for wi, ei in zip(weights, exps):
@@ -225,8 +139,8 @@ def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) 
                 w *= wi**ei
         if not w:
             continue
-        out[exps] = c * multinomial(exps) * w
-    return MultiSeries(out, nvars, cap)
+        codes[_pack(layout, exps)] = n * multinomial(exps) * w
+    return object.__new__(MultiSeries)._set((nvars, cap), nvars, 2 * cap, codes, den)
 
 
 def substitute_linear_forms(
@@ -269,13 +183,16 @@ def substitute_linear_forms(
             cache[top + 1] = cache[top] * base[i]
         return cache[n]
 
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for exps, c in series.coeffs.items():
-        term = MultiSeries.constant(c, nvars, cap)
+    # every power of an integer linear form has integer coefficients, so
+    # each term's numerators are over the input's denominator
+    one = MultiSeries.constant(1, nvars, cap)
+    acc: dict[int, int] = {}
+    for exps, n in series._unpacked():
+        term = one
         for i, a in enumerate(exps):
             if a:
                 term = term * power(i, a)
                 if term.is_zero():
                     break
-        accumulate(acc, term.coeffs.items())
-    return MultiSeries._trusted(acc, nvars, cap)
+        accumulate(acc, ((code, n * m) for code, m in term._codes.items()), 0)
+    return one._like(one._bound, acc, series._den)

@@ -1,19 +1,25 @@
 """Exact rational scalars, the sum and common denominator of sparse
-exact terms, and elementary combinatorial functions.
+exact terms, the packed store of multivariate terms, and elementary
+combinatorial functions.
 
 Every coefficient and every value in this package is a
 ``fractions.Fraction``: arbitrary precision, reduced on construction,
 denominator always positive.  There is no floating-point mode anywhere.
-Every sparse type adds through :func:`accumulate`, and the products of
-``UniSeries``, ``MultiSeries`` and ``LaurentPolynomial`` and the word
-character put their terms over one denominator through :func:`numerators`.
+Every sparse type adds through :func:`accumulate`, and the constructors,
+the ``UniSeries`` product and the word character put their terms over one
+denominator through :func:`numerators`.  ``MultiSeries`` and
+``LaurentPolynomial`` are both held in the one packed form of
+:class:`Packed`, which also states their sum, negation, scaling, equality
+and product once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, Mapping, Sequence, TypeVar, Union
+from functools import lru_cache
+from math import comb, gcd, lcm
+from struct import Struct
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
@@ -68,6 +74,227 @@ def numerators(coeffs: Mapping[K, Fraction]) -> tuple[list[tuple[K, int]], int]:
     for a word sum."""
     den = common_denominator(coeffs.values())
     return [(d, c.numerator * (den // c.denominator)) for d, c in coeffs.items()], den
+
+
+# An exponent vector is packed into one int, ``width`` bits per variable
+# with the first variable in the highest field, each exponent stored plus
+# 2**(width - 1).  Then the integer order of codes is the lexicographic
+# order of the vectors; the sum of two codes minus the code of the zero
+# vector is the code of the vectors' sum whenever every entry of that sum
+# fits a field; and a code XOR the zero vector's code holds each exponent
+# as a two's complement field, which ``struct`` reads and writes.  The
+# zero vector's code is also the top bit of every field.
+_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _width(bound: int) -> int:
+    """The narrowest field width holding every exponent of absolute value
+    at most ``bound``."""
+    for width in _FORMATS:
+        if bound < 1 << (width - 1):
+            return width
+    raise ValueError(f"exponents of absolute value {bound} are too large to pack")
+
+
+class _Layout(NamedTuple):
+    width: int  # bits per field
+    zero: int  # the code of the zero vector
+    size: int  # bytes per code
+    fields: Struct
+
+
+def _layout(nvars: int, bound: int) -> _Layout:
+    """The layout of ``nvars`` fields that hold every exponent of absolute
+    value at most ``bound``."""
+    return _fields(nvars, _width(bound))
+
+
+@lru_cache(maxsize=None)
+def _fields(nvars: int, width: int) -> _Layout:
+    fields = Struct(f">{nvars}{_FORMATS[width]}")
+    zero = int.from_bytes(bytes([0x80] + [0] * (width // 8 - 1)) * nvars, "big")
+    return _Layout(width, zero, fields.size, fields)
+
+
+def _pack(layout: _Layout, exps: Sequence[int]) -> int:
+    return int.from_bytes(layout.fields.pack(*exps), "big") ^ layout.zero
+
+
+def _reduced(codes: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """``codes`` (in place) and ``den`` divided by the greatest common
+    divisor of the denominator and every numerator, so that the terms have
+    one stored form."""
+    if den != 1:
+        g = den
+        for n in codes.values():
+            g = gcd(g, n)
+            if g == 1:
+                return codes, den
+        for code in codes:
+            codes[code] //= g
+        den //= g
+    return codes, den
+
+
+class Packed:
+    """Sparse exact terms of one ring, held packed: ``_codes`` maps each
+    packed exponent vector to its non-zero integer numerator over ``_den``,
+    and no common factor divides them all.  The fields are the narrowest
+    that hold every exponent of absolute value at most ``_bound``.
+
+    A subclass names its ring by ``_ring`` and ``_MISMATCH``, sets the
+    width of a product by ``_product_bound`` and may cap a product's
+    exponents by ``_cap_limit``.  It binds ``__mul__`` in its own body, where
+    the benchmark's layer tracer (``bench/layers.py``) looks for it.
+    """
+
+    __slots__ = ("_ring", "_nvars", "_bound", "_codes", "_den")
+    _MISMATCH = "operands in different rings: {} vs {}"
+
+    def _set(self, ring, nvars: int, bound: int, codes: dict[int, int], den: int):
+        """Hold non-zero numerators over ``den`` on codes of the width that
+        ``bound`` sets, reduced first, and return this object."""
+        for name, value in zip(Packed.__slots__, (ring, nvars, bound, *_reduced(codes, den))):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fill(self, ring, nvars: int, bound: int, pairs: Iterable[tuple[Sequence[int], int]],
+              den: int):
+        """:meth:`_set` from (exponent tuple, numerator) pairs."""
+        layout = _layout(nvars, bound)
+        return self._set(ring, nvars, bound, {_pack(layout, e): n for e, n in pairs}, den)
+
+    def _like(self, bound: int, codes: dict[int, int], den: int):
+        """A new element of this ring; the arguments are those of :meth:`_set`."""
+        return object.__new__(type(self))._set(self._ring, self._nvars, bound, codes, den)
+
+    def is_zero(self) -> bool:
+        return not self._codes
+
+    def _unpacked(self, ordered: bool = False) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(exponent tuple, integer numerator over ``_den``) for each term,
+        unpacked one at a time; in lexicographic exponent order when
+        ``ordered``."""
+        layout = _layout(self._nvars, self._bound)
+        unpack, zero, size = layout.fields.unpack, layout.zero, layout.size
+        codes = self._codes
+        if ordered:
+            return ((unpack((c ^ zero).to_bytes(size, "big")), codes[c]) for c in sorted(codes))
+        return ((unpack((c ^ zero).to_bytes(size, "big")), n) for c, n in codes.items())
+
+    def _terms(self) -> dict[tuple[int, ...], Fraction]:
+        den = self._den
+        return {exps: Fraction(n, den) for exps, n in self._unpacked()}
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Terms in lexicographic exponent order."""
+        den = self._den
+        return [(exps, Fraction(n, den)) for exps, n in self._unpacked(ordered=True)]
+
+    def _codes_at(self, bound: int) -> dict[int, int]:
+        # the codes repacked at the width ``bound`` sets, which is never
+        # narrower than this one's own
+        if _width(bound) == _width(self._bound):
+            return self._codes
+        layout = _layout(self._nvars, bound)
+        return {_pack(layout, exps): n for exps, n in self._unpacked()}
+
+    def _same_ring(self, other: "Packed") -> None:
+        if self._ring != other._ring:
+            raise ValueError(self._MISMATCH.format(self._ring, other._ring))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._same_ring(other)
+        bound = max(self._bound, other._bound)
+        den = lcm(self._den, other._den)
+        left, right = den // self._den, den // other._den
+        acc = {code: n * left for code, n in self._codes_at(bound).items()}
+        accumulate(acc, ((code, n * right) for code, n in other._codes_at(bound).items()), 0)
+        return self._like(bound, acc, den)
+
+    def __neg__(self):
+        return self._like(self._bound, {code: -n for code, n in self._codes.items()}, self._den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor: RationalLike):
+        factor = Fraction(factor)
+        if not factor:
+            return self._like(self._bound, {}, 1)
+        codes = {code: n * factor.numerator for code, n in self._codes.items()}
+        return self._like(self._bound, codes, self._den * factor.denominator)
+
+    def _product_bound(self, other: "Packed") -> int:
+        """The bound that sets the width of the product's fields."""
+        return self._bound + other._bound
+
+    def _cap_limit(self, layout: _Layout) -> int | None:
+        """The vector whose every field is one past the largest exponent a
+        product keeps, packed at ``layout`` less its zero vector's code; or
+        ``None`` to keep every product term."""
+        return None
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._same_ring(other)
+        # both operands at the width that holds every exponent of the
+        # product; the left codes less the zero vector's code, so adding a
+        # right code gives the code of the product term
+        bound = self._product_bound(other)
+        layout = _layout(self._nvars, bound)
+        zero, limit = layout.zero, self._cap_limit(layout)
+        right = list(other._codes_at(bound).items())
+        # A capped product keeps a pair when no field of c1 - limit + c2
+        # has its top bit set.  Whether it does depends only on the left
+        # exponents of the variables the right operand uses, so the fitting
+        # right terms are found once per such projection.
+        projection = 0
+        if limit is not None:
+            used = 0
+            for c2, _ in right:
+                used |= c2 ^ zero
+            field = (1 << layout.width) - 1
+            for shift in range(0, 8 * layout.size, layout.width):
+                if used >> shift & field:
+                    projection |= field << shift
+        fitting: dict[int, list[tuple[int, int]]] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
+        for c1, n1 in self._codes_at(bound).items():
+            c1 -= zero
+            key = c1 & projection
+            terms = fitting.get(key)
+            if terms is None:
+                terms = fitting[key] = right if limit is None else [
+                    t for t in right if not (c1 - limit + t[0]) & zero
+                ]
+            for c2, n2 in terms:
+                e = c1 + c2
+                acc[e] = get(e, 0) + n1 * n2
+        for e in [e for e, n in acc.items() if not n]:
+            del acc[e]
+        return self._like(bound, acc, self._den * other._den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._ring != other._ring:
+            return False
+        if _width(self._bound) == _width(other._bound):
+            # the stored form of a ring element at one width is unique
+            return self._den == other._den and self._codes == other._codes
+        return self._terms() == other._terms()
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def binomial(n: int, k: int) -> int:

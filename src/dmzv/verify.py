@@ -113,8 +113,10 @@ def _series_check(description: str, lhs, rhs) -> Check:
     lowest exponent at which they differ."""
     witness = None
     if lhs != rhs:
-        exps, coeff = min((lhs - rhs).coeffs.items())
-        witness = {"exponent": list(exps), "difference": format_rational(coeff)}
+        diff = lhs - rhs
+        # codes sort in lexicographic exponent order
+        exps, n = next(diff._unpacked(ordered=True))
+        witness = {"exponent": list(exps), "difference": format_rational(Fraction(n, diff._den))}
     return Check.of(description, witness)
 
 

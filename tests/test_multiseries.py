@@ -120,9 +120,11 @@ def test_substitute_linear_forms_guard():
 
 @st.composite
 def series_pairs(draw):
-    """Two sparse series of one random shape: 1-4 variables, cap 0-4."""
+    """Two sparse series of one random shape: 1-4 variables, cap 0-4 or
+    one at a packed field width's edge (8 bits hold twice a cap of 63,
+    16 bits that of 64 to 16383)."""
     nvars = draw(st.integers(1, 4))
-    cap = draw(st.integers(0, 4))
+    cap = draw(st.integers(0, 4) | st.sampled_from([63, 64, 127, 128]))
     exps = st.tuples(*[st.integers(0, cap)] * nvars)
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     terms = st.dictionaries(exps, coeffs, max_size=30)

@@ -75,3 +75,5 @@ def test_traced_values_finds_the_series_spans():
                  "series.UniSeries.__mul__"):
         assert name not in result["missing"]
     assert result["calls"]["multiseries.mul"] >= 1
+    # the term-pair count reads the size of each product's operands
+    assert result["counts"]["multiseries.term_pairs"] > 0

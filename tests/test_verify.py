@@ -152,6 +152,12 @@ def test_telescope_can_fail(monkeypatch):
     finally:
         genfun.fkmt_series.cache_clear()
     assert all("telescoped factorization" in check.description for check in failures)
+    # each witness is the lowest exponent, in lexicographic order, at
+    # which the two sides differ
+    assert [check.witness for check in failures] == [
+        {"exponent": [0, 1], "difference": "-1/6"},
+        {"exponent": [0, 0, 1], "difference": "1/24"},
+    ]
 
 
 def test_shift_coeffs_can_fail(monkeypatch):
