@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .names import FAMILY_NAMES, SUITES
 
@@ -53,13 +53,14 @@ MAX_CONVERT_WEIGHT = 500
 # The family grows about sevenfold per depth (10,992 terms at depth 6,
 # 79,474 at depth 7), and its expansion's time and memory with it.
 MAX_GR_DEPTH = 7
-# Bounds on ``verify``'s caps, checked before any arithmetic.  A whole
-# ``verify`` run takes 3.2 s at ``--depth 6`` (past depth 3 it only
-# deepens the shift-coeffs expansion, which grows about eightfold per
-# depth), 2.3 s at ``--max-weight 8`` (5.5 s at 10; it sets the routes and
-# last-entry boxes), 2.5 s at ``--truncation 14`` (5.7 s at 16; it sets
-# the conversion series cap and the character order), and 7.1 s with all
-# three at their limits.
+# Bounds on ``verify``'s caps, checked before any arithmetic.  In-process
+# on a shared 2-vCPU host (Python 3.11), a whole ``verify`` run takes 0.6 s
+# at ``--depth 6`` (past depth 3 it only deepens the shift-coeffs
+# expansion, which grows about eightfold per depth), 0.4 s at
+# ``--max-weight 8`` (0.8 s at 10; it sets the routes and last-entry
+# boxes), 2.1 s at ``--truncation 14`` (4.0 s at 16; it sets the conversion
+# series cap and the character order), and 2.5 s with all three at their
+# limits.
 MAX_VERIFY_DEPTH = 6
 MAX_VERIFY_WEIGHT = 8
 MAX_VERIFY_TRUNCATION = 14
@@ -269,6 +270,23 @@ def _cmd_values(args) -> int:
     return EXIT_OK
 
 
+def _report_chunks(passed: bool, reports) -> Iterator[str]:
+    """The text of ``json.dumps({"passed": passed, "reports": [r.to_json_dict()
+    for r in reports]}, sort_keys=True, indent=2)`` in chunks, one report's
+    dict at a time."""
+    yield '{\n  "passed": ' + ("true" if passed else "false") + ',\n  "reports": '
+    if not reports:
+        yield "[]"
+    else:
+        head = "[\n    "
+        for report in reports:
+            yield head
+            yield from _json_chunks(report.to_json_dict(), "    ")
+            head = ",\n    "
+        yield "\n  ]"
+    yield "\n}"
+
+
 def _cmd_verify(args) -> int:
     if oversized := _oversized(
         ("--depth", args.depth, MAX_VERIFY_DEPTH),
@@ -290,13 +308,12 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:  # an unknown suite name
         return _usage_error(str(exc))
     passed = reports_pass(reports)
-    payload = {"passed": passed, "reports": [r.to_json_dict() for r in reports]}
 
-    if args.out is not None:
-        _write_json(payload, args.out)
-    if args.format == "json" and args.out is None:
-        _write_json(payload, None)
-    else:
+    # the JSON report goes to --out, or to stdout for --format json; the
+    # summary to stdout unless the JSON went there
+    if args.out is not None or args.format == "json":
+        _write_joined("", _report_chunks(passed, reports), "", "\n", args.out)
+    if args.out is not None or args.format == "text":
         for report in reports:
             print(report.summary_line())
             for failure in report.failures()[:5]:

@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, factorial, lcm
-from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
@@ -67,8 +66,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # Entries kept by each cached factor and series builder below.  A
-# ``verify`` run, the largest user of these caches, builds at most 10 of
-# any one of them, also at its largest accepted caps.
+# ``verify`` run builds at most 10 factors of one kind, also at its largest
+# accepted caps.  The generating functions it compares, and those of value
+# tables, are each read once, so they are built uncached (by
+# ``_product_series``); the cached ``fkmt_series`` and ``ems_series`` serve
+# repeated lookups such as ``fkmt_value_series``.
 SERIES_CACHE_SIZE = 32
 
 
@@ -142,7 +144,9 @@ def ems_series_from_fkmt(depth: int, cap: int) -> MultiSeries:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     prefactor = ems_prefactor(depth * cap)
-    out = fkmt_series(depth, cap).negate_variables()
+    # a build of its own, like the product below: the desingularized
+    # series is not cached for it
+    out = _product_series(FKMT, depth, cap).negate_variables()
     for i in range(1, depth + 1):
         out = out * substitute_linear_form(prefactor, _tail_weights(depth, i), cap)
     return out
@@ -252,27 +256,34 @@ def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowW
     # row-tail vector carry the same weight, so the columns are folded in
     # one at a time, keeping only the integer multinomial count of each
     # partial row-tail vector; the weights are read once per distinct tail
-    # vector at the end.
-    tails: dict[tuple[int, ...], int] = {(): 1}
+    # vector at the end.  A tail vector is packed into one int, row i in
+    # the field at bit i * width: every entry is at most sum(k), so no field
+    # overflows, and adding a column's entries is one int sum.
+    width = max(sum(k), 1).bit_length()
+    tails: dict[int, int] = {0: 1}
     for j, total in enumerate(k):
         column = [
-            (entries, entries[-1:], multinomial(entries))
+            (sum(e << (i * width) for i, e in enumerate(entries)), multinomial(entries))
             for entries in _compositions(total, j + 1)
         ]
-        folded: dict[tuple[int, ...], int] = {}
+        folded: dict[int, int] = {}
+        get = folded.get
         for tail, count in tails.items():
-            for entries, last, ways in column:
-                key = tuple(map(add, tail, entries)) + last
-                folded[key] = folded.get(key, 0) + count * ways
+            for entries, ways in column:
+                key = tail + entries
+                folded[key] = get(key, 0) + count * ways
         tails = folded
     # Each tail vector reads its rows' weights in row order up to the first
     # zero, so the Bernoulli indices read are those of the matrix-by-matrix
     # enumeration; the terms are summed as integers over a common denominator.
+    mask = (1 << width) - 1
+    shifts = range(0, len(k) * width, width)
     weights: dict[int, tuple[int, int]] = {}
     numerator, denominator = 0, 1
     for tail, count in tails.items():
         term_den = 1
-        for n in tail:
+        for shift in shifts:
+            n = tail >> shift & mask
             weight = weights.get(n)
             if weight is None:
                 value = row_weight(n, cache)
@@ -424,7 +435,8 @@ def value_table(family: str, depth: int, max_weight: int) -> ValueTable:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    series = fam.series(depth, max_weight)
+    # the table reads its series once, so the series is not cached
+    series = _product_series(fam, depth, max_weight)
     # the series' integer numerators, unpacked once, over its denominator
     nums, den = dict(series._unpacked()), series._den
     entries = {

@@ -38,6 +38,9 @@ class FrozenRecord(Record):
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __hash__(self) -> int:
         return hash(self._fields())
 

@@ -30,7 +30,7 @@ from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping
 
 from .multipoly import LaurentPolynomial
-from .rationals import binomial
+from .rationals import _layout, binomial
 from .report import Check, FrozenRecord
 
 __all__ = [
@@ -393,18 +393,48 @@ class ShiftedZetaTerms:
             yield n, exps[:depth], exps[depth:]
 
 
+def _packed_terms_pass(depth: int, polynomial: LaurentPolynomial) -> bool:
+    """Whether every term passes :func:`_check_term`, read off the packed
+    codes without unpacking them.  The polynomial has the depth's 2 * depth
+    variables, and its reduced denominator is 1 exactly when every
+    coefficient is an integer.  A field holds its exponent plus 2**(w - 1),
+    so an exponent is >= 0 exactly when its field's top bit is set: the u
+    fields, the high half of a code, all have it when the code has every
+    top bit of that half.  As 2**w = 1 modulo 2**w - 1, the low half (the v
+    fields) is congruent to the sum of its fields, the shift sum plus depth
+    * 2**(w - 1); that settles a zero sum when depth times the exponent
+    bound is below the modulus.  False when a term fails, or when the
+    fields are too wide for the residue to settle the sums."""
+    if polynomial._nvars != 2 * depth or polynomial.denominator != 1:
+        return False
+    layout = _layout(2 * depth, polynomial._bound)
+    modulus = (1 << layout.width) - 1
+    if depth * polynomial._bound >= modulus:
+        return False
+    low = (1 << depth * layout.width) - 1
+    top_bits = layout.zero & ~low
+    zero_sum = (depth << layout.width - 1) % modulus
+    return all(
+        code & top_bits == top_bits and (code & low) % modulus == zero_sum
+        for code in polynomial._codes
+    )
+
+
 def shifted_zeta_terms(depth: int) -> ShiftedZetaTerms:
     """The coefficient family read off the expanded polynomial.
 
     Every term is checked once, before this returns, so a non-integer
     coefficient, a negative u-exponent or shifts that do not sum to zero,
     any of which would indicate an expansion bug, raise before the first
-    term is read.
+    term is read.  The check runs on the packed codes; only when it does
+    not pass are the terms unpacked, for :func:`_check_term` to name the
+    first bad one.
     """
     polynomial = coefficient_polynomial(depth)
-    den = polynomial.denominator
-    for exps, n in polynomial.numerator_terms():
-        _check_term(depth, n if den == 1 else Fraction(n, den), exps[:depth], exps[depth:])
+    if not _packed_terms_pass(depth, polynomial):
+        den = polynomial.denominator
+        for exps, n in polynomial.numerator_terms():
+            _check_term(depth, n if den == 1 else Fraction(n, den), exps[:depth], exps[depth:])
     return ShiftedZetaTerms(depth, polynomial)
 
 

@@ -4,20 +4,21 @@ Every finite identity the library implements is packaged as a named
 suite that checks it exhaustively over a capped index range, with exact
 rational comparisons and a witness for every failure.  The caps
 :func:`run_all` gives the suites are the ones the acceptance criteria
-prescribe; the whole default run (``dmzv verify``) takes about 0.5 s in a
-fresh process on a 2-vCPU x86-64 host (median of 9 runs).
+prescribe; the whole default run (``dmzv verify``) takes about 0.3 s in a
+fresh process on a shared 2-vCPU x86-64 host (median of 9 runs, Python
+3.11).
 
 Value lookups go through a per-run memo (:class:`ValueStore`) so the
 shuffle-type suites, which revisit indices heavily, stay fast, and so a
 deliberately corrupted Bernoulli table can be injected to demonstrate
-that the harness notices.
+that the harness notices.  The series a suite compares are built for its
+caps and not cached, and the value store goes with the arguments of the
+last suite given it.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import product as iter_product
@@ -27,12 +28,11 @@ from .bernoulli import BernoulliCache, bernoulli, default_cache
 from .genfun import (
     EMS,
     FKMT,
+    _product_series,
     conversion_table,
-    ems_series,
     ems_series_from_fkmt,
     ems_value,
     fkmt_factor,
-    fkmt_series,
     fkmt_value,
     index_box,
     value_table,
@@ -40,7 +40,7 @@ from .genfun import (
 from .multiseries import substitute_linear_form, substitute_linear_forms
 from .names import SUITES
 from .rationals import binomial, format_rational
-from .report import Check, IdentityReport
+from .report import Check, FrozenRecord, IdentityReport
 from .shiftcoeffs import (
     check_contraction,
     check_merge_substitution,
@@ -77,21 +77,25 @@ class ValueStore:
 def _suite(name: str):
     """Decorator for the suite ``name``: the function returns the suite's
     checks, and a call of the decorated function returns its report,
-    timed over the call, whose parameters are the call's bound arguments
-    without the value store or Bernoulli cache.
+    timed over the call, whose parameters are the call's arguments by
+    name, in the function's parameter order, without the value store or
+    Bernoulli cache.
     """
 
     def decorate(checks_of):
-        signature = inspect.signature(checks_of)
+        code = checks_of.__code__
+        names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
         @wraps(checks_of)
         def run(*args, **kwargs) -> IdentityReport:
             started = time.monotonic()
             checks = checks_of(*args, **kwargs)
-            arguments = signature.bind(*args, **kwargs).arguments
+            given = dict(zip(names, args), **kwargs)
             return IdentityReport(
                 suite=name,
-                parameters={k: v for k, v in arguments.items() if k not in ("store", "cache")},
+                parameters={
+                    k: given[k] for k in names if k in given and k not in ("store", "cache")
+                },
                 checks=checks,
                 elapsed=time.monotonic() - started,
             )
@@ -268,7 +272,7 @@ def verify_telescope(depths: Sequence[int], max_weight: int) -> list[Check]:
             unit = tuple(1 if j == i else 0 for j in range(depth))
             piece = substitute_linear_form(factor, unit, cap)
             lhs = piece if lhs is None else lhs * piece
-        full = fkmt_series(depth, depth * cap)
+        full = _product_series(FKMT, depth, depth * cap)
         rows = []
         for i in range(depth):
             row = [0] * depth
@@ -452,7 +456,7 @@ def verify_conversion(
             _series_check(
                 f"series conversion at depth {depth}, cap {cap}",
                 ems_series_from_fkmt(depth, cap),
-                ems_series(depth, cap),
+                _product_series(EMS, depth, cap),
             )
         )
     for k, (_, _, first, second) in enumerate(conversion_table(max_weight, store.cache)):
@@ -552,8 +556,7 @@ def verify_words(max_length: int, order: int) -> list[Check]:
 # configuration and the aggregate run
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(FrozenRecord):
     """What a verify run is asked to do.
 
     ``suites`` selects suites by name (None runs all of them).  ``depth``,
@@ -563,11 +566,20 @@ class VerifyConfig:
     Bernoulli table.
     """
 
-    suites: Optional[Sequence[str]] = None
-    depth: Optional[int] = None
-    max_weight: Optional[int] = None
-    truncation: Optional[int] = None
-    corrupt_bernoulli: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("suites", "depth", "max_weight", "truncation", "corrupt_bernoulli")
+
+    def __init__(
+        self,
+        suites: Optional[Sequence[str]] = None,
+        depth: Optional[int] = None,
+        max_weight: Optional[int] = None,
+        truncation: Optional[int] = None,
+        corrupt_bernoulli: tuple[tuple[int, Fraction], ...] = (),
+    ):
+        for field, value in zip(
+            self.__slots__, (suites, depth, max_weight, truncation, corrupt_bernoulli)
+        ):
+            object.__setattr__(self, field, value)
 
 
 def _suite_arguments(config: VerifyConfig, store: ValueStore) -> dict[str, tuple]:
@@ -639,10 +651,14 @@ def run_all(config: Optional[VerifyConfig] = None) -> list[IdentityReport]:
         for m, value in config.corrupt_bernoulli:
             cache.corrupt(m, value)
     store = ValueStore(cache)
-
+    cache = store.cache
+    # each suite's arguments are dropped when it ends, and with the last
+    # ones that hold it the value store and its memo
     arguments = _suite_arguments(config, store)
-    reports = [_run_suite(name, arguments[name]) for name in selected]
-    unread = store.cache.unread_corruptions()
+    pending = [arguments[name] for name in reversed(selected)]
+    del arguments, store
+    reports = [_run_suite(name, pending.pop()) for name in selected]
+    unread = cache.unread_corruptions()
     if unread:
         # a fault no suite read cannot have been detected: fail the run
         # rather than let it pass vacuously

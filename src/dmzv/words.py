@@ -165,24 +165,45 @@ class WordSum:
         return f"WordSum({str(self)})"
 
 
-# The product and the character's polynomials are cached on letter tuples
-# (hashing a tuple is cheaper than calling Word.__hash__), and the kernel's
-# power tables on (order, top power).  The sizes hold the largest working
-# sets measured: 2,800 products, 3,060 polynomials (suffixes included) and
-# 2 power tables for all 400 shuffle pairs the benchmark draws from, in one
-# process, and 1,138 products, 373 polynomials and 17 power tables for a
-# default verify run, the same as at its largest accepted caps.
-@lru_cache(maxsize=4096)
-def _product_letters(u: tuple[str, ...], v: tuple[str, ...]) -> WordSum:
+# A product of words is its terms as (letters, integer coefficient) pairs:
+# the recursion starts from coefficient 1 and only prepends letters and
+# subtracts, so every coefficient is an integer.  Only the d-rule, where the
+# recursion branches, is cached; the other rules are one prepended letter
+# each.  The d-rule products and the character's polynomials are cached on
+# letter tuples (hashing a tuple is cheaper than calling Word.__hash__), and
+# the kernel's power tables on (order, top power).  The sizes hold the
+# largest working sets measured: 1,040 d-rule products, 3,060 polynomials
+# (suffixes included) and 2 power tables for all 400 shuffle pairs the
+# benchmark draws from, in one process, and 298 d-rule products, 373
+# polynomials and 17 power tables for a default verify run, the same as at
+# its largest accepted caps.
+def _product_letters(
+    u: tuple[str, ...], v: tuple[str, ...]
+) -> tuple[tuple[tuple[str, ...], int], ...]:
     if not u:
-        return WordSum.of(Word(v))
+        return ((v, 1),)
     if not v:
-        return WordSum.of(Word(u))
+        return ((u, 1),)
     if u[0] == "y":
-        return _product_letters(u[1:], v).prepend("y")
+        return _prepended("y", _product_letters(u[1:], v))
     if v[0] == "y":
-        return _product_letters(u, v[1:]).prepend("y")
-    return _product_letters(u[1:], v).prepend("d") - _product_letters(u[1:], ("d",) + v)
+        return _prepended("y", _product_letters(u, v[1:]))
+    return _d_product(u, v)
+
+
+@lru_cache(maxsize=4096)
+def _d_product(
+    u: tuple[str, ...], v: tuple[str, ...]
+) -> tuple[tuple[tuple[str, ...], int], ...]:
+    # the d-rule, for u and v that both start with d
+    acc = dict(_prepended("d", _product_letters(u[1:], v)))
+    accumulate(acc, ((w, -c) for w, c in _product_letters(u[1:], ("d",) + v)), 0)
+    return tuple(acc.items())
+
+
+def _prepended(letter: str, terms) -> tuple[tuple[tuple[str, ...], int], ...]:
+    head = (letter,)
+    return tuple((head + w, c) for w, c in terms)
 
 
 def word_product(
@@ -190,7 +211,9 @@ def word_product(
 ) -> WordSum:
     """The deformed shuffle product, extended bilinearly."""
     if isinstance(left, Word) and isinstance(right, Word):
-        return _product_letters(left.letters, right.letters)
+        return WordSum._trusted(
+            {Word(w): Fraction(c) for w, c in _product_letters(left.letters, right.letters)}
+        )
     if isinstance(left, Word):
         left = WordSum.of(left)
     if isinstance(right, Word):
@@ -199,8 +222,8 @@ def word_product(
     for wu, cu in left.terms.items():
         for wv, cv in right.terms.items():
             c = cu * cv
-            product = _product_letters(wu.letters, wv.letters).terms
-            accumulate(out, ((w, c * cw) for w, cw in product.items()))
+            product = _product_letters(wu.letters, wv.letters)
+            accumulate(out, ((Word(w), c * cw) for w, cw in product))
     return WordSum._trusted(out)
 
 

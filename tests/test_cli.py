@@ -334,6 +334,32 @@ def test_verify_json_output(capsys):
     assert data["reports"][0]["suite"] == "depth1"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--format", "json"], 0),
+    (["--corrupt-bernoulli", "4=1/5", "--format", "json"], 1),
+    (["--format", "text", "--out", "PATH"], 0),
+    (["--suite", "words", "--format", "json", "--out", "PATH"], 0),
+])
+def test_verify_json_is_streamed_as_json_dumps_writes_it(capsys, monkeypatch, tmp_path,
+                                                        argv, code):
+    # the report is written one report at a time; the text is that of the
+    # whole payload encoded at once
+    runs = []
+    run_all = verify.run_all
+    monkeypatch.setattr(verify, "run_all", lambda config: runs.append(run_all(config)) or runs[-1])
+    out = tmp_path / "report.json"
+    assert main(["verify", *[str(out) if a == "PATH" else a for a in argv]]) == code
+    [reports] = runs
+    payload = {"passed": code == 0, "reports": [r.to_json_dict() for r in reports]}
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    written = capsys.readouterr().out
+    if "PATH" in argv:
+        assert out.read_text() == expected
+        assert written.splitlines()[-1] == "result: all suites pass"
+    else:
+        assert written == expected
+
+
 def test_convert_residuals_zero(capsys):
     assert main(["convert", "--max-weight", "4", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -295,6 +295,8 @@ def test_packed_expansion_matches_the_tuple_product(depth):
 
 
 def test_each_term_is_checked_once(monkeypatch):
+    # the terms are checked once, on their packed codes; _check_term only
+    # runs to name a bad term, so a sound expansion never calls it
     calls = []
     check = shiftcoeffs._check_term
 
@@ -308,10 +310,45 @@ def test_each_term_is_checked_once(monkeypatch):
         record = shifted_zeta_expression(4)
     finally:
         shifted_zeta_expression.cache_clear()
-    assert len(calls) == len(record.terms) == 236
-    assert sorted((l, m) for _, _, l, m in calls) == [
-        (l, m) for _, l, m in record.terms
-    ]
+    assert len(record.terms) == 236
+    assert calls == []
+
+
+def _first_refusal(depth, polynomial):
+    # the message _check_term gives the first bad term, term by term
+    for exps, n in polynomial.numerator_terms():
+        coef = n if polynomial.denominator == 1 else Fraction(n, polynomial.denominator)
+        try:
+            shiftcoeffs._check_term(depth, coef, exps[:depth], exps[depth:])
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("depth, extra, coef", [
+    (2, {"u1": 9}, Fraction(1, 2)),
+    (2, {"u2": -1}, 1),
+    (2, {"v1": 1}, 1),
+    (2, {"v1": -1}, 3),
+    # shifts summing to 255, which the residue modulo 2**8 - 1 alone would
+    # take for zero: the fields are too wide for it, so the terms are unpacked
+    (3, {"v1": 127, "v2": 127, "v3": 1}, 1),
+    # sound terms, with the residue settling the sums and without it
+    (2, {"u1": 100, "v1": 5, "v2": -5}, 1),
+    (3, {"u3": 127, "v1": -127, "v2": 127}, 1),
+])
+def test_packed_check_refuses_what_check_term_refuses(monkeypatch, depth, extra, coef):
+    expand = shiftcoeffs.coefficient_polynomial
+    variables = shiftcoeffs.poly_variables(depth)
+    faulty = expand(depth) + LaurentPolynomial.monomial(variables, extra, coef)
+    monkeypatch.setattr(shiftcoeffs, "coefficient_polynomial", lambda d: faulty)
+    message = _first_refusal(depth, faulty)
+    if message is None:
+        assert len(shiftcoeffs.shifted_zeta_terms(depth)) == len(faulty)
+    else:
+        with pytest.raises(ValueError) as refused:
+            shiftcoeffs.shifted_zeta_terms(depth)
+        assert str(refused.value) == message
 
 
 def test_expression_is_a_frozen_record():

@@ -1,7 +1,7 @@
 import copy
-import dataclasses
 import json
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -181,21 +181,55 @@ def test_shift_coeffs_can_fail(monkeypatch):
 def test_words_can_fail(monkeypatch):
     product_letters = words._product_letters
 
+    # a product is its (letters, integer coefficient) terms
     def with_extra_yy(u, v):
         product = product_letters(u, v)
         if (u, v) == (("y",), ("d", "y")):
-            product = product + words.WordSum.of(words.Word("yy"))
+            product = product + ((("y", "y"), 1),)
         return product
 
-    # the original recurses through the module-global name, so its cache
-    # would keep products built from the faulty term
-    product_letters.cache_clear()
+    # the product recurses through the module-global name, and the d-rule
+    # products it caches would keep terms built from the faulty one
+    words._d_product.cache_clear()
     monkeypatch.setattr(words, "_product_letters", with_extra_yy)
     try:
         failures = _failed_checks("words")
     finally:
-        product_letters.cache_clear()
+        words._d_product.cache_clear()
     assert len(failures) == 26
+
+
+def test_run_all_releases_the_value_store_after_its_last_suite(monkeypatch):
+    stores = []
+    init = ValueStore.__init__
+
+    def tracked(self, cache=None):
+        init(self, cache)
+        stores.append(weakref.ref(self))
+
+    alive = {}
+    run_suite = verify._run_suite
+
+    def recorded(name, arguments):
+        report = run_suite(name, arguments)
+        del arguments
+        alive[name] = stores[0]() is not None
+        return report
+
+    monkeypatch.setattr(ValueStore, "__init__", tracked)
+    monkeypatch.setattr(verify, "_run_suite", recorded)
+    assert reports_pass(run_all())
+    # conversion is the last suite given the store
+    assert [name for name in SUITES if not alive[name]] == ["conversion", "shift-coeffs", "words"]
+
+
+def test_run_all_caches_no_generating_function():
+    # each series a suite compares is built for that suite's caps alone
+    caches = (genfun.fkmt_series, genfun.ems_series)
+    for cache in caches:
+        cache.cache_clear()
+    assert reports_pass(run_all())
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
 
 def test_fault_injection_every_single_index():
@@ -307,9 +341,28 @@ def test_run_all_suite_arguments(case, monkeypatch):
 
 
 def test_config_holds_only_what_a_caller_sets():
-    assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
+    assert VerifyConfig.__slots__ == (
         "suites", "depth", "max_weight", "truncation", "corrupt_bernoulli"
-    ]
+    )
+    assert not hasattr(VerifyConfig(), "__dict__")
+
+
+def test_config_compares_like_the_dataclass_it_replaced():
+    config = VerifyConfig(suites=("words",), depth=2)
+    assert VerifyConfig() == VerifyConfig(None, None, None, None, ())
+    assert config == VerifyConfig(("words",), 2) != VerifyConfig(("words",), 3)
+    assert config != (("words",), 2, None, None, ())
+    assert hash(config) == hash(VerifyConfig(suites=("words",), depth=2))
+    assert repr(VerifyConfig(max_weight=3)) == (
+        "VerifyConfig(suites=None, depth=None, max_weight=3, truncation=None, "
+        "corrupt_bernoulli=())"
+    )
+    with pytest.raises(AttributeError):
+        config.depth = 3
+    with pytest.raises(AttributeError):
+        del config.depth
+    assert config.depth == 2
+    assert copy.deepcopy(config) == pickle.loads(pickle.dumps(config)) == config
 
 
 def test_report_serialization():
