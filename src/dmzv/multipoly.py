@@ -19,8 +19,7 @@ unpacked when read.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import Packed, RationalLike, numerators
@@ -51,15 +50,15 @@ class LaurentPolynomial(Packed):
         variables = tuple(str(v) for v in variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names in {variables}")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, value in terms.items():
-            exps = tuple(int(e) for e in exps)
+
+        def exponents(exps) -> tuple[int, ...]:
+            exps = tuple(map(index, exps))
             if len(exps) != len(variables):
                 raise ValueError(f"exponent vector {exps} does not match variables {variables}")
-            value = Fraction(value)
-            if value:
-                clean[exps] = value
-        self._fill(variables, len(variables), _largest(clean), *numerators(clean))
+            return exps
+
+        nums, den = numerators(terms, exponents)
+        self._fill(variables, len(variables), _largest(nums), nums.items(), den)
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "LaurentPolynomial":
@@ -79,11 +78,11 @@ class LaurentPolynomial(Packed):
         variables = tuple(variables)
         exps = [0] * len(variables)
         for name, e in exponents.items():
-            exps[variables.index(name)] = int(e)
+            exps[variables.index(name)] = e
         return cls({tuple(exps): coeff}, variables)
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return len(self._nums)
 
     numerator_terms = Packed._unpacked
     terms = property(Packed._terms, doc="The terms as exponent tuple -> non-zero ``Fraction``.")

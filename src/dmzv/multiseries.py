@@ -22,16 +22,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Mapping, Sequence
 
 from .rationals import Packed, RationalLike, _layout, _pack, accumulate, multinomial, numerators
 from .series import UniSeries
 
 __all__ = ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"]
-
-_ZERO = Fraction(0)
-
 
 class MultiSeries(Packed):
     """Sparse r-variable power series over the rationals, capped per variable."""
@@ -44,22 +41,22 @@ class MultiSeries(Packed):
     cap = property(lambda self: self._ring[1])
 
     def __init__(self, coeffs: Mapping[tuple[int, ...], RationalLike], nvars: int, cap: int):
+        nvars, cap = index(nvars), index(cap)
         if nvars < 1:
             raise ValueError(f"nvars must be >= 1, got {nvars}")
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, value in coeffs.items():
-            exps = tuple(int(e) for e in exps)
+
+        def exponents(exps) -> tuple[int, ...]:
+            exps = tuple(map(index, exps))
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} does not have length {nvars}")
             if any(e < 0 or e > cap for e in exps):
                 raise ValueError(f"exponent vector {exps} outside the box [0, {cap}]^{nvars}")
-            value = Fraction(value)
-            if value:
-                clean[exps] = value
-        nvars, cap = int(nvars), int(cap)
-        self._fill((nvars, cap), nvars, 2 * cap, *numerators(clean))
+            return exps
+
+        nums, den = numerators(coeffs, exponents)
+        self._fill((nvars, cap), nvars, 2 * cap, nums.items(), den)
 
     @classmethod
     def constant(cls, value: RationalLike, nvars: int, cap: int) -> "MultiSeries":
@@ -73,12 +70,11 @@ class MultiSeries(Packed):
     coeffs = property(Packed._terms, doc="The terms as exponent tuple -> non-zero ``Fraction``.")
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(index, exps))
         nvars, cap = self._ring
         if len(exps) != nvars or any(e < 0 or e > cap for e in exps):
             raise ValueError(f"exponent vector {exps} outside the box [0, {cap}]^{nvars}")
-        n = self._codes.get(_pack(_layout(nvars, self._bound), exps))
-        return Fraction(n, self._den) if n else _ZERO
+        return self._coefficient(_pack(_layout(nvars, self._bound), exps))
 
     def _product_bound(self, other: "MultiSeries") -> int:
         return self._bound
@@ -91,12 +87,12 @@ class MultiSeries(Packed):
     def negate_variables(self) -> "MultiSeries":
         """Substitute t_i -> -t_i for every variable: flip odd total degrees."""
         # the terms unpack in the order of their codes
-        codes = {c: -n if sum(e) % 2 else n for c, (e, n) in zip(self._codes, self._unpacked())}
-        return self._like(self._bound, codes, self._den)
+        codes = {c: -n if sum(e) % 2 else n for c, (e, n) in zip(self._nums, self._unpacked())}
+        return self._like(codes, self._den)
 
     def __repr__(self) -> str:
         head = ", ".join(f"{e}: {c}" for e, c in self.sorted_terms()[:6])
-        tail = ", ..." if len(self._codes) > 6 else ""
+        tail = ", ..." if len(self._nums) > 6 else ""
         return f"MultiSeries({{{head}{tail}}}, nvars={self.nvars}, cap={self.cap})"
 
 
@@ -110,7 +106,7 @@ def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) 
     nvars = len(weights)
     if nvars < 1:
         raise ValueError("weights must be non-empty")
-    if min(series.coeffs, default=0) < 0:
+    if min(series._nums, default=0) < 0:
         raise ValueError(
             f"cannot substitute a series with a pole (valuation {series.valuation()})"
         )
@@ -120,10 +116,8 @@ def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) 
             f"insufficient univariate order: have {series.order}, need {needed} "
             f"for {nvars} variables with cap {cap}"
         )
-    # integer numerators over the series' common denominator, each
-    # written at its packed code
-    nums, den = numerators(series.coeffs)
-    nums = dict(nums)
+    # the series' numerators, each written at its packed code
+    nums = series._nums
     layout = _layout(nvars, 2 * cap)
     codes: dict[int, int] = {}
     for exps in iter_product(range(cap + 1), repeat=nvars):
@@ -140,7 +134,7 @@ def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) 
         if not w:
             continue
         codes[_pack(layout, exps)] = n * multinomial(exps) * w
-    return object.__new__(MultiSeries)._set((nvars, cap), nvars, 2 * cap, codes, den)
+    return object.__new__(MultiSeries)._set(codes, series._den, (nvars, cap), nvars, 2 * cap)
 
 
 def substitute_linear_forms(
@@ -165,12 +159,12 @@ def substitute_linear_forms(
         )
     base: list[MultiSeries] = []
     for row in rows:
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         if cap >= 1:
             for j, w in enumerate(row):
                 if w:
                     e = tuple(1 if jj == j else 0 for jj in range(nvars))
-                    terms[e] = Fraction(w)
+                    terms[e] = w
         base.append(MultiSeries(terms, nvars, cap))
     powers: list[dict[int, MultiSeries]] = [
         {0: MultiSeries.constant(1, nvars, cap)} for _ in rows
@@ -184,15 +178,20 @@ def substitute_linear_forms(
         return cache[n]
 
     # every power of an integer linear form has integer coefficients, so
-    # each term's numerators are over the input's denominator
+    # each term's numerators are over the input's denominator.  An input
+    # term of total degree above nvars * cap expands to terms of that total
+    # degree, none of which lies in the output box.
     one = MultiSeries.constant(1, nvars, cap)
+    top = nvars * cap
     acc: dict[int, int] = {}
     for exps, n in series._unpacked():
+        if sum(exps) > top:
+            continue
         term = one
         for i, a in enumerate(exps):
             if a:
                 term = term * power(i, a)
                 if term.is_zero():
                     break
-        accumulate(acc, ((code, n * m) for code, m in term._codes.items()), 0)
-    return one._like(one._bound, acc, series._den)
+        accumulate(acc, ((code, n * m) for code, m in term._nums.items()))
+    return one._like(acc, series._den)

@@ -1,16 +1,17 @@
-"""Exact rational scalars, the sum and common denominator of sparse
-exact terms, the packed store of multivariate terms, and elementary
-combinatorial functions.
+"""Exact rational scalars, the one stored form of sparse exact terms, the
+packed store of multivariate terms, and elementary combinatorial
+functions.
 
-Every coefficient and every value in this package is a
-``fractions.Fraction``: arbitrary precision, reduced on construction,
-denominator always positive.  There is no floating-point mode anywhere.
-Every sparse type adds through :func:`accumulate`, and the constructors,
-the ``UniSeries`` product and the word character put their terms over one
-denominator through :func:`numerators`.  ``MultiSeries`` and
-``LaurentPolynomial`` are both held in the one packed form of
-:class:`Packed`, which also states their sum, negation, scaling, equality
-and product once.
+Every coefficient and every value in this package is exact, a
+``fractions.Fraction`` when it is read; there is no floating-point mode
+anywhere.  Every sparse type holds its terms in the one form of
+:class:`Terms`: non-zero integer numerators over one reduced denominator.
+The constructors take their input into that form through
+:func:`numerators`, which refuses a float coefficient (each type takes its
+degrees or exponents through ``operator.index``), and every sum goes
+through :func:`accumulate`.  ``MultiSeries`` and
+``LaurentPolynomial`` are also both held in the packed form of
+:class:`Packed`, which states their sum, equality and product once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 from struct import Struct
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
@@ -28,7 +29,6 @@ K = TypeVar("K")
 __all__ = [
     "Rational",
     "accumulate",
-    "common_denominator",
     "numerators",
     "binomial",
     "pochhammer",
@@ -40,16 +40,14 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def accumulate(
-    acc: dict[K, Fraction], terms: Iterable[tuple[K, Fraction]], zero: RationalLike = _ZERO
-) -> dict[K, Fraction]:
-    """Add the (key, coefficient) pairs ``terms`` into ``acc`` in place and
-    return ``acc``; a key whose sum is zero is dropped, so ``acc`` never
-    stores a zero coefficient.  This is the sum of every sparse exact type;
-    with ``zero=0`` it sums integer numerators."""
+def accumulate(acc: dict[K, int], terms: Iterable[tuple[K, int]]) -> dict[K, int]:
+    """Add the (key, integer numerator) pairs ``terms`` into ``acc`` in
+    place and return ``acc``; a key whose sum is zero is dropped, so
+    ``acc`` never stores a zero numerator.  This is the sum of every sparse
+    exact type, on numerators over one denominator."""
     get = acc.get
-    for key, c in terms:
-        s = get(key, zero) + c
+    for key, n in terms:
+        s = get(key, 0) + n
         if s:
             acc[key] = s
         else:
@@ -57,23 +55,115 @@ def accumulate(
     return acc
 
 
-def common_denominator(coeffs: Iterable[Fraction]) -> int:
-    """The least common multiple of the coefficients' denominators."""
-    # pairwise rather than lcm(*...): argument tuples of a dozen or more
-    # entries would stay allocated in the interpreter's tuple free lists
+def _exact(value: RationalLike) -> Fraction:
+    """``value`` as a ``Fraction``; a float is refused, because its binary
+    expansion is not the decimal that was meant."""
+    if isinstance(value, float):
+        raise TypeError(f"coefficient {value!r} is a float; use an int or a Fraction")
+    return Fraction(value)
+
+
+def numerators(
+    coeffs: Mapping[K, RationalLike], key: Callable[[K], K]
+) -> tuple[dict[K, int], int]:
+    """The stored form of ``coeffs``: each key taken through ``key``, which
+    converts it and refuses one outside the type's range, mapped to the
+    non-zero numerator of its :func:`_exact` coefficient over their least
+    common denominator, and that denominator; reduced, as every
+    ``Fraction`` is."""
+    # pairwise lcm: lcm(*...) would leave argument tuples of a dozen or more
+    # entries in the interpreter's tuple free lists
+    terms = []
     den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    return den
+    for k, c in coeffs.items():
+        k, c = key(k), _exact(c)
+        if c:
+            terms.append((k, c))
+            den = lcm(den, c.denominator)
+    return {k: c.numerator * (den // c.denominator) for k, c in terms}, den
 
 
-def numerators(coeffs: Mapping[K, Fraction]) -> tuple[list[tuple[K, int]], int]:
-    """Terms as (key, integer numerator) over the common denominator of all
-    coefficients, and that denominator; the keys are degrees for a series,
-    exponent vectors for a multivariate series or a polynomial and words
-    for a word sum."""
-    den = common_denominator(coeffs.values())
-    return [(d, c.numerator * (den // c.denominator)) for d, c in coeffs.items()], den
+def _reduced(nums: dict[K, int], den: int) -> tuple[dict[K, int], int]:
+    """``nums`` (in place) and ``den`` divided by the greatest common
+    divisor of the denominator and every numerator, so that the terms have
+    one stored form."""
+    if den != 1:
+        g = den
+        for n in nums.values():
+            g = gcd(g, n)
+            if g == 1:
+                return nums, den
+        for key in nums:
+            nums[key] //= g
+        den //= g
+    return nums, den
+
+
+class Terms:
+    """Sparse exact terms in their one stored form: ``_nums`` maps each key
+    to its non-zero integer numerator over ``_den``, and no common factor
+    divides them all, so equal elements are stored equally.  A subclass
+    lists in ``_SHAPE`` the slots it adds (a series' order, a ring) and
+    states its sum and product; the negation, difference, scaling,
+    equality and ``Fraction`` views are stated here once."""
+
+    __slots__ = ("_nums", "_den")
+    _SHAPE: tuple[str, ...] = ()
+
+    def _set(self, nums: dict, den: int, *shape):
+        """Hold non-zero numerators ``nums`` over ``den``, reduced first, and
+        the values ``shape`` of the ``_SHAPE`` slots; return this object."""
+        for name, value in zip(("_nums", "_den", *self._SHAPE), (*_reduced(nums, den), *shape)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _like(self, nums: dict, den: int, *shape):
+        """A new element of this type, of the shape given or else of this one's."""
+        shape = shape or [getattr(self, name) for name in self._SHAPE]
+        return object.__new__(type(self))._set(nums, den, *shape)
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def _terms(self) -> dict:
+        den = self._den
+        return {key: Fraction(n, den) for key, n in self._nums.items()}
+
+    def _coefficient(self, key) -> Fraction:
+        n = self._nums.get(key)
+        return Fraction(n, self._den) if n else _ZERO
+
+    def __neg__(self):
+        return self._like({key: -n for key, n in self._nums.items()}, self._den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor: RationalLike):
+        factor = _exact(factor)
+        nums = {key: n * factor.numerator for key, n in self._nums.items()} if factor else {}
+        return self._like(nums, self._den * factor.denominator)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        # the stored form is unique
+        return (self._den == other._den and self._nums == other._nums
+                and all(getattr(self, name) == getattr(other, name) for name in self._SHAPE))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _sum(left: dict, left_den: int, right: dict, right_den: int) -> tuple[dict, int]:
+    """The numerators and the denominator of the sum of two sets of terms,
+    each given as its numerators over its denominator."""
+    den = lcm(left_den, right_den)
+    scale_left, scale_right = den // left_den, den // right_den
+    acc = {key: n * scale_left for key, n in left.items()}
+    return accumulate(acc, ((key, n * scale_right) for key, n in right.items())), den
 
 
 # An exponent vector is packed into one int, ``width`` bits per variable
@@ -120,27 +210,10 @@ def _pack(layout: _Layout, exps: Sequence[int]) -> int:
     return int.from_bytes(layout.fields.pack(*exps), "big") ^ layout.zero
 
 
-def _reduced(codes: dict[int, int], den: int) -> tuple[dict[int, int], int]:
-    """``codes`` (in place) and ``den`` divided by the greatest common
-    divisor of the denominator and every numerator, so that the terms have
-    one stored form."""
-    if den != 1:
-        g = den
-        for n in codes.values():
-            g = gcd(g, n)
-            if g == 1:
-                return codes, den
-        for code in codes:
-            codes[code] //= g
-        den //= g
-    return codes, den
-
-
-class Packed:
-    """Sparse exact terms of one ring, held packed: ``_codes`` maps each
-    packed exponent vector to its non-zero integer numerator over ``_den``,
-    and no common factor divides them all.  The fields are the narrowest
-    that hold every exponent of absolute value at most ``_bound``.
+class Packed(Terms):
+    """Sparse exact terms of one ring, held packed: the keys of ``_nums``
+    are packed exponent vectors, in fields that are the narrowest that hold
+    every exponent of absolute value at most ``_bound``.
 
     A subclass names its ring by ``_ring`` and ``_MISMATCH``, sets the
     width of a product by ``_product_bound`` and may cap a product's
@@ -148,31 +221,14 @@ class Packed:
     the benchmark's layer tracer (``bench/layers.py``) looks for it.
     """
 
-    __slots__ = ("_ring", "_nvars", "_bound", "_codes", "_den")
+    __slots__ = _SHAPE = ("_ring", "_nvars", "_bound")
     _MISMATCH = "operands in different rings: {} vs {}"
-
-    def _set(self, ring, nvars: int, bound: int, codes: dict[int, int], den: int):
-        """Hold non-zero numerators over ``den`` on codes of the width that
-        ``bound`` sets, reduced first, and return this object."""
-        for name, value in zip(Packed.__slots__, (ring, nvars, bound, *_reduced(codes, den))):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _fill(self, ring, nvars: int, bound: int, pairs: Iterable[tuple[Sequence[int], int]],
               den: int):
         """:meth:`_set` from (exponent tuple, numerator) pairs."""
         layout = _layout(nvars, bound)
-        return self._set(ring, nvars, bound, {_pack(layout, e): n for e, n in pairs}, den)
-
-    def _like(self, bound: int, codes: dict[int, int], den: int):
-        """A new element of this ring; the arguments are those of :meth:`_set`."""
-        return object.__new__(type(self))._set(self._ring, self._nvars, bound, codes, den)
-
-    def is_zero(self) -> bool:
-        return not self._codes
+        return self._set({_pack(layout, e): n for e, n in pairs}, den, ring, nvars, bound)
 
     def _unpacked(self, ordered: bool = False) -> Iterator[tuple[tuple[int, ...], int]]:
         """(exponent tuple, integer numerator over ``_den``) for each term,
@@ -180,7 +236,7 @@ class Packed:
         ``ordered``."""
         layout = _layout(self._nvars, self._bound)
         unpack, zero, size = layout.fields.unpack, layout.zero, layout.size
-        codes = self._codes
+        codes = self._nums
         if ordered:
             return ((unpack((c ^ zero).to_bytes(size, "big")), codes[c]) for c in sorted(codes))
         return ((unpack((c ^ zero).to_bytes(size, "big")), n) for c, n in codes.items())
@@ -198,7 +254,7 @@ class Packed:
         # the codes repacked at the width ``bound`` sets, which is never
         # narrower than this one's own
         if _width(bound) == _width(self._bound):
-            return self._codes
+            return self._nums
         layout = _layout(self._nvars, bound)
         return {_pack(layout, exps): n for exps, n in self._unpacked()}
 
@@ -211,24 +267,8 @@ class Packed:
             return NotImplemented
         self._same_ring(other)
         bound = max(self._bound, other._bound)
-        den = lcm(self._den, other._den)
-        left, right = den // self._den, den // other._den
-        acc = {code: n * left for code, n in self._codes_at(bound).items()}
-        accumulate(acc, ((code, n * right) for code, n in other._codes_at(bound).items()), 0)
-        return self._like(bound, acc, den)
-
-    def __neg__(self):
-        return self._like(self._bound, {code: -n for code, n in self._codes.items()}, self._den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor: RationalLike):
-        factor = Fraction(factor)
-        if not factor:
-            return self._like(self._bound, {}, 1)
-        codes = {code: n * factor.numerator for code, n in self._codes.items()}
-        return self._like(self._bound, codes, self._den * factor.denominator)
+        acc, den = _sum(self._codes_at(bound), self._den, other._codes_at(bound), other._den)
+        return self._like(acc, den, self._ring, self._nvars, bound)
 
     def _product_bound(self, other: "Packed") -> int:
         """The bound that sets the width of the product's fields."""
@@ -282,7 +322,7 @@ class Packed:
                 acc[e] = get(e, 0) + n1 * n2
         for e in [e for e, n in acc.items() if not n]:
             del acc[e]
-        return self._like(bound, acc, self._den * other._den)
+        return self._like(acc, self._den * other._den, self._ring, self._nvars, bound)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -291,10 +331,8 @@ class Packed:
             return False
         if _width(self._bound) == _width(other._bound):
             # the stored form of a ring element at one width is unique
-            return self._den == other._den and self._codes == other._codes
+            return self._den == other._den and self._nums == other._nums
         return self._terms() == other._terms()
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def binomial(n: int, k: int) -> int:

@@ -6,6 +6,12 @@ which its coefficients are exact.  Binary operations compute the order of
 the result from the orders and valuations of the operands, so precision
 is never lost silently; asking for a coefficient beyond the order raises.
 
+A series holds the one stored form of :mod:`rationals`: each degree maps
+to a non-zero integer numerator over one reduced denominator.  Every
+operation, the guarded division and the exponential series included,
+works on those integers; :attr:`UniSeries.coeffs` and
+:meth:`UniSeries.coefficient` build ``Fraction``s only when they are read.
+
 Objects are immutable after construction and all operations are pure.
 """
 
@@ -13,10 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
+from operator import index
 from typing import Mapping
 
-from .rationals import RationalLike, accumulate, numerators
+from .rationals import RationalLike, Terms, _sum, numerators
 
 __all__ = [
     "UniSeries",
@@ -27,39 +34,23 @@ __all__ = [
     "exp_over_one_minus_exp",
 ]
 
-_ZERO = Fraction(0)
-
-
-class UniSeries:
+class UniSeries(Terms):
     """Series in one variable, exact through degree ``order``; degrees of
-    either sign are allowed, so a finite pole is representable."""
+    either sign are allowed, so a finite pole is representable.  The keys
+    of ``_nums`` are degrees."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = _SHAPE = ("order",)
 
     def __init__(self, coeffs: Mapping[int, RationalLike], order: int):
-        order = int(order)
-        out: dict[int, Fraction] = {}
-        for deg, value in coeffs.items():
-            deg = int(deg)
+        order = index(order)
+
+        def degree(deg) -> int:
+            deg = index(deg)
             if deg > order:
                 raise ValueError(f"degree {deg} exceeds the truncation order {order}")
-            value = Fraction(value)
-            if value:
-                out[deg] = value
-        object.__setattr__(self, "coeffs", out)
-        object.__setattr__(self, "order", order)
+            return deg
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("UniSeries is immutable")
-
-    @classmethod
-    def _trusted(cls, coeffs: dict[int, Fraction], order: int) -> "UniSeries":
-        """Wrap coefficients already known to be non-zero ``Fraction``s of
-        degree <= order, skipping the constructor's checks."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", coeffs)
-        object.__setattr__(out, "order", order)
-        return out
+        self._set(*numerators(coeffs, degree), order)
 
     @classmethod
     def zero(cls, order: int) -> "UniSeries":
@@ -73,44 +64,30 @@ class UniSeries:
     def monomial(cls, degree: int, order: int, coeff: RationalLike = 1) -> "UniSeries":
         return cls({degree: coeff}, order)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    coeffs = property(Terms._terms, doc="The terms as degree -> non-zero ``Fraction``.")
 
     def valuation(self) -> int:
         """Lowest stored degree; order + 1 for the zero series."""
-        return min(self.coeffs) if self.coeffs else self.order + 1
+        return min(self._nums) if self._nums else self.order + 1
 
     def coefficient(self, degree: int) -> Fraction:
         if degree > self.order:
             raise ValueError(
                 f"coefficient of degree {degree} requested beyond truncation order {self.order}"
             )
-        return self.coeffs.get(degree, _ZERO)
+        return self._coefficient(index(degree))
 
     def truncate(self, order: int) -> "UniSeries":
         if order > self.order:
             raise ValueError(f"cannot extend truncation order {self.order} to {order}")
-        return UniSeries({d: c for d, c in self.coeffs.items() if d <= order}, order)
+        return self._like({d: n for d, n in self._nums.items() if d <= order}, self._den, order)
 
     def __add__(self, other: "UniSeries") -> "UniSeries":
         if not isinstance(other, UniSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        out = {d: c for d, c in self.coeffs.items() if d <= order}
-        accumulate(out, ((d, c) for d, c in other.coeffs.items() if d <= order))
-        return UniSeries._trusted(out, order)
-
-    def __neg__(self) -> "UniSeries":
-        return UniSeries({d: -c for d, c in self.coeffs.items()}, self.order)
-
-    def __sub__(self, other: "UniSeries") -> "UniSeries":
-        return self + (-other)
-
-    def scale(self, factor: RationalLike) -> "UniSeries":
-        factor = Fraction(factor)
-        if not factor:
-            return UniSeries.zero(self.order)
-        return UniSeries({d: c * factor for d, c in self.coeffs.items()}, self.order)
+        a, b = self.truncate(order), other.truncate(order)
+        return self._like(*_sum(a._nums, a._den, b._nums, b._den), order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -118,47 +95,34 @@ class UniSeries:
         if not isinstance(other, UniSeries):
             return NotImplemented
         order = min(self.order + other.valuation(), other.order + self.valuation())
-        if not self.coeffs or not other.coeffs:
-            return UniSeries._trusted({}, order)
-        # integer numerators over each operand's common denominator; the
-        # right terms in increasing degree, so a left term stops at the
+        # the right terms in increasing degree, so a left term stops at the
         # first right term past the order
-        left, left_den = numerators(self.coeffs)
-        right, right_den = numerators(other.coeffs)
-        right.sort()
+        right = sorted(other._nums.items())
         acc: dict[int, int] = {}
         get = acc.get
-        for d1, n1 in left:
+        for d1, n1 in self._nums.items():
             limit = order - d1
             for d2, n2 in right:
                 if d2 > limit:
                     break
                 d = d1 + d2
                 acc[d] = get(d, 0) + n1 * n2
-        den = left_den * right_den
-        return UniSeries._trusted({d: Fraction(n, den) for d, n in acc.items() if n}, order)
+        return self._like({d: n for d, n in acc.items() if n}, self._den * other._den, order)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "UniSeries":
         """Multiply by u^k (k of either sign); exact through order + k."""
-        return UniSeries({d + k: c for d, c in self.coeffs.items()}, self.order + k)
+        return self._like({d + k: n for d, n in self._nums.items()}, self._den, self.order + k)
 
     def negate_variable(self) -> "UniSeries":
         """Substitute u -> -u."""
-        return UniSeries({d: c if d % 2 == 0 else -c for d, c in self.coeffs.items()}, self.order)
+        return self._like({d: -n if d % 2 else n for d, n in self._nums.items()}, self._den)
 
     def derivative(self) -> "UniSeries":
         """Termwise d/du; loses one representable order at the top."""
-        out = {d - 1: d * c for d, c in self.coeffs.items() if d != 0}
-        return UniSeries(out, self.order - 1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
+        nums = {d - 1: d * n for d, n in self._nums.items() if d != 0}
+        return self._like(nums, self._den, self.order - 1)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{d}: {c}" for d, c in sorted(self.coeffs.items()))
@@ -182,19 +146,31 @@ def divide_with_valuation(num: UniSeries, den: UniSeries) -> UniSeries:
         raise ValueError("insufficient truncation order for the quotient")
     if num.is_zero():
         return UniSeries.zero(order)
-    nc = {d - vd: c for d, c in num.coeffs.items() if d - vd <= order}
-    dc = {d - vd: c for d, c in den.coeffs.items() if d - vd <= order}
-    lead = dc[0]
-    q: dict[int, Fraction] = {}
+    # q = (den._den / num._den) p, where p divides the two numerator series:
+    # p_n = (a_n - sum_{j>0} b_j p_{n-j}) / b_0.  The p_n are held as integers
+    # over the least common denominator of those found so far.
+    a = {d - vd: n for d, n in num._nums.items() if d - vd <= order}
+    b = [(d - vd, n) for d, n in sorted(den._nums.items()) if d - vd <= order]
+    lead = b.pop(0)[1]
+    p: dict[int, int] = {}
+    p_den = 1
     for n in range(order + 1):
-        acc = nc.get(n, _ZERO)
-        for i, qi in q.items():
-            dj = dc.get(n - i)
-            if dj:
-                acc -= qi * dj
+        acc = a.get(n, 0) * p_den
+        for j, bj in b:
+            if j > n:
+                break
+            pj = p.get(n - j)
+            if pj:
+                acc -= pj * bj
         if acc:
-            q[n] = acc / lead
-    return UniSeries(q, order)
+            # p_n = acc / (p_den * lead), over lcm(p_den, its reduced denominator)
+            d = abs(p_den * lead) // gcd(acc, p_den * lead)
+            step = d // gcd(p_den, d)
+            if step != 1:
+                p = {i: pi * step for i, pi in p.items()}
+                p_den *= step
+            p[n] = acc * step // lead
+    return num._like({i: pi * den._den for i, pi in p.items()}, p_den * num._den, order)
 
 
 def laurent_divide(num: UniSeries, den: UniSeries) -> UniSeries:
@@ -212,12 +188,14 @@ def exp_minus_one(order: int) -> UniSeries:
     """exp(u) - 1 truncated: sum_{m=1}^{order} u^m / m!."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return UniSeries({m: Fraction(1, factorial(m)) for m in range(1, order + 1)}, order)
+    return exp_series(order) - UniSeries.one(order)
 
 
 def exp_series(order: int) -> UniSeries:
-    """exp(u) truncated at the given order."""
-    return UniSeries({m: Fraction(1, factorial(m)) for m in range(order + 1)}, order)
+    """exp(u) truncated at the given order, over the denominator order!."""
+    top = factorial(max(order, 0))
+    nums = {m: top // factorial(m) for m in range(order + 1)}
+    return object.__new__(UniSeries)._set(nums, top, order)
 
 
 @lru_cache(maxsize=64)

@@ -416,7 +416,7 @@ def _packed_terms_pass(depth: int, polynomial: LaurentPolynomial) -> bool:
     zero_sum = (depth << layout.width - 1) % modulus
     return all(
         code & top_bits == top_bits and (code & low) % modulus == zero_sum
-        for code in polynomial._codes
+        for code in polynomial._nums
     )
 
 

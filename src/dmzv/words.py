@@ -27,16 +27,20 @@ polynomial p'(x) (x + x^2).  So a word's image is an integer polynomial
 in x of degree at most its length, and :func:`character` evaluates the
 combined polynomial of a word sum once, against a cached table of the
 powers of x.
+
+A word sum holds the one stored form of :mod:`rationals`: each word maps
+to a non-zero integer numerator over one reduced denominator.  The product
+and the character work on those integers; :attr:`WordSum.terms` builds
+``Fraction``s only when it is read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .rationals import RationalLike, accumulate, format_rational, numerators
+from .rationals import RationalLike, Terms, _sum, accumulate, format_rational, numerators
 from .series import UniSeries, exp_over_one_minus_exp
 
 __all__ = [
@@ -99,53 +103,26 @@ class Word:
         return Word((letter,) + self.letters)
 
 
-class WordSum:
-    """Finite rational linear combination of words."""
+class WordSum(Terms):
+    """Finite rational linear combination of words; the keys of ``_nums``
+    are words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Word, RationalLike] = ()):
-        clean: dict[Word, Fraction] = {}
-        for word, coeff in dict(terms).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[word] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, terms: dict[Word, Fraction]) -> "WordSum":
-        """Wrap terms already known to be non-zero ``Fraction``s, skipping
-        the constructor's checks."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("WordSum is immutable")
+        self._set(*numerators(dict(terms), _word))
 
     @classmethod
     def of(cls, word: Word, coeff: RationalLike = 1) -> "WordSum":
         return cls({word: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    terms = property(Terms._terms, doc="The terms as word -> non-zero ``Fraction``.")
 
     def __add__(self, other: "WordSum") -> "WordSum":
-        return WordSum._trusted(accumulate(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "WordSum":
-        return WordSum._trusted({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "WordSum") -> "WordSum":
-        return self + (-other)
+        return self._like(*_sum(self._nums, self._den, other._nums, other._den))
 
     def prepend(self, letter: str) -> "WordSum":
-        return WordSum._trusted({w.prepend(letter): c for w, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WordSum) and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
+        return self._like({w.prepend(letter): n for w, n in self._nums.items()}, self._den)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -165,18 +142,24 @@ class WordSum:
         return f"WordSum({str(self)})"
 
 
+def _word(key: Word) -> Word:
+    if not isinstance(key, Word):
+        raise TypeError(f"word sum key {key!r} is not a Word")
+    return key
+
+
 # A product of words is its terms as (letters, integer coefficient) pairs:
 # the recursion starts from coefficient 1 and only prepends letters and
 # subtracts, so every coefficient is an integer.  Only the d-rule, where the
 # recursion branches, is cached; the other rules are one prepended letter
 # each.  The d-rule products and the character's polynomials are cached on
 # letter tuples (hashing a tuple is cheaper than calling Word.__hash__), and
-# the kernel's power tables on (order, top power).  The sizes hold the
-# largest working sets measured: 1,040 d-rule products, 3,060 polynomials
-# (suffixes included) and 2 power tables for all 400 shuffle pairs the
-# benchmark draws from, in one process, and 298 d-rule products, 373
-# polynomials and 17 power tables for a default verify run, the same as at
-# its largest accepted caps.
+# the kernel's power tables, integer numerators like the series they come
+# from, on (order, top power).  The sizes hold the largest working sets
+# measured: 1,040 d-rule products, 3,060 polynomials (suffixes included) and
+# 2 power tables for all 400 shuffle pairs the benchmark draws from, in one
+# process, and 298 d-rule products, 373 polynomials and 17 power tables for
+# a default verify run, the same as at its largest accepted caps.
 def _product_letters(
     u: tuple[str, ...], v: tuple[str, ...]
 ) -> tuple[tuple[tuple[str, ...], int], ...]:
@@ -197,7 +180,7 @@ def _d_product(
 ) -> tuple[tuple[tuple[str, ...], int], ...]:
     # the d-rule, for u and v that both start with d
     acc = dict(_prepended("d", _product_letters(u[1:], v)))
-    accumulate(acc, ((w, -c) for w, c in _product_letters(u[1:], ("d",) + v)), 0)
+    accumulate(acc, ((w, -c) for w, c in _product_letters(u[1:], ("d",) + v)))
     return tuple(acc.items())
 
 
@@ -211,20 +194,19 @@ def word_product(
 ) -> WordSum:
     """The deformed shuffle product, extended bilinearly."""
     if isinstance(left, Word) and isinstance(right, Word):
-        return WordSum._trusted(
-            {Word(w): Fraction(c) for w, c in _product_letters(left.letters, right.letters)}
-        )
+        product = _product_letters(left.letters, right.letters)
+        return object.__new__(WordSum)._set({Word(w): c for w, c in product}, 1)
     if isinstance(left, Word):
         left = WordSum.of(left)
     if isinstance(right, Word):
         right = WordSum.of(right)
-    out: dict[Word, Fraction] = {}
-    for wu, cu in left.terms.items():
-        for wv, cv in right.terms.items():
-            c = cu * cv
+    out: dict[Word, int] = {}
+    for wu, nu in left._nums.items():
+        for wv, nv in right._nums.items():
+            n = nu * nv
             product = _product_letters(wu.letters, wv.letters)
-            accumulate(out, ((Word(w), c * cw) for w, cw in product))
-    return WordSum._trusted(out)
+            accumulate(out, ((Word(w), n * cw) for w, cw in product))
+    return left._like(out, left._den * right._den)
 
 
 def character(w: Union[Word, WordSum], order: int) -> UniSeries:
@@ -234,9 +216,10 @@ def character(w: Union[Word, WordSum], order: int) -> UniSeries:
     word's image is an integer polynomial in x (:func:`_character_poly`),
     and the image of a word sum is the one rational polynomial sum c P_w.
     That polynomial is evaluated once, as integer numerators against a
-    cached table of the kernel's powers, with one ``Fraction`` per degree.
+    cached table of the kernel's powers, and the sums are the image's
+    numerators.
     """
-    terms, poly_den = ([(w, 1)], 1) if isinstance(w, Word) else numerators(w.terms)
+    terms, poly_den = ([(w, 1)], 1) if isinstance(w, Word) else (w._nums.items(), w._den)
     poly: dict[int, int] = {}
     for word, n in terms:
         for power, count in _character_poly(word.letters):
@@ -250,8 +233,8 @@ def character(w: Union[Word, WordSum], order: int) -> UniSeries:
     for power, n in poly.items():
         for d, m in powers[power]:
             acc[d] = get(d, 0) + n * m
-    den *= poly_den
-    return UniSeries._trusted({d: Fraction(acc[d], den) for d in sorted(acc) if acc[d]}, order)
+    nums = {d: acc[d] for d in sorted(acc) if acc[d]}
+    return object.__new__(UniSeries)._set(nums, den * poly_den, order)
 
 
 @lru_cache(maxsize=4096)
@@ -287,11 +270,11 @@ def _kernel_powers(
         powers.append(kernel)
         while len(powers) <= top:
             powers.append(powers[-1] * kernel)
-    table = [numerators(power.truncate(order).coeffs) for power in powers]
-    den = 1
-    for _, den_j in table:
-        den = lcm(den, den_j)
-    return tuple(tuple((d, n * (den // den_j)) for d, n in terms) for terms, den_j in table), den
+    powers = [power.truncate(order) for power in powers]
+    den = reduce(lcm, (power._den for power in powers))
+    return tuple(
+        tuple((d, n * (den // power._den)) for d, n in power._nums.items()) for power in powers
+    ), den
 
 
 def multiplicativity_defect(u: Word, v: Word, order: int) -> UniSeries:

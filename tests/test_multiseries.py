@@ -110,6 +110,11 @@ def test_substitute_linear_forms_telescoping_small():
         for b in range(2):
             expected = f.coefficient(a + b) * binomial(a + b, a) * (-1) ** b
             assert Y.coefficient((a, b)) == expected
+    # input terms of total degree above 2 variables * cap 1 expand to terms
+    # outside the output box; the 1/7 also leaves the sum reduced to Y's
+    # denominator
+    high = X + MultiSeries({(2, 1): 13, (1, 2): Fraction(1, 7), (2, 2): -1}, 2, 2)
+    assert substitute_linear_forms(high, rows, 1) == Y
 
 
 def test_substitute_linear_forms_guard():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from dmzv.multipoly import LaurentPolynomial
+from dmzv.multiseries import MultiSeries
 from dmzv.rationals import (
     binomial,
     format_rational,
@@ -10,6 +12,8 @@ from dmzv.rationals import (
     parse_rational,
     pochhammer,
 )
+from dmzv.series import UniSeries
+from dmzv.words import Word, WordSum
 
 
 def pascal_triangle(rows):
@@ -111,3 +115,43 @@ def test_rational_serialization():
     assert format_rational(Fraction(0)) == "0"
     for text in ("1/2", "-3/4", "5", "0", "-7"):
         assert format_rational(parse_rational(text)) == text
+
+
+# Each exact type's constructor, scaling and coefficient read, called with
+# one inexact argument: a float coefficient (0.1 would be stored as
+# 3602879701896397/36028797018963968) or a non-integral degree, exponent,
+# order or shape (int() would truncate it).
+REFUSED = {
+    "UniSeries coefficient": lambda: UniSeries({0: 0.1}, 2),
+    "UniSeries degree": lambda: UniSeries({1.5: 1}, 3),
+    "UniSeries order": lambda: UniSeries({1: 1}, 3.9),
+    "UniSeries scale": lambda: UniSeries({0: 1}, 2).scale(0.5),
+    "UniSeries coefficient read": lambda: UniSeries({1: 1}, 2).coefficient(1.5),
+    "MultiSeries coefficient": lambda: MultiSeries({(1,): 0.25}, 1, 2),
+    "MultiSeries exponent": lambda: MultiSeries({(1.7,): 1}, 1, 2),
+    "MultiSeries nvars": lambda: MultiSeries({}, 1.0, 2),
+    "MultiSeries cap": lambda: MultiSeries({}, 1, 2.5),
+    "MultiSeries scale": lambda: MultiSeries.constant(1, 1, 2).scale(0.5),
+    "MultiSeries coefficient read": lambda: MultiSeries({(1,): 1}, 1, 2).coefficient((1.7,)),
+    "LaurentPolynomial coefficient": lambda: LaurentPolynomial({(1,): 1.5}, ("x",)),
+    "LaurentPolynomial exponent": lambda: LaurentPolynomial({(-1.5,): 1}, ("x",)),
+    "LaurentPolynomial monomial": lambda: LaurentPolynomial.monomial(("x",), {"x": 2.0}),
+    "LaurentPolynomial scale": lambda: LaurentPolynomial.constant(1, ("x",)).scale(0.5),
+    "WordSum coefficient": lambda: WordSum({Word.parse("y"): 0.1}),
+    "WordSum key": lambda: WordSum({"y": 1}),
+    "WordSum scale": lambda: WordSum.of(Word.parse("y")).scale(0.5),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_exact_types_refuse_inexact_input(case):
+    with pytest.raises(TypeError):
+        REFUSED[case]()
+
+
+def test_exact_types_accept_integral_input():
+    # what the refusals must not catch: ints, Fractions and integers of any
+    # type that operator.index takes
+    assert UniSeries({True: Fraction(2, 4)}, 3).coeffs == {1: Fraction(1, 2)}
+    assert MultiSeries({(1,): 3}, 1, 2).scale(Fraction(1, 3)) == MultiSeries({(1,): 1}, 1, 2)
+    assert WordSum.of(Word.parse("y"), 2).scale(Fraction(1, 2)) == WordSum.of(Word.parse("y"))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +212,19 @@ def uni_series(draw):
     return UniSeries(draw(st.dictionaries(st.integers(low, order), coeffs, max_size=8)), order)
 
 
+@st.composite
+def cancelling_pairs(draw):
+    """a and b = c - a for a series c with integer coefficients, so that the
+    sum a + b cancels every denominator of a."""
+    a, c = draw(uni_series()), draw(uni_series())
+    order = min(a.order, c.order)
+    c = UniSeries({d: round(x) for d, x in c.coeffs.items() if d <= order}, order)
+    return a, c - a
+
+
+series_pairs = st.tuples(uni_series(), uni_series()) | cancelling_pairs()
+
+
 def naive_product(a, b):
     """Termwise Fraction convolution under the product's order rule."""
     order = min(a.order + b.valuation(), b.order + a.valuation())
@@ -223,9 +236,42 @@ def naive_product(a, b):
     return UniSeries(out, order)
 
 
+def stored_form(s):
+    """The stored form's invariant: non-zero integer numerators over a
+    positive denominator, with no common factor."""
+    nums = list(s._nums.values())
+    assert all(type(n) is int and n for n in nums) and type(s._den) is int and s._den > 0
+    assert gcd(s._den, *nums) == 1
+    return s
+
+
 @settings(max_examples=100, deadline=None)
-@given(uni_series(), uni_series())
-def test_product_matches_naive_convolution(a, b):
-    product = a * b
-    assert product == naive_product(a, b)
-    assert all(type(c) is Fraction and c for c in product.coeffs.values())
+@given(series_pairs)
+def test_product_matches_naive_convolution(pair):
+    # ``==`` compares numerators and denominator, so a product left over an
+    # unreduced denominator fails too
+    a, b = pair
+    assert stored_form(a * b) == naive_product(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs, st.fractions(min_value=-4, max_value=4, max_denominator=6), st.data())
+def test_operations_match_fraction_oracle(pair, factor, data):
+    # each operation against the same operation on Fraction dicts, built
+    # through the constructor
+    a, b = pair
+    A, B = a.coeffs, b.coeffs
+    order = min(a.order, b.order)
+    low = [d for d in A.keys() | B.keys() if d <= order]
+    zero = Fraction(0)
+    assert stored_form(a + b) == UniSeries({d: A.get(d, zero) + B.get(d, zero) for d in low}, order)
+    assert stored_form(a - b) == UniSeries({d: A.get(d, zero) - B.get(d, zero) for d in low}, order)
+    assert stored_form(a.scale(factor)) == UniSeries({d: c * factor for d, c in A.items()}, a.order)
+    k = data.draw(st.integers(-3, 3))
+    assert stored_form(a.shift(k)) == UniSeries({d + k: c for d, c in A.items()}, a.order + k)
+    negated = UniSeries({d: -c if d % 2 else c for d, c in A.items()}, a.order)
+    assert stored_form(a.negate_variable()) == negated
+    top = data.draw(st.integers(a.order - 4, a.order))
+    assert stored_form(a.truncate(top)) == UniSeries({d: c for d, c in A.items() if d <= top}, top)
+    derivative = UniSeries({d - 1: d * c for d, c in A.items()}, a.order - 1)
+    assert stored_form(a.derivative()) == derivative

@@ -202,3 +202,32 @@ def test_character_matches_operator_route_on_words(w, order):
 def test_character_matches_operator_route_on_word_sums(s, order):
     got, want = character(s, order), operator_character(s, order)
     assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+@st.composite
+def word_sum_pairs(draw):
+    """Two word sums; half the time the second is c - a for a sum c with
+    integer coefficients, so that a + b cancels every denominator of a."""
+    a, c = draw(word_sums), draw(word_sums)
+    if draw(st.booleans()):
+        return a, c
+    return a, WordSum({w: round(x) for w, x in c.terms.items()}) - a
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_sum_pairs())
+def test_word_sum_operations_match_fraction_oracle(pair):
+    # against the same operations on Fraction dicts, built through the
+    # constructor; ``==`` compares numerators and denominator, so a result
+    # left over an unreduced denominator fails
+    a, b = pair
+    A, B = a.terms, b.terms
+    zero = Fraction(0)
+    assert a + b == WordSum({w: A.get(w, zero) + B.get(w, zero) for w in A.keys() | B.keys()})
+    assert a - b == WordSum({w: A.get(w, zero) - B.get(w, zero) for w in A.keys() | B.keys()})
+    product = {}
+    for wu, cu in A.items():
+        for wv, cv in B.items():
+            for w, cw in word_product(wu, wv).terms.items():
+                product[w] = product.get(w, zero) + cu * cv * cw
+    assert word_product(a, b) == WordSum(product)
