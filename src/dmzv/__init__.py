@@ -24,7 +24,6 @@ _SOURCES = {
     "genfun": (
         "ValueTable",
         "conversion_table",
-        "depth1_conversion_residuals",
         "ems_factor",
         "ems_prefactor",
         "ems_series",

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
-from .rationals import RationalLike
+from .rationals import RationalLike, exact_sum
 
 __all__ = ["BernoulliCache", "bernoulli", "default_cache"]
 
@@ -44,23 +44,14 @@ class BernoulliCache:
         return self._table[m]
 
     def _fill(self, m: int) -> None:
-        # The recurrence runs on integer numerators over the lcm of the
-        # entries' denominators, with one Fraction per new entry.  It reads
-        # the table as it stands, so later entries are computed from a
-        # corrupted one.
+        # B_n = -sum_{j<n} C(n+1, j) B_j / (n+1), summed by exact_sum over
+        # the non-zero entries.  It reads the table as it stands, so later
+        # entries are computed from a corrupted one.
         table = self._table
-        common = lcm(*(b.denominator for b in table))
-        scaled = [b.numerator * (common // b.denominator) for b in table]
         while len(table) <= m:
             n = len(table)
-            acc = sum(comb(n + 1, j) * x for j, x in enumerate(scaled))
-            value = Fraction(-acc, (n + 1) * common)
-            table.append(value)
-            factor = value.denominator // gcd(common, value.denominator)
-            if factor > 1:
-                common *= factor
-                scaled = [x * factor for x in scaled]
-            scaled.append(value.numerator * (common // value.denominator))
+            table.append(-exact_sum((comb(n + 1, j) * b.numerator, b.denominator)
+                                    for j, b in enumerate(table) if b) / (n + 1))
 
     def known(self) -> int:
         """Number of values currently in the table."""

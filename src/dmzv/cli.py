@@ -44,7 +44,8 @@ MAX_TABLE_ENTRIES = 50_000
 MAX_TABLE_SPAN = 500
 # Bound on ``convert --max-weight``, checked before any arithmetic.  The
 # Bernoulli table fill and the residual sums grow with about the cube of
-# the weight: 2.3 s at 500, 11 s at 800 and 130 s at 1600.
+# the weight: 0.7 s at 500, 3.5 s at 800 and 46 s at 1600 (Python 3.11, a
+# shared 2-vCPU host).
 MAX_CONVERT_WEIGHT = 500
 # Bound on ``gr-coeffs --depth``, checked before any arithmetic.  In a
 # fresh process, ``--format json`` takes about 0.14 s and peaks at 16.5 MiB
@@ -65,7 +66,7 @@ MAX_VERIFY_DEPTH = 6
 MAX_VERIFY_WEIGHT = 8
 MAX_VERIFY_TRUNCATION = 14
 # Bound on the index M of ``verify --corrupt-bernoulli M=P/Q``: the
-# Bernoulli table is filled up to B_M first, 1.3 s at 500 (0.7 s at 400).
+# Bernoulli table is filled up to B_M first, 0.25 s at 500 (0.13 s at 400).
 MAX_CORRUPT_INDEX = 500
 # Bounds on ``shuffle``, checked before any arithmetic: the length of each
 # word and ``--truncation``.  Two length-16 words at truncation 64 took at

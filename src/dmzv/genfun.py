@@ -29,12 +29,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import comb, factorial, lcm
+from math import comb, factorial
+from operator import index
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
-from .rationals import format_rational, multinomial, parse_rational
+from .rationals import exact_sum, format_rational, json_integer, multinomial, parse_rational
 from .report import Record
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
 
@@ -54,7 +55,6 @@ __all__ = [
     "fkmt_value",
     "ems_value",
     "conversion_table",
-    "depth1_conversion_residuals",
     "ValueTable",
     "index_box",
     "value_table",
@@ -210,7 +210,7 @@ def _coefficient_to_value(n: int, den: int, k: Sequence[int]) -> Fraction:
 
 
 def _checked_index(k: Sequence[int]) -> tuple[int, ...]:
-    k = tuple(int(x) for x in k)
+    k = tuple(map(index, k))
     if not k:
         raise ValueError("the multi-index must have depth >= 1")
     if any(x < 0 for x in k):
@@ -249,6 +249,16 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+# The multi-sum's columns, by entry total, number of rows and field width
+# (89 in a default ``verify`` run, 133 at its largest accepted caps): the
+# entries of each, packed one per `width`-bit field with row i at bit
+# i * width, and its multinomial count.
+@lru_cache(maxsize=256)
+def _column(total: int, parts: int, width: int) -> tuple[tuple[int, int], ...]:
+    return tuple((sum(e << (i * width) for i, e in enumerate(entries)), multinomial(entries))
+                 for entries in _compositions(total, parts))
+
+
 def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowWeight) -> Fraction:
     # The sum over every upper-triangular matrix (nu_ij), 1 <= i <= j <= r,
     # whose column sums are the entries of k, of prod_j k_j! / prod_i nu_ij!
@@ -262,10 +272,7 @@ def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowW
     width = max(sum(k), 1).bit_length()
     tails: dict[int, int] = {0: 1}
     for j, total in enumerate(k):
-        column = [
-            (sum(e << (i * width) for i, e in enumerate(entries)), multinomial(entries))
-            for entries in _compositions(total, j + 1)
-        ]
+        column = _column(total, j + 1, width)
         folded: dict[int, int] = {}
         get = folded.get
         for tail, count in tails.items():
@@ -273,30 +280,30 @@ def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowW
                 key = tail + entries
                 folded[key] = get(key, 0) + count * ways
         tails = folded
-    # Each tail vector reads its rows' weights in row order up to the first
-    # zero, so the Bernoulli indices read are those of the matrix-by-matrix
-    # enumeration; the terms are summed as integers over a common denominator.
     mask = (1 << width) - 1
     shifts = range(0, len(k) * width, width)
     weights: dict[int, tuple[int, int]] = {}
-    numerator, denominator = 0, 1
-    for tail, count in tails.items():
-        term_den = 1
-        for shift in shifts:
-            n = tail >> shift & mask
-            weight = weights.get(n)
-            if weight is None:
-                value = row_weight(n, cache)
-                weight = weights[n] = (value.numerator, value.denominator)
-            if not weight[0]:
-                break
-            count *= weight[0]
-            term_den *= weight[1]
-        else:
-            common = lcm(denominator, term_den)
-            numerator = numerator * (common // denominator) + count * (common // term_den)
-            denominator = common
-    total = Fraction(numerator, denominator)
+
+    def terms():
+        # Each tail vector reads its rows' weights in row order up to the
+        # first zero, as the matrix-by-matrix enumeration does; the others
+        # go to exact_sum as (count times weights, denominator) pairs.
+        for tail, count in tails.items():
+            den = 1
+            for shift in shifts:
+                n = tail >> shift & mask
+                weight = weights.get(n)
+                if weight is None:
+                    value = row_weight(n, cache)
+                    weight = weights[n] = (value.numerator, value.denominator)
+                if not weight[0]:
+                    break
+                count *= weight[0]
+                den *= weight[1]
+            else:
+                yield count, den
+
+    total = exact_sum(terms())
     return -total if sum(k) % 2 else total
 
 
@@ -320,12 +327,6 @@ def ems_value(k: Sequence[int], cache: BernoulliCache | None = None) -> Fraction
 ConversionRow = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
-    # sum of numerator/denominator pairs as integers over their lcm
-    common = lcm(*(den for _, den in terms))
-    return Fraction(sum(num * (common // den) for num, den in terms), common)
-
-
 def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> list[ConversionRow]:
     """Rows k = 0..max_weight of the depth-1 conversion table:
     (desingularized value at -k, renormalized value at -k, first residual,
@@ -337,8 +338,7 @@ def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> li
     a Bernoulli-weighted combination of renormalized ones.  Both are 0.
 
     Each depth-1 value (multi-sum route) and each Bernoulli number is read
-    once for the whole table, and each residual is summed as integer
-    numerators over the common denominator of its terms.
+    once for the whole table, and each residual is one exact sum.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -360,16 +360,8 @@ def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> li
                 first.append(((c if j % 2 else -c) * f.numerator, (i + 1) * f.denominator))
             if b and e:
                 second.append((sign * c * b.numerator * e.numerator, b.denominator * e.denominator))
-        rows.append((fkmt[k], ems[k], _exact_sum(first), _exact_sum(second)))
+        rows.append((fkmt[k], ems[k], exact_sum(first), exact_sum(second)))
     return rows
-
-
-def depth1_conversion_residuals(
-    k: int, cache: BernoulliCache | None = None
-) -> tuple[Fraction, Fraction]:
-    """Residuals of the two depth-1 conversion relations at k; row k of
-    :func:`conversion_table`, which reads the same Bernoulli numbers."""
-    return conversion_table(k, cache)[k][2:]
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +398,11 @@ class ValueTable(Record):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ValueTable":
-        entries = {
-            tuple(row["args"]): parse_rational(row["value"]) for row in data["values"]
-        }
-        return cls(family=data["family"], depth=int(data["depth"]), entries=entries)
+        """Inverse of :meth:`to_json_dict`; depth and args must be JSON integers."""
+        entries = {tuple(json_integer(x, "args entry") for x in row["args"]):
+                   parse_rational(row["value"]) for row in data["values"]}
+        return cls(family=data["family"], depth=json_integer(data["depth"], "depth"),
+                   entries=entries)
 
     def to_csv_rows(self) -> list[list[str]]:
         header = [f"k{i}" for i in range(1, self.depth + 1)] + ["value"]
@@ -431,11 +424,10 @@ def value_table(family: str, depth: int, max_weight: int) -> ValueTable:
     fam = FAMILIES.get(family.upper())
     if fam is None:
         raise ValueError(f"unknown family {family.upper()!r}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    # the table reads its series once, so the series is not cached
+    # the table reads its series once, so the series is not cached; the
+    # build refuses a depth below 1
     series = _product_series(fam, depth, max_weight)
     # the series' integer numerators, unpacked once, over its denominator
     nums, den = dict(series._unpacked()), series._den

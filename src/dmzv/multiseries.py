@@ -102,7 +102,7 @@ def substitute_linear_form(series: UniSeries, weights: Sequence[int], cap: int) 
     Exact for every exponent vector in the box, which requires the input to
     be exact through degree len(weights) * cap and to have no pole.
     """
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(map(index, weights))
     nvars = len(weights)
     if nvars < 1:
         raise ValueError("weights must be non-empty")
@@ -148,7 +148,7 @@ def substitute_linear_forms(
     """
     if len(rows) != series.nvars:
         raise ValueError(f"need one weight row per variable ({series.nvars}), got {len(rows)}")
-    rows = [tuple(int(w) for w in row) for row in rows]
+    rows = [tuple(map(index, row)) for row in rows]
     nvars = len(rows[0])
     if any(len(row) != nvars for row in rows):
         raise ValueError("all weight rows must have the same length")

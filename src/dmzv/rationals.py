@@ -8,10 +8,11 @@ anywhere.  Every sparse type holds its terms in the one form of
 :class:`Terms`: non-zero integer numerators over one reduced denominator.
 The constructors take their input into that form through
 :func:`numerators`, which refuses a float coefficient (each type takes its
-degrees or exponents through ``operator.index``), and every sum goes
-through :func:`accumulate`.  ``MultiSeries`` and
-``LaurentPolynomial`` are also both held in the packed form of
-:class:`Packed`, which states their sum, equality and product once.
+degrees or exponents through ``operator.index``).  Every sum of terms
+goes through :func:`accumulate`, and every sum of single values, as
+(numerator, denominator) pairs, through :func:`exact_sum`.
+``MultiSeries`` and ``LaurentPolynomial`` are also both held in the packed
+form of :class:`Packed`, which states their sum, equality and product once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ K = TypeVar("K")
 __all__ = [
     "Rational",
     "accumulate",
+    "exact_sum",
+    "json_integer",
     "numerators",
     "binomial",
     "pochhammer",
@@ -53,6 +56,26 @@ def accumulate(acc: dict[K, int], terms: Iterable[tuple[K, int]]) -> dict[K, int
         else:
             acc.pop(key, None)
     return acc
+
+
+def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of the (integer numerator, positive denominator) pairs
+    ``terms``, over a running denominator widened by a pairwise lcm."""
+    total, common = 0, 1
+    for n, den in terms:
+        if common % den:
+            wider = lcm(common, den)
+            total, common = total * (wider // common), wider
+        total += n * (common // den)
+    return Fraction(total, common)
+
+
+def json_integer(value, what: str) -> int:
+    """``value``, an integer of a JSON record; a float, a string or a bool
+    is refused, not converted."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _exact(value: RationalLike) -> Fraction:

@@ -30,7 +30,7 @@ from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping
 
 from .multipoly import LaurentPolynomial
-from .rationals import _layout, binomial
+from .rationals import _layout, binomial, json_integer
 from .report import Check, FrozenRecord
 
 __all__ = [
@@ -279,13 +279,6 @@ def _check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> Non
         raise ValueError(f"shifts m={m} do not sum to zero")
 
 
-def _integer(value, what: str) -> int:
-    # a bool is an int, but true is not a Pochhammer degree
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _render_term(coef: int, l: tuple[int, ...], m: tuple[int, ...]) -> str:
     if coef == -1:
         head = "-"
@@ -359,13 +352,13 @@ class ShiftedZetaExpression(FrozenRecord):
         bool is refused, not converted)."""
         terms = tuple(
             (
-                _integer(t["coef"], "coef"),
-                tuple(_integer(x, "l entry") for x in t["l"]),
-                tuple(_integer(x, "m entry") for x in t["m"]),
+                json_integer(t["coef"], "coef"),
+                tuple(json_integer(x, "l entry") for x in t["l"]),
+                tuple(json_integer(x, "m entry") for x in t["m"]),
             )
             for t in data["terms"]
         )
-        return cls(depth=_integer(data["depth"], "depth"), terms=terms)
+        return cls(depth=json_integer(data["depth"], "depth"), terms=terms)
 
     def render_text(self) -> str:
         """Human-readable one-liner, e.g. zeta_des(s1) = (1 - s1) zeta(s1)."""

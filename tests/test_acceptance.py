@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from dmzv.bernoulli import bernoulli
 from dmzv.genfun import (
-    depth1_conversion_residuals,
+    conversion_table,
     ems_series,
     ems_series_from_fkmt,
     ems_value,
@@ -101,7 +101,7 @@ def test_criterion_06_conversion():
     for depth in (1, 2, 3):
         assert ems_series_from_fkmt(depth, 5) == ems_series(depth, 5)
     for k in range(11):
-        assert depth1_conversion_residuals(k) == (Fraction(0), Fraction(0))
+        assert conversion_table(k)[k][2:] == (Fraction(0), Fraction(0))
     budget.done()
 
 

@@ -13,7 +13,6 @@ from dmzv.genfun import (
     FKMT,
     ValueTable,
     conversion_table,
-    depth1_conversion_residuals,
     ems_series,
     ems_series_from_fkmt,
     ems_value,
@@ -182,7 +181,7 @@ def test_conversion_series_equality():
 
 def test_depth1_conversion_residuals():
     for k in (0, 5, 10):
-        assert depth1_conversion_residuals(k) == (Fraction(0), Fraction(0))
+        assert conversion_table(k)[k][2:] == (Fraction(0), Fraction(0))
 
 
 def test_depth1_conversion_k1_by_hand():
@@ -217,7 +216,8 @@ def test_conversion_table_matches_per_k_sums():
         assert fkmt == (-1) ** k * bernoulli(k + 1)
         assert ems == (-1) ** k * bernoulli(k + 1) / (k + 1)
         assert (first, second) == naive_residuals(k) == (0, 0)
-    assert depth1_conversion_residuals(60) == rows[60][2:]
+    # a shorter table is a prefix of the longer one
+    assert conversion_table(30) == rows[:31]
     with pytest.raises(ValueError):
         conversion_table(-1)
 

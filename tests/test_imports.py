@@ -113,10 +113,10 @@ def test_importing_the_cli_loads_no_engine():
 # Every public name of the package and the module that defines it.
 PUBLIC = {
     "bernoulli": ["BernoulliCache", "bernoulli", "default_cache"],
-    "genfun": ["ValueTable", "conversion_table", "depth1_conversion_residuals", "ems_factor",
-               "ems_prefactor", "ems_series", "ems_series_from_fkmt", "ems_value",
-               "ems_value_series", "fkmt_factor", "fkmt_series", "fkmt_value",
-               "fkmt_value_series", "series_value_table", "value_table"],
+    "genfun": ["ValueTable", "conversion_table", "ems_factor", "ems_prefactor", "ems_series",
+               "ems_series_from_fkmt", "ems_value", "ems_value_series", "fkmt_factor",
+               "fkmt_series", "fkmt_value", "fkmt_value_series", "series_value_table",
+               "value_table"],
     "multipoly": ["LaurentPolynomial"],
     "multiseries": ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"],
     "rationals": ["Rational", "binomial", "format_rational", "multinomial", "parse_rational",

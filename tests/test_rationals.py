@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dmzv.genfun import ValueTable, ems_value, fkmt_value, fkmt_value_series
 from dmzv.multipoly import LaurentPolynomial
-from dmzv.multiseries import MultiSeries
+from dmzv.multiseries import MultiSeries, substitute_linear_form, substitute_linear_forms
 from dmzv.rationals import (
     binomial,
+    exact_sum,
     format_rational,
     multinomial,
     parse_rational,
@@ -108,6 +112,28 @@ def test_field_axioms_sampled():
             assert a * (1 / a) == 1
 
 
+# Denominators drawn from a few small divisor-related values, so that runs
+# repeat one and a new one often divides the running denominator, or from a
+# wide range, so that most do not.
+PAIRS = st.lists(
+    st.tuples(st.integers(-30, 30),
+              st.sampled_from([1, 2, 3, 4, 6, 12, 35]) | st.integers(1, 10**6)),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAIRS)
+@example([])
+@example([(0, 7), (3, 4), (0, 4)])  # zero numerators
+@example([(1, 12), (1, 6), (5, 3), (1, 12)])  # each later denominator divides the first
+@example([(1, 4), (1, 6), (-5, 12), (1, 4)])  # 6 does not divide 4; then 12 and 4 divide 12
+def test_exact_sum_matches_fraction_sum(pairs):
+    total = exact_sum(pairs)
+    assert type(total) is Fraction
+    assert total == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+
+
 def test_rational_serialization():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(-3, 4)) == "-3/4"
@@ -117,10 +143,11 @@ def test_rational_serialization():
         assert format_rational(parse_rational(text)) == text
 
 
-# Each exact type's constructor, scaling and coefficient read, called with
-# one inexact argument: a float coefficient (0.1 would be stored as
-# 3602879701896397/36028797018963968) or a non-integral degree, exponent,
-# order or shape (int() would truncate it).
+# Each exact type's constructor, scaling and coefficient read, and each
+# value route and substitution, called with one inexact argument: a float
+# coefficient (0.1 would be stored as 3602879701896397/36028797018963968) or
+# a non-integral degree, exponent, order, shape, index entry or weight
+# (int() would truncate it).
 REFUSED = {
     "UniSeries coefficient": lambda: UniSeries({0: 0.1}, 2),
     "UniSeries degree": lambda: UniSeries({1.5: 1}, 3),
@@ -140,13 +167,34 @@ REFUSED = {
     "WordSum coefficient": lambda: WordSum({Word.parse("y"): 0.1}),
     "WordSum key": lambda: WordSum({"y": 1}),
     "WordSum scale": lambda: WordSum.of(Word.parse("y")).scale(0.5),
+    "fkmt_value entry": lambda: fkmt_value((1.5, 2)),
+    "ems_value entry": lambda: ems_value((2.9,)),
+    "fkmt_value_series entry": lambda: fkmt_value_series((1.5,)),
+    "substitute_linear_form weight": lambda: substitute_linear_form(UniSeries({1: 1}, 2),
+                                                                    (1.5, 1), 1),
+    "substitute_linear_forms weight": lambda: substitute_linear_forms(
+        MultiSeries({(1,): 1}, 1, 2), [(1.5, 1)], 1),
+}
+
+# A JSON record with a float, a string or a bool where an integer belongs;
+# the readers refuse it with ValueError, as they refuse any malformed record.
+TABLE = {"family": "FKMT", "depth": 1, "values": [{"args": [1], "value": "-1/6"}]}
+REFUSED_RECORDS = {
+    "ValueTable depth": {**TABLE, "depth": 1.9},
+    "ValueTable depth bool": {**TABLE, "depth": True},
+    "ValueTable args float": {**TABLE, "values": [{"args": [1.5], "value": "0"}]},
+    "ValueTable args str": {**TABLE, "values": [{"args": ["1"], "value": "0"}]},
 }
 
 
-@pytest.mark.parametrize("case", REFUSED)
+@pytest.mark.parametrize("case", [*REFUSED, *REFUSED_RECORDS])
 def test_exact_types_refuse_inexact_input(case):
-    with pytest.raises(TypeError):
-        REFUSED[case]()
+    if case in REFUSED:
+        with pytest.raises(TypeError):
+            REFUSED[case]()
+    else:
+        with pytest.raises(ValueError, match="must be an integer"):
+            ValueTable.from_json_dict(REFUSED_RECORDS[case])
 
 
 def test_exact_types_accept_integral_input():
