@@ -4,7 +4,7 @@ Every finite identity the library implements is packaged as a named
 suite that checks it exhaustively over a capped index range, with exact
 rational comparisons and a witness for every failure.  The caps
 :func:`run_all` gives the suites are the ones the acceptance criteria
-prescribe; the whole default run (``dmzv verify``) takes about 0.16 s in
+prescribe; the whole default run (``dmzv verify``) takes about 0.15 s in
 a fresh process on a shared 2-vCPU x86-64 host (median of 9 runs, Python
 3.11).
 
