@@ -7,6 +7,7 @@
 # (1 - s) zeta(s).
 
 from dmzv import coefficient_polynomial, shift_coefficients, shifted_zeta_expression
+from dmzv.shiftcoeffs import rendered_text
 
 print("the defining product, expanded at depth 2:")
 print(" ", coefficient_polynomial(2))
@@ -17,8 +18,8 @@ for (l, m), value in shift_coefficients(2).items():
 
 for depth in (1, 2, 3):
     expr = shifted_zeta_expression(depth)
-    print(f"\ndepth {depth}: {len(expr.terms)} terms")
-    print(" ", expr.render_text())
+    print(f"\ndepth {depth}: {len(expr)} terms")
+    print(" ", "".join(rendered_text(depth, expr)))
 
 # Structural facts, verified exhaustively by the harness:
 #   * the shifts of every term sum to zero

@@ -48,20 +48,21 @@ MAX_TABLE_SPAN = 500
 # shared 2-vCPU host).
 MAX_CONVERT_WEIGHT = 500
 # Bound on ``gr-coeffs --depth``, checked before any arithmetic.  In a
-# fresh process, ``--format json`` takes about 0.14 s and peaks at 16.5 MiB
-# RSS at depth 6, and 0.5 s and 24 MiB at depth 7; ``--format text`` takes
-# 1.4 s at depth 7 in the same 24 MiB (Python 3.11, a shared 2-vCPU host).
+# fresh process (median of 5, Python 3.11.7, a shared 2-vCPU x86-64 host),
+# ``--format json`` takes 0.07 s and peaks at 17.4 MiB RSS at depth 6, and
+# 0.21 s and 26.2 MiB at depth 7; ``--format text`` takes 0.59 s at depth 7
+# in the same 26.2 MiB.
 # The family grows about sevenfold per depth (10,992 terms at depth 6,
 # 79,474 at depth 7), and its expansion's time and memory with it.
 MAX_GR_DEPTH = 7
-# Bounds on ``verify``'s caps, checked before any arithmetic.  In-process
-# on a shared 2-vCPU host (Python 3.11), a whole ``verify`` run takes 0.6 s
-# at ``--depth 6`` (past depth 3 it only deepens the shift-coeffs
-# expansion, which grows about eightfold per depth), 0.4 s at
-# ``--max-weight 8`` (0.8 s at 10; it sets the routes and last-entry
-# boxes), 2.1 s at ``--truncation 14`` (4.0 s at 16; it sets the conversion
-# series cap and the character order), and 2.5 s with all three at their
-# limits.
+# Bounds on ``verify``'s caps, checked before any arithmetic.  In a fresh
+# process (median of 5, Python 3.11.7, a shared 2-vCPU x86-64 host), a
+# whole ``verify`` run takes 0.29 s at ``--depth 6`` (past depth 3 it only
+# deepens the shift-coeffs expansion, which grows about eightfold per
+# depth), 0.22 s at ``--max-weight 8`` (0.32 s at 10; it sets the routes
+# and last-entry boxes), 1.1 s at ``--truncation 14`` (2.2 s at 16; it sets
+# the conversion series cap and the character order), and 1.4 s with all
+# three at their limits.
 MAX_VERIFY_DEPTH = 6
 MAX_VERIFY_WEIGHT = 8
 MAX_VERIFY_TRUNCATION = 14
@@ -330,15 +331,15 @@ def _cmd_gr_coeffs(args) -> int:
 
     # every term is checked before the first byte is written
     depth = args.depth
-    terms = shifted_zeta_terms(depth)
+    family = shifted_zeta_terms(depth)
     if args.format == "text":
         # one pass for the term lines, one for the one-line rendering
         with _output(args.out) as handle:
-            handle.write(f"depth {depth}: {len(terms)} nonzero coefficients\n")
+            handle.write(f"depth {depth}: {len(family)} nonzero coefficients\n")
             _write_batches(
-                handle, (f"  l={list(l)}  m={list(m)}  coef={coef}\n" for coef, l, m in terms)
+                handle, (f"  l={list(l)}  m={list(m)}  coef={coef}\n" for coef, l, m in family)
             )
-            _write_batches(handle, rendered_text(depth, terms))
+            _write_batches(handle, rendered_text(depth, family))
             handle.write("\n")
         return EXIT_OK
     # the depth fixes each term's shape, so one template formats them all
@@ -350,14 +351,14 @@ def _cmd_gr_coeffs(args) -> int:
             + "\n    }"
         )
         head = '{\n  "depth": %d,\n  "terms": [\n' % depth
-        _write_joined(head, (template % (coef, *l, *m) for coef, l, m in terms),
+        _write_joined(head, (template % (coef, *l, *m) for coef, l, m in family),
                       ",\n", "\n  ]\n}\n", args.out)
     else:
         # integers never need CSV quoting
         header = [f"l{i}" for i in range(1, depth + 1)] + [f"m{i}" for i in range(1, depth + 1)]
         template = ",".join(["%d"] * (2 * depth + 1))
         _write_joined(",".join(header + ["coef"]) + "\n",
-                      (template % (*l, *m, coef) for coef, l, m in terms), "\n", "\n", args.out)
+                      (template % (*l, *m, coef) for coef, l, m in family), "\n", "\n", args.out)
     return EXIT_OK
 
 

@@ -398,5 +398,8 @@ def format_rational(value: RationalLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts "p/q" and "p"."""
+    """Inverse of :func:`format_rational`; accepts "p/q" and "p", and
+    refuses anything but a string (a JSON number or null among them)."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a string, got {text!r}")
     return Fraction(text.strip())

@@ -12,20 +12,22 @@ v-exponents give the argument shifts m; the shifts of each monomial sum
 to zero.  This module expands that product exactly, extracts the family,
 verifies its structural identities, and exports the symbolic expression.
 
-The family has one source, the term stream :func:`shifted_zeta_terms`:
-it checks every term of the expanded polynomial once, then reads the
-(coef, l, m) terms off it in sorted (l, m) order, unpacking one at a time.
-``gr-coeffs`` writes all its formats straight from that stream; the
-cached record :func:`shifted_zeta_expression` is built from it for the
-checks, and :func:`shift_coefficients` is an uncached (l, m) ->
-coefficient lookup built from that record for the checks that read
-coefficients at arbitrary indices.
+The family has one form, the record :class:`ShiftedZetaExpression`: the
+depth and the expanded polynomial, every term of which has been checked
+once.  Iterating the record reads the (coef, l, m) terms off the packed
+polynomial in sorted (l, m) order, unpacking one at a time.
+:func:`shifted_zeta_terms` expands and checks a fresh record, from which
+``gr-coeffs`` writes all its formats; :func:`shifted_zeta_expression` is
+the same call, cached, and every check reads its records, the merge
+substitution their polynomials.  :func:`shift_coefficients` is an
+uncached (l, m) -> coefficient lookup built from a record for the checks
+that read coefficients at arbitrary indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping
 
@@ -41,7 +43,6 @@ __all__ = [
     "check_merge_substitution",
     "check_reindexing",
     "ShiftedZetaExpression",
-    "ShiftedZetaTerms",
     "shifted_zeta_terms",
     "rendered_text",
     "shifted_zeta_expression",
@@ -78,17 +79,17 @@ def shift_coefficients(depth: int) -> dict[tuple[tuple[int, ...], tuple[int, ...
     """The coefficient family as a lookup (l, m) -> nonzero integer
     coefficient, built from :func:`shifted_zeta_expression` on each call;
     unlisted pairs are zero."""
-    return {(l, m): coef for coef, l, m in shifted_zeta_expression(depth).terms}
+    return {(l, m): coef for coef, l, m in shifted_zeta_expression(depth)}
 
 
 def check_trailing_shift(depth: int) -> list[Check]:
     """Every nonzero coefficient has last shift in {l_r - 1, l_r} and >= 0."""
-    terms = shifted_zeta_expression(depth).terms
+    expression = shifted_zeta_expression(depth)
     bad = []
-    for value, l, m in terms:
+    for value, l, m in expression:
         if m[-1] < 0 or m[-1] not in (l[-1] - 1, l[-1]):
             bad.append({"l": list(l), "m": list(m), "coefficient": value})
-    desc = f"trailing-shift vanishing at depth {depth} ({len(terms)} entries)"
+    desc = f"trailing-shift vanishing at depth {depth} ({len(expression)} entries)"
     return [Check.of(desc, {"violations": bad} if bad else None)]
 
 
@@ -163,30 +164,20 @@ def check_merge_substitution(depth: int) -> list[Check]:
 
     Both sides are multiplied by u_r**D, where D clears every negative
     u_r power the substitution introduces, and compared monomial by
-    monomial as exact Laurent polynomials.
+    monomial as exact Laurent polynomials.  Both polynomials are those of
+    the records :func:`shifted_zeta_expression` gives, so a fault in the
+    family at either depth breaks the identity.
     """
     if depth < 2:
         raise ValueError(f"merge substitution check needs depth >= 2, got {depth}")
     variables = poly_variables(depth) + ("z",)
-    cur = coefficient_polynomial(depth).with_variables(variables)
-
-    last_v = f"v{depth}"
-    prev_v = f"v{depth-1}"
-    last_u = f"u{depth}"
-    replacement = LaurentPolynomial.monomial(variables, {prev_v: 1}) + (
-        LaurentPolynomial.monomial(variables, {prev_v: 1, last_u: -1, "z": 1})
-    )
-    lhs = cur.substitute(last_v, replacement)
-
-    merged_arg = (
-        LaurentPolynomial.monomial(variables, {f"u{depth-1}": 1})
-        + LaurentPolynomial.monomial(variables, {last_u: 1})
-        + LaurentPolynomial.monomial(variables, {"z": 1})
-    )
-    prev = coefficient_polynomial(depth - 1).with_variables(variables)
-    rhs = (LaurentPolynomial.constant(1, variables) + LaurentPolynomial.monomial(variables, {"z": 1})) * prev.substitute(
-        f"u{depth-1}", merged_arg
-    )
+    mono = partial(LaurentPolynomial.monomial, variables)
+    prev_u, last_u, prev_v = f"u{depth-1}", f"u{depth}", f"v{depth-1}"
+    cur = shifted_zeta_expression(depth).polynomial.with_variables(variables)
+    lhs = cur.substitute(f"v{depth}", mono({prev_v: 1}) + mono({prev_v: 1, last_u: -1, "z": 1}))
+    prev = shifted_zeta_expression(depth - 1).polynomial.with_variables(variables)
+    merged_arg = mono({prev_u: 1}) + mono({last_u: 1}) + mono({"z": 1})
+    rhs = (mono({}) + mono({"z": 1})) * prev.substitute(prev_u, merged_arg)
 
     clearing = max(0, -lhs.min_degree(last_u), -rhs.min_degree(last_u))
     lhs_cleared = lhs.shift_variable(last_u, clearing)
@@ -240,7 +231,7 @@ def check_reindexing(depth: int) -> list[Check]:
         raise ValueError(f"reindexing check needs depth >= 2, got {depth}")
     shifts: dict[tuple[int, ...], int] = {}
     degrees: dict[tuple[int, ...], int] = {}
-    for value, l, m in shifted_zeta_expression(depth).terms:
+    for value, l, m in shifted_zeta_expression(depth):
         shifts[m] = shifts.get(m, 0) + value
         degrees[l] = degrees.get(l, 0) + value
     lo = min((min(n) for n in shifts), default=0)
@@ -266,13 +257,15 @@ Term = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 def _check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> None:
     """Refuse a term that is not of the given depth, whose coefficient is
-    not an integer (an int, or a ``Fraction`` with denominator 1), whose l
-    has a negative entry or whose shifts m do not sum to zero."""
+    not a non-zero integer (an int, or a ``Fraction`` with denominator 1),
+    whose l has a negative entry or whose shifts m do not sum to zero."""
     if len(l) != depth or len(m) != depth:
         raise ValueError(f"term l={l}, m={m} does not have depth {depth}")
     # a float has no denominator
     if getattr(coef, "denominator", None) != 1:
         raise ValueError(f"non-integer coefficient {coef} on l={l}, m={m}")
+    if not coef:
+        raise ValueError(f"zero coefficient on l={l}, m={m}")
     if min(l, default=0) < 0:
         raise ValueError(f"negative Pochhammer degree in l={l}")
     if sum(m) != 0:
@@ -313,36 +306,60 @@ class ShiftedZetaExpression(FrozenRecord):
     """Symbolic transcription: value = sum of coef * prod_j (s_j)_{l_j}
     times the classical function at arguments shifted by m.
 
-    Exported as data only; nothing in this package evaluates it.
+    The record holds the depth and the checked packed polynomial whose
+    monomials u^l v^m carry the coefficients.  Iterating it unpacks the
+    (coef, l, m) terms one at a time in sorted (l, m) order (each exponent
+    tuple is l + m, so that is exponent order); :attr:`terms` is that
+    stream as a tuple, built when read.  Exported as data only; nothing in
+    this package evaluates it.
     """
 
-    __slots__ = ("depth", "terms")
+    __slots__ = ("depth", "polynomial")
 
-    def __init__(self, depth: int, terms: Iterable[Term]):
-        terms = tuple(terms)
+    def __new__(cls, depth: int, terms: Iterable[Term]):
+        """The record of the given terms, each refused as
+        :func:`_check_term` refuses it; a repeated (l, m) is refused too."""
+        nums = {}
         for coef, l, m in terms:
             _check_term(depth, coef, l, m)
-        self._set(depth, terms)
-
-    def _set(self, depth: int, terms: tuple[Term, ...]) -> None:
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "terms", terms)
+            key = (*l, *m)
+            if key in nums:
+                raise ValueError(f"repeated term l={l}, m={m}")
+            nums[key] = coef
+        return cls._of(depth, LaurentPolynomial(nums, poly_variables(depth)))
 
     @classmethod
-    def _checked(cls, depth: int, terms: tuple[Term, ...]) -> "ShiftedZetaExpression":
-        """The record of terms that :func:`shifted_zeta_terms` has already
-        checked, not checked again."""
+    def _of(cls, depth: int, polynomial: LaurentPolynomial) -> "ShiftedZetaExpression":
+        # the polynomial's terms have been checked
         out = object.__new__(cls)
-        out._set(depth, terms)
+        object.__setattr__(out, "depth", depth)
+        object.__setattr__(out, "polynomial", polynomial)
         return out
+
+    def __len__(self) -> int:
+        return len(self.polynomial)
+
+    def __iter__(self) -> Iterator[Term]:
+        depth = self.depth
+        for exps, n in self.polynomial.numerator_terms(ordered=True):
+            yield n, exps[:depth], exps[depth:]
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(self)
+
+    def _fields(self) -> tuple:
+        # equality, hashing and pickling go through the terms
+        return self.depth, self.terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(depth={self.depth!r}, terms={self.terms!r})"
 
     def to_json_dict(self) -> dict:
         # l and m are the record's own tuples; JSON writes them as lists
         return {
             "depth": self.depth,
-            "terms": [
-                {"coef": coef, "l": l, "m": m} for coef, l, m in self.terms
-            ],
+            "terms": [{"coef": coef, "l": l, "m": m} for coef, l, m in self],
         }
 
     @classmethod
@@ -359,31 +376,6 @@ class ShiftedZetaExpression(FrozenRecord):
             for t in data["terms"]
         )
         return cls(depth=json_integer(data["depth"], "depth"), terms=terms)
-
-    def render_text(self) -> str:
-        """Human-readable one-liner, e.g. zeta_des(s1) = (1 - s1) zeta(s1)."""
-        return "".join(rendered_text(self.depth, self.terms))
-
-
-class ShiftedZetaTerms:
-    """The coefficient family of one depth as (coef, l, m) terms in sorted
-    (l, m) order: each exponent tuple of the expanded polynomial is l + m,
-    so that is exponent order.  It has a length, and every pass over it
-    unpacks the terms one at a time from the packed polynomial."""
-
-    __slots__ = ("depth", "_polynomial")
-
-    def __init__(self, depth: int, polynomial: LaurentPolynomial):
-        self.depth = depth
-        self._polynomial = polynomial
-
-    def __len__(self) -> int:
-        return len(self._polynomial)
-
-    def __iter__(self) -> Iterator[Term]:
-        depth = self.depth
-        for exps, n in self._polynomial.numerator_terms(ordered=True):
-            yield n, exps[:depth], exps[depth:]
 
 
 def _packed_terms_pass(depth: int, polynomial: LaurentPolynomial) -> bool:
@@ -413,8 +405,8 @@ def _packed_terms_pass(depth: int, polynomial: LaurentPolynomial) -> bool:
     )
 
 
-def shifted_zeta_terms(depth: int) -> ShiftedZetaTerms:
-    """The coefficient family read off the expanded polynomial.
+def shifted_zeta_terms(depth: int) -> ShiftedZetaExpression:
+    """The coefficient family of one depth, expanded afresh and uncached.
 
     Every term is checked once, before this returns, so a non-integer
     coefficient, a negative u-exponent or shifts that do not sum to zero,
@@ -428,13 +420,12 @@ def shifted_zeta_terms(depth: int) -> ShiftedZetaTerms:
         den = polynomial.denominator
         for exps, n in polynomial.numerator_terms():
             _check_term(depth, n if den == 1 else Fraction(n, den), exps[:depth], exps[depth:])
-    return ShiftedZetaTerms(depth, polynomial)
+    return ShiftedZetaExpression._of(depth, polynomial)
 
 
 # One cache entry per depth: a ``verify`` run, whose depth is capped at 6,
-# needs depths 1 through 6.  The expanded polynomial is not cached; only
-# the merge-substitution check expands it again.
+# needs depths 1 through 6.
 @lru_cache(maxsize=8)
 def shifted_zeta_expression(depth: int) -> ShiftedZetaExpression:
-    """The record of :func:`shifted_zeta_terms`."""
-    return ShiftedZetaExpression._checked(depth, tuple(shifted_zeta_terms(depth)))
+    """:func:`shifted_zeta_terms`, cached: the record every check reads."""
+    return shifted_zeta_terms(depth)

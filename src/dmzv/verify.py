@@ -4,9 +4,9 @@ Every finite identity the library implements is packaged as a named
 suite that checks it exhaustively over a capped index range, with exact
 rational comparisons and a witness for every failure.  The caps
 :func:`run_all` gives the suites are the ones the acceptance criteria
-prescribe; the whole default run (``dmzv verify``) takes about 0.15 s in
+prescribe; the whole default run (``dmzv verify``) takes about 0.14 s in
 a fresh process on a shared 2-vCPU x86-64 host (median of 9 runs, Python
-3.11).
+3.11.7).
 
 Value lookups go through a per-run memo (:class:`ValueStore`) so the
 shuffle-type suites, which revisit indices heavily, stay fast, and so a
@@ -476,11 +476,10 @@ def verify_shift_coeffs(max_depth: int) -> list[Check]:
     """Structural identities of the shifted-zeta coefficient family."""
     checks = []
     for depth in range(1, max_depth + 1):
-        terms = shifted_zeta_expression(depth).terms
         checks.append(
             Check.of(
                 f"zero-sum shifts and integer coefficients at depth {depth} "
-                f"({len(terms)} entries)"
+                f"({len(shifted_zeta_expression(depth))} entries)"
             )
         )
         checks.extend(check_trailing_shift(depth))

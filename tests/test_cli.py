@@ -145,7 +145,7 @@ value(s1, s2) = zeta(s1, s2) - poch(s2,1)*zeta(s1, s2) - poch(s2,2)*zeta(s1-2, s
 def test_gr_coeffs_text_is_streamed(tmp_path, capsys):
     # the term lines and the one-line rendering are written from the term
     # stream; the cached record is never built
-    from dmzv.shiftcoeffs import shifted_zeta_expression
+    from dmzv.shiftcoeffs import rendered_text, shifted_zeta_expression
 
     shifted_zeta_expression.cache_clear()
     assert main(["gr-coeffs", "--depth", "2"]) == 0
@@ -156,7 +156,7 @@ def test_gr_coeffs_text_is_streamed(tmp_path, capsys):
         record = shifted_zeta_expression(depth)
         lines = [f"  l={list(l)}  m={list(m)}  coef={coef}\n" for coef, l, m in record.terms]
         head = f"depth {depth}: {len(record.terms)} nonzero coefficients\n"
-        expected = head + "".join(lines) + record.render_text() + "\n"
+        expected = head + "".join(lines) + "".join(rendered_text(depth, record)) + "\n"
         assert (tmp_path / "text").read_text() == expected
         shifted_zeta_expression.cache_clear()
 
@@ -243,6 +243,60 @@ def test_gr_coeffs_depth7_text_peak_rss():
     report = launched_gr_coeffs_depth7("text")
     assert report["exit"] == 0
     assert report["rss_mb"] < 50, report
+
+
+# Golden digests of ``gr-coeffs --depth 7``, past the depth-6 runs that
+# bench/references.json records.
+GR_DEPTH7_SHA256 = {
+    "json": "9aef87b93cfda280e4ca3ac16a7ca7884191f21c3ef6ad6b78623f3ced0a7fb3",
+    "csv": "a07c57fa7872c02ff60d0fa484ca0653715b1ce6cec2137d30abbe78f32cc839",
+    "text": "095d2a96a0b5fdd38e5a360279b6c5d1b61c3a7f94ef315f637b978f2c39e4af",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GR_DEPTH7_SHA256))
+def test_gr_coeffs_depth7_matches_its_digest(tmp_path, fmt):
+    import hashlib
+
+    out = tmp_path / "coeffs"
+    assert main(["gr-coeffs", "--depth", "7", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GR_DEPTH7_SHA256[fmt]
+
+
+# The checks of ``verify --depth 6 --suite shift-coeffs``, past the default
+# depth 4 that the references record.
+SHIFT_COEFFS_DEPTH6_CHECKS = [
+    ("zero-sum shifts and integer coefficients at depth 1 (2 entries)", "pass"),
+    ("trailing-shift vanishing at depth 1 (2 entries)", "pass"),
+    ("zero-sum shifts and integer coefficients at depth 2 (7 entries)", "pass"),
+    ("trailing-shift vanishing at depth 2 (7 entries)", "pass"),
+    ("zero-sum shifts and integer coefficients at depth 3 (38 entries)", "pass"),
+    ("trailing-shift vanishing at depth 3 (38 entries)", "pass"),
+    ("zero-sum shifts and integer coefficients at depth 4 (236 entries)", "pass"),
+    ("trailing-shift vanishing at depth 4 (236 entries)", "pass"),
+    ("zero-sum shifts and integer coefficients at depth 5 (1573 entries)", "pass"),
+    ("trailing-shift vanishing at depth 5 (1573 entries)", "pass"),
+    ("zero-sum shifts and integer coefficients at depth 6 (10992 entries)", "pass"),
+    ("trailing-shift vanishing at depth 6 (10992 entries)", "pass"),
+    ("contraction identity at depth 2 (12 index pairs scanned)", "pass"),
+    ("shift regrouping at depth 2 (3 shift vectors)", "pass"),
+    ("degree regrouping at depth 2 (5 degree vectors)", "pass"),
+    ("contraction identity at depth 3 (300 index pairs scanned)", "pass"),
+    ("shift regrouping at depth 3 (11 shift vectors)", "pass"),
+    ("degree regrouping at depth 3 (14 degree vectors)", "pass"),
+    ("merge substitution identity at depth 2 (cleared by u2^0)", "pass"),
+    ("merge substitution identity at depth 3 (cleared by u3^0)", "pass"),
+    ("merge substitution identity at depth 4 (cleared by u4^0)", "pass"),
+    ("merge substitution identity at depth 5 (cleared by u5^0)", "pass"),
+    ("merge substitution identity at depth 6 (cleared by u6^0)", "pass"),
+]
+
+
+def test_verify_shift_coeffs_depth6_check_list(capsys):
+    assert main(["verify", "--depth", "6", "--suite", "shift-coeffs", "--format", "json"]) == 0
+    [report] = json.loads(capsys.readouterr().out)["reports"]
+    assert [(c["description"], c["status"]) for c in report["checks"]] == (
+        SHIFT_COEFFS_DEPTH6_CHECKS)
 
 
 def test_gr_coeffs_depth0_exits_2():

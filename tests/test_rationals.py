@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -176,14 +177,23 @@ REFUSED = {
         MultiSeries({(1,): 1}, 1, 2), [(1.5, 1)], 1),
 }
 
-# A JSON record with a float, a string or a bool where an integer belongs;
-# the readers refuse it with ValueError, as they refuse any malformed record.
+# A JSON record with a float, a string or a bool where an integer belongs,
+# or a number or null where a "p/q" string belongs; the readers refuse it
+# with ValueError, as they refuse any malformed record.
 TABLE = {"family": "FKMT", "depth": 1, "values": [{"args": [1], "value": "-1/6"}]}
 REFUSED_RECORDS = {
-    "ValueTable depth": {**TABLE, "depth": 1.9},
-    "ValueTable depth bool": {**TABLE, "depth": True},
-    "ValueTable args float": {**TABLE, "values": [{"args": [1.5], "value": "0"}]},
-    "ValueTable args str": {**TABLE, "values": [{"args": ["1"], "value": "0"}]},
+    "ValueTable depth": ({**TABLE, "depth": 1.9}, "depth must be an integer, got 1.9"),
+    "ValueTable depth bool": ({**TABLE, "depth": True}, "depth must be an integer, got True"),
+    "ValueTable args float": ({**TABLE, "values": [{"args": [1.5], "value": "0"}]},
+                              "args entry must be an integer, got 1.5"),
+    "ValueTable args str": ({**TABLE, "values": [{"args": ["1"], "value": "0"}]},
+                            "args entry must be an integer, got '1'"),
+    "ValueTable value float": ({**TABLE, "values": [{"args": [1], "value": 0.5}]},
+                               "rational must be a string, got 0.5"),
+    "ValueTable value int": ({**TABLE, "values": [{"args": [1], "value": 3}]},
+                             "rational must be a string, got 3"),
+    "ValueTable value null": ({**TABLE, "values": [{"args": [1], "value": None}]},
+                              "rational must be a string, got None"),
 }
 
 
@@ -193,8 +203,9 @@ def test_exact_types_refuse_inexact_input(case):
         with pytest.raises(TypeError):
             REFUSED[case]()
     else:
-        with pytest.raises(ValueError, match="must be an integer"):
-            ValueTable.from_json_dict(REFUSED_RECORDS[case])
+        record, message = REFUSED_RECORDS[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ValueTable.from_json_dict(record)
 
 
 def test_exact_types_accept_integral_input():

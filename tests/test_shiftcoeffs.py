@@ -14,6 +14,7 @@ from dmzv.shiftcoeffs import (
     check_reindexing,
     check_trailing_shift,
     coefficient_polynomial,
+    rendered_text,
     shift_coefficients,
     shifted_zeta_expression,
 )
@@ -161,8 +162,8 @@ def test_expression_depth1():
     expr = shifted_zeta_expression(1)
     assert expr.terms == ((1, (0,), (0,)), (-1, (1,), (0,)))
     # reads as: value(s) = (1 - s) * zeta(s)
-    text = expr.render_text()
-    assert "zeta(s1)" in text
+    text = "".join(rendered_text(1, expr))
+    assert text == "value(s1) = zeta(s1) - poch(s1,1)*zeta(s1)"
 
 
 def test_expression_round_trip_and_bijection():
@@ -186,10 +187,18 @@ def test_expression_round_trip_and_bijection():
     ({"coef": 1.7, "l": [0, 0], "m": [0, 0]}, "coef must be an integer, got 1.7"),
     ({"coef": "3", "l": [0, 0], "m": [0, 0]}, "coef must be an integer, got '3'"),
     ({"coef": True, "l": [0, 0], "m": [0, 0]}, "coef must be an integer, got True"),
+    ({"coef": 0, "l": [0, 0], "m": [0, 0]}, "zero coefficient"),
 ])
 def test_expression_refuses_malformed_terms(term, message):
     with pytest.raises(ValueError, match=message):
         ShiftedZetaExpression.from_json_dict({"depth": 2, "terms": [term]})
+
+
+def test_expression_refuses_a_repeated_term():
+    data = shifted_zeta_expression(2).to_json_dict()
+    repeated = {**data, "terms": [*data["terms"], {**data["terms"][3], "coef": 5}]}
+    with pytest.raises(ValueError, match=r"repeated term l=\(0, 2\), m=\(-1, 1\)"):
+        ShiftedZetaExpression.from_json_dict(repeated)
 
 
 @pytest.mark.parametrize("coef", [Fraction(1, 2), 1.0, "1"])
@@ -351,6 +360,16 @@ def test_packed_check_refuses_what_check_term_refuses(monkeypatch, depth, extra,
         assert str(refused.value) == message
 
 
+def test_expression_streams_the_packed_polynomial():
+    # the record holds the checked expansion itself; its terms are read
+    # off it in sorted (l, m) order on each pass
+    expr = shifted_zeta_expression(3)
+    assert expr.polynomial == coefficient_polynomial(3)
+    assert len(expr) == 38 and list(expr) == list(expr) == list(expr.terms)
+    rebuilt = ShiftedZetaExpression(3, reversed(expr.terms))
+    assert rebuilt.polynomial == expr.polynomial and rebuilt.terms == expr.terms
+
+
 def test_expression_is_a_frozen_record():
     expr = shifted_zeta_expression(2)
     copy = ShiftedZetaExpression(2, list(expr.terms))
@@ -362,3 +381,4 @@ def test_expression_is_a_frozen_record():
     with pytest.raises(AttributeError):
         expr.depth = 3
     assert pickle.loads(pickle.dumps(expr)) == expr
+    assert pickle.loads(pickle.dumps(expr)).polynomial == expr.polynomial

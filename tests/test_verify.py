@@ -160,22 +160,47 @@ def test_telescope_can_fail(monkeypatch):
     ]
 
 
-def test_shift_coeffs_can_fail(monkeypatch):
+def _raise_first_coefficient(monkeypatch, faulty_depth):
+    """Serve the shift-coeffs checks a record whose first coefficient at
+    ``faulty_depth`` is raised by one."""
     expression = shiftcoeffs.shifted_zeta_expression
 
     def raised_first(depth):
         record = expression(depth)
-        if depth != 2:
+        if depth != faulty_depth:
             return record
         (coef, l, m), *rest = record.terms
         return shiftcoeffs.ShiftedZetaExpression(record.depth, ((coef + 1, l, m), *rest))
 
     monkeypatch.setattr(shiftcoeffs, "shifted_zeta_expression", raised_first)
+
+
+def test_shift_coeffs_can_fail(monkeypatch):
+    # the merge substitution at depth 3 reads the depth-2 record as its
+    # lower side, so it fails too
+    _raise_first_coefficient(monkeypatch, 2)
     failures = _failed_checks("shift-coeffs")
     assert [check.description.split(" (")[0] for check in failures] == [
         "contraction identity at depth 2",
         "contraction identity at depth 3",
+        "merge substitution identity at depth 2",
+        "merge substitution identity at depth 3",
     ]
+
+
+def test_shift_coeffs_fails_a_depth4_fault(monkeypatch):
+    # contraction and reindexing stop at depth 3, so only the merge
+    # substitution reads the depth-4 record
+    _raise_first_coefficient(monkeypatch, 4)
+    report = verify.verify_shift_coeffs(4)
+    assert [check.description for check in report.failures()] == [
+        "merge substitution identity at depth 4 (cleared by u4^0)",
+    ]
+    assert report.failures()[0].witness == {
+        "monomial": {**{f"u{j}": 0 for j in range(1, 5)}, **{f"v{j}": 0 for j in range(1, 5)},
+                     "z": 0},
+        "difference": "1",
+    }
 
 
 def test_words_can_fail(monkeypatch):
