@@ -10,7 +10,9 @@ The constructors take their input into that form through
 :func:`numerators`, which refuses a float coefficient (each type takes its
 degrees or exponents through ``operator.index``).  Every sum of terms
 goes through :func:`accumulate`, and every sum of single values, as
-(numerator, denominator) pairs, through :func:`exact_sum`.
+(numerator, denominator) pairs, through :func:`exact_sum`: the multi-sum,
+the conversion residuals, the Bernoulli fill, and the expanded sides of
+``verify``'s value identities and its Bernoulli convolution check.
 ``MultiSeries`` and ``LaurentPolynomial`` are also both held in the packed
 form of :class:`Packed`, which states their sum, equality and product once.
 """

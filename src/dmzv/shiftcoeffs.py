@@ -405,21 +405,35 @@ def _packed_terms_pass(depth: int, polynomial: LaurentPolynomial) -> bool:
     )
 
 
+def _first_bad_term(depth: int, polynomial: LaurentPolynomial) -> tuple[Term, str] | None:
+    """The first term, in (l, m) order, that :func:`_check_term` refuses,
+    with its message; None when every term passes.  The check runs on the
+    packed codes; only when it does not pass are the terms unpacked, for
+    :func:`_check_term` to name the first bad one."""
+    if _packed_terms_pass(depth, polynomial):
+        return None
+    den = polynomial.denominator
+    for exps, n in polynomial.numerator_terms(ordered=True):
+        term = (Fraction(n, den), exps[:depth], exps[depth:])
+        try:
+            _check_term(depth, *term)
+        except ValueError as exc:
+            return term, str(exc)
+    return None
+
+
 def shifted_zeta_terms(depth: int) -> ShiftedZetaExpression:
     """The coefficient family of one depth, expanded afresh and uncached.
 
     Every term is checked once, before this returns, so a non-integer
     coefficient, a negative u-exponent or shifts that do not sum to zero,
     any of which would indicate an expansion bug, raise before the first
-    term is read.  The check runs on the packed codes; only when it does
-    not pass are the terms unpacked, for :func:`_check_term` to name the
-    first bad one.
+    term is read (:func:`_first_bad_term`).
     """
     polynomial = coefficient_polynomial(depth)
-    if not _packed_terms_pass(depth, polynomial):
-        den = polynomial.denominator
-        for exps, n in polynomial.numerator_terms():
-            _check_term(depth, n if den == 1 else Fraction(n, den), exps[:depth], exps[depth:])
+    bad = _first_bad_term(depth, polynomial)
+    if bad is not None:
+        raise ValueError(bad[1])
     return ShiftedZetaExpression._of(depth, polynomial)
 
 

@@ -388,16 +388,28 @@ def test_verify_json_output(capsys):
     assert data["reports"][0]["suite"] == "depth1"
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["--format", "json"], 0),
-    (["--corrupt-bernoulli", "4=1/5", "--format", "json"], 1),
-    (["--format", "text", "--out", "PATH"], 0),
-    (["--suite", "words", "--format", "json", "--out", "PATH"], 0),
+def _raise_in_depth1(monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(verify, "verify_depth1", broken)
+
+
+@pytest.mark.parametrize("argv, code, fault", [
+    (["--format", "json"], 0, None),
+    (["--corrupt-bernoulli", "4=1/5", "--format", "json"], 1, None),
+    (["--format", "text", "--out", "PATH"], 0, None),
+    (["--suite", "words", "--format", "json", "--out", "PATH"], 0, None),
+    # the fault-injection report of a fault no suite read
+    (["--suite", "routes", "--corrupt-bernoulli", "20=1/5", "--format", "json"], 1, None),
+    (["--suite", "bernoulli", "--suite", "depth1", "--format", "json"], 1, _raise_in_depth1),
 ])
 def test_verify_json_is_streamed_as_json_dumps_writes_it(capsys, monkeypatch, tmp_path,
-                                                        argv, code):
-    # the report is written one report at a time; the text is that of the
+                                                        argv, code, fault):
+    # the report is written one check at a time; the text is that of the
     # whole payload encoded at once
+    if fault is not None:
+        fault(monkeypatch)
     runs = []
     run_all = verify.run_all
     monkeypatch.setattr(verify, "run_all", lambda config: runs.append(run_all(config)) or runs[-1])
@@ -412,6 +424,45 @@ def test_verify_json_is_streamed_as_json_dumps_writes_it(capsys, monkeypatch, tm
         assert written.splitlines()[-1] == "result: all suites pass"
     else:
         assert written == expected
+
+
+def test_report_chunks_match_json_dumps_at_the_edges():
+    from dmzv.report import Check, IdentityReport
+
+    reports = [
+        IdentityReport("empty"),
+        IdentityReport("d\u00e9pth", {"n": [1, 2], "pairs": ((1, 2),)},
+                       [Check.of('quoted "\u00e9" \\ \n'), Check.of("bad", {"k": [1], "x": None}),
+                        Check.of("ok")], 0.25),
+    ]
+    for passed, listed in ((True, []), (False, reports)):
+        payload = {"passed": passed, "reports": [r.to_json_dict() for r in listed]}
+        assert "".join(cli._report_chunks(passed, listed)) == json.dumps(
+            payload, sort_keys=True, indent=2)
+
+
+# sha256 of the reduced JSON reports of verify runs past the caps that
+# bench/references.json records, reduced as bench/ops.py digests them:
+# each report keeps its suite, parameters, checks and verdict
+VERIFY_SHA256 = {
+    "--max-weight 6": "12ef41fe6af222113707a6b2dd59cfb5ede6fb9ac2a34d566024a7b8c29c07ae",
+    "--depth 6 --max-weight 4": "255363e98d45991b519c7a9b068f9fa47921e9a7b0a42d31721ed0c8f298afba",
+}
+
+
+@pytest.mark.parametrize("caps", sorted(VERIFY_SHA256))
+def test_verify_report_matches_its_digest(capsys, caps):
+    import hashlib
+
+    assert main(["verify", *caps.split(), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    reduced = {
+        "passed": payload["passed"],
+        "reports": [{k: r[k] for k in ("suite", "parameters", "checks", "passed")}
+                    for r in payload["reports"]],
+    }
+    digest = hashlib.sha256(json.dumps(reduced, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_SHA256[caps]
 
 
 def test_convert_residuals_zero(capsys):

@@ -3,11 +3,17 @@ import json
 import pickle
 import weakref
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmzv import genfun, shiftcoeffs, verify, words
-from dmzv.bernoulli import BernoulliCache
+from dmzv.bernoulli import BernoulliCache, bernoulli
+from dmzv.multipoly import LaurentPolynomial
+from dmzv.rationals import binomial, format_rational
 from dmzv.report import Check, IdentityReport
 from dmzv.verify import (
     SUITES,
@@ -15,6 +21,7 @@ from dmzv.verify import (
     VerifyConfig,
     reports_pass,
     run_all,
+    verify_bernoulli,
     verify_conversion,
     verify_ems_shuffle,
     verify_inversion,
@@ -203,6 +210,52 @@ def test_shift_coeffs_fails_a_depth4_fault(monkeypatch):
     }
 
 
+def _record(depth, terms):
+    """A record of the given (coef, l, m) terms, built past the checks of
+    its constructor."""
+    polynomial = LaurentPolynomial({(*l, *m): coef for coef, l, m in terms},
+                                   shiftcoeffs.poly_variables(depth))
+    return shiftcoeffs.ShiftedZetaExpression._of(depth, polynomial)
+
+
+@pytest.mark.parametrize("terms, witness", [
+    ([(1, (0, 0), (0, 0)), (2, (0, 1), (1, 0))],
+     {"coef": "2", "l": [0, 1], "m": [1, 0], "reason": "shifts m=(1, 0) do not sum to zero"}),
+    ([(Fraction(1, 2), (1, 0), (0, 0))],
+     {"coef": "1/2", "l": [1, 0], "m": [0, 0],
+      "reason": "non-integer coefficient 1/2 on l=(1, 0), m=(0, 0)"}),
+    ([(1, (0, 0), (0, 0)), (-1, (-1, 1), (0, 0))],
+     {"coef": "-1", "l": [-1, 1], "m": [0, 0],
+      "reason": "negative Pochhammer degree in l=(-1, 1)"}),
+])
+def test_shift_coeffs_fails_a_bad_term(monkeypatch, terms, witness):
+    record = _record(2, terms)
+    expression = verify.shifted_zeta_expression
+    monkeypatch.setattr(verify, "shifted_zeta_expression",
+                        lambda depth: record if depth == 2 else expression(depth))
+    report = verify.verify_shift_coeffs(3)
+    # the other checks read the family through shiftcoeffs, which is whole
+    assert [(check.description, check.witness) for check in report.failures()] == [
+        (f"zero-sum shifts and integer coefficients at depth 2 ({len(terms)} entries)", witness),
+    ]
+
+
+def test_shift_coeffs_checks_each_term_the_packed_test_cannot_settle(monkeypatch):
+    # exponents up to 127 fill 8-bit fields, and 3 * 127 is past the
+    # residue's modulus 255, so the row reads the terms one by one
+    good = [(1, (127, 0, 0), (127, -127, 0))]
+    bad = good + [(1, (0, 0, 0), (1, 1, 0))]
+    assert not shiftcoeffs._packed_terms_pass(3, _record(3, good).polynomial)
+    expression = verify.shifted_zeta_expression
+    for terms, failures in ((good, []), (bad, ["zero-sum shifts and integer coefficients "
+                                                "at depth 3 (2 entries)"])):
+        record = _record(3, terms)
+        monkeypatch.setattr(verify, "shifted_zeta_expression",
+                            lambda depth: record if depth == 3 else expression(depth))
+        report = verify.verify_shift_coeffs(3)
+        assert [check.description for check in report.failures()] == failures
+
+
 def test_words_can_fail(monkeypatch):
     product_letters = words._product_letters
 
@@ -266,8 +319,6 @@ def test_fault_injection_every_single_index():
 
 
 def test_default_cache_survives_fault_injection():
-    from dmzv.bernoulli import bernoulli
-
     run_all(VerifyConfig(suites=["bernoulli"], corrupt_bernoulli=((4, Fraction(1, 5)),)))
     assert bernoulli(4) == Fraction(-1, 30)
     assert reports_pass(run_all(VerifyConfig(suites=["bernoulli"])))
@@ -365,6 +416,25 @@ def test_run_all_suite_arguments(case, monkeypatch):
     assert received == {**_DEFAULT_ARGUMENTS, **changed}
 
 
+@pytest.mark.parametrize("caps", [
+    {"depth": 2.5},
+    {"depth": 2.0},
+    {"max_weight": 2.5},
+    {"truncation": 1.5},
+    {"depth": "2"},
+    {"max_weight": Fraction(2)},
+])
+def test_config_refuses_a_non_integral_cap(caps):
+    with pytest.raises(TypeError):
+        VerifyConfig(**caps)
+
+
+def test_config_keeps_integral_caps_and_none():
+    assert VerifyConfig(depth=None, max_weight=None, truncation=None) == VerifyConfig()
+    config = VerifyConfig(depth=2, max_weight=0, truncation=14)
+    assert (config.depth, config.max_weight, config.truncation) == (2, 0, 14)
+
+
 def test_config_holds_only_what_a_caller_sets():
     assert VerifyConfig.__slots__ == (
         "suites", "depth", "max_weight", "truncation", "corrupt_bernoulli"
@@ -419,3 +489,106 @@ def test_suite_names_are_stable():
         "shift-coeffs",
         "words",
     )
+
+
+# Each value identity's expanded side is summed on integer pairs; here it
+# is summed one Fraction at a time, from values read off default and
+# corrupted Bernoulli tables.
+CORRUPTED_AT = (None, 4, 6, 13)
+
+
+@lru_cache(maxsize=None)
+def _store(corrupt_at):
+    cache = BernoulliCache()
+    if corrupt_at is not None:
+        cache.corrupt(corrupt_at, Fraction(1, 5))
+    return ValueStore(cache)
+
+
+def _entries(max_depth, max_weight=3):
+    return st.lists(st.integers(0, max_weight), min_size=1, max_size=max_depth).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CORRUPTED_AT), st.sampled_from(["fkmt", "ems"]), _entries(2), _entries(2))
+def test_shuffle_expansion_is_the_fraction_sum(corrupt_at, family, k, l):
+    value = getattr(_store(corrupt_at), family)
+    expected = sum((coeff * value(at) for coeff, at in verify._shuffle_terms(k, l)), Fraction(0))
+    assert verify._shuffle_expansion(value, k, l) == expected
+
+
+def _recurrence_sum(fkmt, k):
+    rest = k[1:]
+    total = Fraction(0)
+    for splits in product(*(range(x + 1) for x in rest)):
+        coeff = 1
+        for ka, ia in zip(rest, splits):
+            coeff *= binomial(ka, ia)
+        total += coeff * fkmt(splits) * fkmt((k[0] + sum(rest) - sum(splits),))
+    return total
+
+
+def _last_entry_sum(fkmt, k):
+    return sum((binomial(k[-1], i) * fkmt(k[:-2] + (k[-2] + i,)) * fkmt((k[-1] - i,))
+                for i in range(k[-1] + 1)), Fraction(0))
+
+
+def _inversion_sum(fkmt, k, l):
+    return sum(((-1) ** i * binomial(l, i) * fkmt(k[:-1] + (k[-1] + i, l - i))
+                for i in range(l + 1)), Fraction(0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CORRUPTED_AT), st.sampled_from(["recurrence", "last-entry", "inversion"]),
+       st.integers(2, 3), st.integers(0, 3))
+def test_value_identity_right_sides_are_the_fraction_sums(corrupt_at, suite, depth, weight):
+    store = _store(corrupt_at)
+    seen = []
+
+    def recorded(description, lhs, rhs, index_info):
+        seen.append((index_info, rhs))
+        return value_check(description, lhs, rhs, index_info)
+
+    value_check = verify._value_check
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_value_check", recorded)
+        if suite == "recurrence":
+            verify_recurrence((depth,), (weight,), store)
+        elif suite == "last-entry":
+            verify_last_entry((depth,), weight, store)
+        else:
+            verify_inversion((depth,), (weight,), store)
+    assert seen
+    for index_info, rhs in seen:
+        k = tuple(index_info["k"])
+        if suite == "recurrence":
+            expected = _recurrence_sum(store.fkmt, k)
+        elif suite == "last-entry":
+            expected = _last_entry_sum(store.fkmt, k)
+        else:
+            expected = _inversion_sum(store.fkmt, k, index_info["l"])
+        assert rhs == expected, index_info
+
+
+# the benchmark's corrupted values (CORRUPTIONS in bench/ops.py)
+BENCH_CORRUPTIONS = (
+    "1/2", "1/3", "2/3", "1/4", "3/4", "1/5", "2/5", "3/5",
+    "4/5", "1/6", "5/6", "1/7", "2/7", "3/7", "4/7", "5/7",
+)
+
+
+@pytest.mark.parametrize("value", BENCH_CORRUPTIONS)
+def test_bernoulli_witnesses_are_those_of_the_fraction_sum(value):
+    cache = BernoulliCache()
+    cache.corrupt(4, Fraction(value))
+    report = verify_bernoulli(40, cache)
+    assert cache.unread_corruptions() == []
+    expected = []
+    for m in range(1, 41):
+        acc = sum((binomial(m + 1, j) * bernoulli(j, cache) for j in range(m + 1)), Fraction(0))
+        if acc:
+            expected.append({"m": m, "lhs": format_rational(acc), "rhs": "0"})
+    witnesses = [check.witness for check in report.failures()
+                 if check.description.startswith("convolution")]
+    assert witnesses == expected
+    assert witnesses[0]["m"] == 4
