@@ -5,15 +5,19 @@
 # the classical zeta values at non-positive integers. Everything below is
 # an exact Fraction: no rounding anywhere.
 
-from dmzv import bernoulli, ems_value, ems_value_series, fkmt_value, fkmt_value_series
+from dmzv import bernoulli, ems_value, fkmt_value, value_table
+
+# the series route reads a whole table off one generating function
+fkmt_table = value_table("fkmt", 1, 10)
+ems_table = value_table("ems", 1, 10)
 
 print("k   fkmt (multi-sum)   fkmt (series)   ems (multi-sum)   ems (series)")
 for k in range(11):
     row = (
         fkmt_value((k,)),
-        fkmt_value_series((k,)),
+        fkmt_table.value((k,)),
         ems_value((k,)),
-        ems_value_series((k,)),
+        ems_table.value((k,)),
     )
     print(f"{k:<3} " + "   ".join(str(v).rjust(14) for v in row))
 

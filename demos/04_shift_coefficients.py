@@ -6,14 +6,14 @@
 # shifted classical zeta functions. Depth 1 reproduces the familiar
 # (1 - s) zeta(s).
 
-from dmzv import coefficient_polynomial, shift_coefficients, shifted_zeta_expression
+from dmzv import coefficient_polynomial, shifted_zeta_expression
 from dmzv.shiftcoeffs import rendered_text
 
 print("the defining product, expanded at depth 2:")
 print(" ", coefficient_polynomial(2))
 
 print("\ncoefficient family at depth 2:")
-for (l, m), value in shift_coefficients(2).items():
+for value, l, m in shifted_zeta_expression(2):
     print(f"  l={l}  m={m}  ->  {value}")
 
 for depth in (1, 2, 3):

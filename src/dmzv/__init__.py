@@ -29,24 +29,15 @@ _SOURCES = {
         "ems_series",
         "ems_series_from_fkmt",
         "ems_value",
-        "ems_value_series",
         "fkmt_factor",
         "fkmt_series",
         "fkmt_value",
-        "fkmt_value_series",
         "series_value_table",
         "value_table",
     ),
     "multipoly": ("LaurentPolynomial",),
     "multiseries": ("MultiSeries", "substitute_linear_form", "substitute_linear_forms"),
-    "rationals": (
-        "Rational",
-        "binomial",
-        "format_rational",
-        "multinomial",
-        "parse_rational",
-        "pochhammer",
-    ),
+    "rationals": ("binomial", "format_rational", "multinomial", "parse_rational", "pochhammer"),
     "report": ("Check", "IdentityReport"),
     "series": (
         "UniSeries",
@@ -59,7 +50,6 @@ _SOURCES = {
     "shiftcoeffs": (
         "ShiftedZetaExpression",
         "coefficient_polynomial",
-        "shift_coefficients",
         "shifted_zeta_expression",
     ),
     "verify": ("SUITES", "ValueStore", "VerifyConfig", "reports_pass", "run_all"),

@@ -14,7 +14,6 @@ from :mod:`dmzv.names`, which loads neither.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -44,8 +43,9 @@ MAX_TABLE_ENTRIES = 50_000
 MAX_TABLE_SPAN = 500
 # Bound on ``convert --max-weight``, checked before any arithmetic.  The
 # Bernoulli table fill and the residual sums grow with about the cube of
-# the weight: 0.7 s at 500, 3.5 s at 800 and 46 s at 1600 (Python 3.11, a
-# shared 2-vCPU host).
+# the weight.  In a fresh process (median of 5, Python 3.11.7, a shared
+# 2-vCPU x86-64 host) it takes 0.64 s at 500; the table alone takes 3.2 s
+# at 800 and 42 s at 1600 (one run).
 MAX_CONVERT_WEIGHT = 500
 # Bound on ``gr-coeffs --depth``, checked before any arithmetic.  In a
 # fresh process (median of 5, Python 3.11.7, a shared 2-vCPU x86-64 host),
@@ -57,12 +57,12 @@ MAX_CONVERT_WEIGHT = 500
 MAX_GR_DEPTH = 7
 # Bounds on ``verify``'s caps, checked before any arithmetic.  In a fresh
 # process (median of 5, Python 3.11.7, a shared 2-vCPU x86-64 host), a
-# whole ``verify`` run takes 0.29 s at ``--depth 6`` (past depth 3 it only
-# deepens the shift-coeffs expansion, which grows about eightfold per
-# depth), 0.22 s at ``--max-weight 8`` (0.32 s at 10; it sets the routes
-# and last-entry boxes), 1.1 s at ``--truncation 14`` (2.2 s at 16; it sets
-# the conversion series cap and the character order), and 1.4 s with all
-# three at their limits.
+# whole ``verify`` run takes 0.12 s at the default caps, 0.26 s at
+# ``--depth 6`` (past depth 3 it only deepens the shift-coeffs expansion,
+# which grows about eightfold per depth), 0.18 s at ``--max-weight 8``
+# (0.26 s at 10; it sets the routes and last-entry boxes), 1.04 s at
+# ``--truncation 14`` (2.1 s at 16; it sets the conversion series cap and
+# the character order), and 1.25 s with all three at their limits.
 MAX_VERIFY_DEPTH = 6
 MAX_VERIFY_WEIGHT = 8
 MAX_VERIFY_TRUNCATION = 14
@@ -232,15 +232,6 @@ def _write_json(payload, out_path: Optional[str]) -> None:
     _write_joined("", _json_chunks(payload), "", "\n", out_path)
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -259,17 +250,14 @@ def _cmd_values(args) -> int:
     if args.format == "json":
         _write_json(table.to_json_dict(), args.out)
         return EXIT_OK
+    rows = table.to_csv_rows()
     if args.format == "csv":
-        text = _csv_text(table.to_csv_rows())
-    else:
-        rows = table.to_csv_rows()
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        lines = [
-            "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-            for row in rows
-        ]
-        text = "\n".join(lines)
-    _write_output(text, args.out)
+        # every cell is an integer, a p/q rational or a header: none needs quoting
+        _write_joined("", map(",".join, rows), "\n", "\n", args.out)
+        return EXIT_OK
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in rows]
+    _write_output("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -410,18 +398,18 @@ def _cmd_convert(args) -> int:
         _write_json({"max_weight": args.max_weight, "rows": rows}, args.out)
         return EXIT_OK
     if args.format == "csv":
+        # every cell is an integer, a p/q rational or a header: none needs quoting
         header = ["k", "fkmt", "ems", "ems_from_fkmt_residual", "fkmt_from_ems_residual"]
-        table = [header] + [[str(row[h]) for h in header] for row in rows]
-        text = _csv_text(table)
-    else:
-        lines = ["k  fkmt  ems  residuals"]
-        for row in rows:
-            lines.append(
-                f"{row['k']}  {row['fkmt']}  {row['ems']}  "
-                f"({row['ems_from_fkmt_residual']}, {row['fkmt_from_ems_residual']})"
-            )
-        text = "\n".join(lines)
-    _write_output(text, args.out)
+        lines = (",".join(str(row[h]) for h in header) for row in rows)
+        _write_joined(",".join(header) + "\n", lines, "\n", "\n", args.out)
+        return EXIT_OK
+    lines = ["k  fkmt  ems  residuals"]
+    for row in rows:
+        lines.append(
+            f"{row['k']}  {row['fkmt']}  {row['ems']}  "
+            f"({row['ems_from_fkmt_residual']}, {row['fkmt_from_ems_residual']})"
+        )
+    _write_output("\n".join(lines), args.out)
     return EXIT_OK
 
 

@@ -50,8 +50,6 @@ __all__ = [
     "fkmt_series",
     "ems_series",
     "ems_series_from_fkmt",
-    "fkmt_value_series",
-    "ems_value_series",
     "fkmt_value",
     "ems_value",
     "conversion_table",
@@ -70,7 +68,7 @@ __all__ = [
 # accepted caps.  The generating functions it compares, and those of value
 # tables, are each read once, so they are built uncached (by
 # ``_product_series``); the cached ``fkmt_series`` and ``ems_series`` serve
-# repeated lookups such as ``fkmt_value_series``.
+# a caller that reads one generating function repeatedly.
 SERIES_CACHE_SIZE = 32
 
 
@@ -162,52 +160,28 @@ RowWeight = Callable[[int, BernoulliCache | None], Fraction]
 class Family(NamedTuple):
     """Everything that tells one value family from the other.
 
-    ``factor(order)`` is the depth-1 factor of the generating function and
-    ``series`` the cached generating function built from it.  Row ``n`` of
-    the multi-sum is weighted by ``row_weight(n, cache)``, which is also
-    (-1)^n times the depth-1 value at -n.  ``label`` names the family in
-    check descriptions.
+    ``factor(order)`` is the depth-1 factor of the generating function.
+    Row ``n`` of the multi-sum is weighted by ``row_weight(n, cache)``,
+    which is also (-1)^n times the depth-1 value at -n.  ``label`` names
+    the family in check descriptions.
     """
 
     name: str
     label: str
     factor: Callable[[int], UniSeries]
-    series: Callable[[int, int], MultiSeries]
     row_weight: RowWeight
 
 
-# ``series`` calls the module-level entry point by name, so a wrapper
-# installed on it (a profiler's, or the benchmark's layer tracer) also
-# sees the calls made through the record.
-FKMT = Family(
-    "FKMT",
-    "desingularized",
-    fkmt_factor,
-    lambda depth, cap: fkmt_series(depth, cap),
-    lambda n, cache: bernoulli(n + 1, cache),
-)
+FKMT = Family("FKMT", "desingularized", fkmt_factor, lambda n, cache: bernoulli(n + 1, cache))
 EMS = Family(
-    "EMS",
-    "renormalized",
-    ems_factor,
-    lambda depth, cap: ems_series(depth, cap),
-    lambda n, cache: bernoulli(n + 1, cache) / (n + 1),
+    "EMS", "renormalized", ems_factor, lambda n, cache: bernoulli(n + 1, cache) / (n + 1)
 )
 FAMILIES = {family.name: family for family in (FKMT, EMS)}
 
 
 # ---------------------------------------------------------------------------
-# values: series-extraction route
+# values: Bernoulli multi-sum route
 # ---------------------------------------------------------------------------
-
-def _coefficient_to_value(n: int, den: int, k: Sequence[int]) -> Fraction:
-    # the coefficient n / den of t^k times (-1)^|k| k!
-    sign = -1 if sum(k) % 2 else 1
-    fact = 1
-    for x in k:
-        fact *= factorial(x)
-    return Fraction(sign * fact * n, den)
-
 
 def _checked_index(k: Sequence[int]) -> tuple[int, ...]:
     k = tuple(map(index, k))
@@ -217,26 +191,6 @@ def _checked_index(k: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"multi-index entries must be >= 0, got {k}")
     return k
 
-
-def _value_series(family: Family, k: Sequence[int]) -> Fraction:
-    k = _checked_index(k)
-    coeff = family.series(len(k), max(k)).coefficient(k)
-    return _coefficient_to_value(coeff.numerator, coeff.denominator, k)
-
-
-def fkmt_value_series(k: Sequence[int]) -> Fraction:
-    """Desingularized value at -k, read off the generating function."""
-    return _value_series(FKMT, k)
-
-
-def ems_value_series(k: Sequence[int]) -> Fraction:
-    """Renormalized value at -k, read off the generating function."""
-    return _value_series(EMS, k)
-
-
-# ---------------------------------------------------------------------------
-# values: Bernoulli multi-sum route
-# ---------------------------------------------------------------------------
 
 def _compositions(total: int, parts: int):
     # all ordered tuples of `parts` non-negative integers summing to `total`,
@@ -410,6 +364,15 @@ class ValueTable(Record):
         for k, v in sorted(self.entries.items()):
             rows.append([str(x) for x in k] + [format_rational(v)])
         return rows
+
+
+def _coefficient_to_value(n: int, den: int, k: Sequence[int]) -> Fraction:
+    # the coefficient n / den of t^k times (-1)^|k| k!
+    sign = -1 if sum(k) % 2 else 1
+    fact = 1
+    for x in k:
+        fact *= factorial(x)
+    return Fraction(sign * fact * n, den)
 
 
 def index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:

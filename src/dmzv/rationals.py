@@ -25,12 +25,10 @@ from math import comb, gcd, lcm
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 K = TypeVar("K")
 
 __all__ = [
-    "Rational",
     "accumulate",
     "exact_sum",
     "json_integer",

@@ -119,11 +119,6 @@ class UniSeries(Terms):
         """Substitute u -> -u."""
         return self._like({d: -n if d % 2 else n for d, n in self._nums.items()}, self._den)
 
-    def derivative(self) -> "UniSeries":
-        """Termwise d/du; loses one representable order at the top."""
-        nums = {d - 1: d * n for d, n in self._nums.items() if d != 0}
-        return self._like(nums, self._den, self.order - 1)
-
     def __repr__(self) -> str:
         terms = ", ".join(f"{d}: {c}" for d, c in sorted(self.coeffs.items()))
         return f"UniSeries({{{terms}}}, order={self.order})"

@@ -19,9 +19,7 @@ polynomial in sorted (l, m) order, unpacking one at a time.
 :func:`shifted_zeta_terms` expands and checks a fresh record, from which
 ``gr-coeffs`` writes all its formats; :func:`shifted_zeta_expression` is
 the same call, cached, and every check reads its records, the merge
-substitution their polynomials.  :func:`shift_coefficients` is an
-uncached (l, m) -> coefficient lookup built from a record for the checks
-that read coefficients at arbitrary indices.
+substitution their polynomials.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .report import Check, FrozenRecord
 
 __all__ = [
     "coefficient_polynomial",
-    "shift_coefficients",
     "check_trailing_shift",
     "check_contraction",
     "check_merge_substitution",
@@ -73,13 +70,6 @@ def coefficient_polynomial(depth: int) -> LaurentPolynomial:
             bracket = bracket - LaurentPolynomial.monomial(variables, {f"v{j-1}": -1})
         poly = poly * (one - inner * bracket)
     return poly
-
-
-def shift_coefficients(depth: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """The coefficient family as a lookup (l, m) -> nonzero integer
-    coefficient, built from :func:`shifted_zeta_expression` on each call;
-    unlisted pairs are zero."""
-    return {(l, m): coef for coef, l, m in shifted_zeta_expression(depth)}
 
 
 def check_trailing_shift(depth: int) -> list[Check]:
@@ -118,8 +108,9 @@ def check_contraction(depth: int) -> list[Check]:
     """
     if depth < 2:
         raise ValueError(f"contraction check needs depth >= 2, got {depth}")
-    cur = shift_coefficients(depth)
-    prev = shift_coefficients(depth - 1)
+    # each record as an (l, m) -> coefficient lookup
+    cur = {(l, m): coef for coef, l, m in shifted_zeta_expression(depth)}
+    prev = {(l, m): coef for coef, l, m in shifted_zeta_expression(depth - 1)}
 
     # the componentwise maximum of l over the support, plus one
     l_bounds = [max(column) + 1 for column in zip(*(l for l, _ in cur))]
@@ -166,15 +157,29 @@ def check_merge_substitution(depth: int) -> list[Check]:
     u_r power the substitution introduces, and compared monomial by
     monomial as exact Laurent polynomials.  Both polynomials are those of
     the records :func:`shifted_zeta_expression` gives, so a fault in the
-    family at either depth breaks the identity.
+    family at either depth breaks the identity.  A term with a negative
+    last shift has a negative power of v_r, which cannot be substituted
+    into; the check then fails with that term as its witness.
     """
     if depth < 2:
         raise ValueError(f"merge substitution check needs depth >= 2, got {depth}")
     variables = poly_variables(depth) + ("z",)
     mono = partial(LaurentPolynomial.monomial, variables)
     prev_u, last_u, prev_v = f"u{depth-1}", f"u{depth}", f"v{depth-1}"
-    cur = shifted_zeta_expression(depth).polynomial.with_variables(variables)
-    lhs = cur.substitute(f"v{depth}", mono({prev_v: 1}) + mono({prev_v: 1, last_u: -1, "z": 1}))
+    expression = shifted_zeta_expression(depth)
+    cur = expression.polynomial.with_variables(variables)
+    try:
+        lhs = cur.substitute(
+            f"v{depth}", mono({prev_v: 1}) + mono({prev_v: 1, last_u: -1, "z": 1})
+        )
+    except ValueError:
+        bad = next(((coef, l, m) for coef, l, m in expression if m[-1] < 0), None)
+        if bad is None:
+            raise
+        coef, l, m = bad
+        witness = {"negative_last_shift": {"l": list(l), "m": list(m), "coefficient": coef}}
+        desc = f"merge substitution identity at depth {depth} (negative power of v{depth})"
+        return [Check.of(desc, witness)]
     prev = shifted_zeta_expression(depth - 1).polynomial.with_variables(variables)
     merged_arg = mono({prev_u: 1}) + mono({last_u: 1}) + mono({"z": 1})
     rhs = (mono({}) + mono({"z": 1})) * prev.substitute(prev_u, merged_arg)

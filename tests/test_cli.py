@@ -127,6 +127,37 @@ def test_gr_coeffs_schema_round_trip(tmp_path):
         assert (tmp_path / "coeffs.csv").read_text() == rows.getvalue()
 
 
+def csv_module_text(rows):
+    """The rows as the stdlib's csv writer writes them, one line each."""
+    import csv
+    import io
+
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("family", ["fkmt", "ems"])
+@pytest.mark.parametrize("depth, max_weight", [(1, 30), (2, 10), (3, 5), (4, 4)])
+def test_values_csv_is_what_the_csv_module_writes(capsys, family, depth, max_weight):
+    # every cell is an integer, a p/q rational or a header, so joining the
+    # cells with commas quotes nothing the csv module would quote
+    assert main(["values", "--family", family, "--depth", str(depth),
+                 "--max-weight", str(max_weight), "--format", "csv"]) == 0
+    table = genfun.value_table(family, depth, max_weight)
+    assert capsys.readouterr().out == csv_module_text(table.to_csv_rows())
+
+
+def test_convert_csv_is_what_the_csv_module_writes(capsys):
+    from dmzv.rationals import format_rational
+
+    assert main(["convert", "--max-weight", "200", "--format", "csv"]) == 0
+    rows = [["k", "fkmt", "ems", "ems_from_fkmt_residual", "fkmt_from_ems_residual"]]
+    rows += [[str(k), *map(format_rational, row)]
+             for k, row in enumerate(genfun.conversion_table(200))]
+    assert capsys.readouterr().out == csv_module_text(rows)
+
+
 DEPTH2_TEXT = """\
 depth 2: 7 nonzero coefficients
   l=[0, 0]  m=[0, 0]  coef=1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmzv.genfun import ValueTable, ems_value, fkmt_value, fkmt_value_series
+from dmzv.genfun import ValueTable, ems_value, fkmt_series, fkmt_value
 from dmzv.multipoly import LaurentPolynomial
 from dmzv.multiseries import MultiSeries, substitute_linear_form, substitute_linear_forms
 from dmzv.rationals import (
@@ -170,7 +170,7 @@ REFUSED = {
     "WordSum scale": lambda: WordSum.of(Word.parse("y")).scale(0.5),
     "fkmt_value entry": lambda: fkmt_value((1.5, 2)),
     "ems_value entry": lambda: ems_value((2.9,)),
-    "fkmt_value_series entry": lambda: fkmt_value_series((1.5,)),
+    "fkmt_series coefficient read": lambda: fkmt_series(1, 2).coefficient((1.5,)),
     "substitute_linear_form weight": lambda: substitute_linear_form(UniSeries({1: 1}, 2),
                                                                     (1.5, 1), 1),
     "substitute_linear_forms weight": lambda: substitute_linear_forms(

@@ -15,9 +15,13 @@ from dmzv.shiftcoeffs import (
     check_trailing_shift,
     coefficient_polynomial,
     rendered_text,
-    shift_coefficients,
     shifted_zeta_expression,
 )
+
+
+def coefficient_lookup(depth):
+    """The family of one depth as (l, m) -> coefficient, read off its record."""
+    return {(l, m): coef for coef, l, m in shifted_zeta_expression(depth)}
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +81,16 @@ def test_depth1_polynomial():
         variables, {"u1": 1}
     )
     assert coefficient_polynomial(1) == expected
-    assert shift_coefficients(1) == {((0,), (0,)): 1, ((1,), (0,)): -1}
+    assert coefficient_lookup(1) == {((0,), (0,)): 1, ((1,), (0,)): -1}
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_expansion_matches_brute_force(depth):
-    assert shift_coefficients(depth) == family_from_brute_force(depth)
+    assert coefficient_lookup(depth) == family_from_brute_force(depth)
 
 
 def test_depth2_specific_entries():
-    coeffs = shift_coefficients(2)
+    coeffs = coefficient_lookup(2)
     assert coeffs[((0, 1), (0, 0))] == -1
     assert coeffs[((0, 0), (0, 0))] == 1
     oracle = family_from_brute_force(2)
@@ -95,7 +99,7 @@ def test_depth2_specific_entries():
 
 def test_depth2_vanishing_pattern():
     # entries with last shift outside {l2 - 1, l2} are absent
-    coeffs = shift_coefficients(2)
+    coeffs = coefficient_lookup(2)
     for (l, m) in coeffs:
         assert m[-1] in (l[-1] - 1, l[-1])
         assert m[-1] >= 0
@@ -116,8 +120,8 @@ def test_contraction_identity(depth):
 def test_contraction_specific_entries_depth2():
     from dmzv.rationals import binomial
 
-    cur = shift_coefficients(2)
-    prev = shift_coefficients(1)
+    cur = coefficient_lookup(2)
+    prev = coefficient_lookup(1)
     for l in ((0, 0), (1, 1)):
         lr = l[-1]
         m = (0,)
@@ -170,7 +174,7 @@ def test_expression_round_trip_and_bijection():
     expr = shifted_zeta_expression(2)
     data = expr.to_json_dict()
     assert ShiftedZetaExpression.from_json_dict(data) == expr
-    assert len(expr.terms) == len(shift_coefficients(2))
+    assert len(expr.terms) == len(coefficient_lookup(2))
     blob = json.dumps(data, sort_keys=True)
     assert json.dumps(json.loads(blob), sort_keys=True) == blob
 
@@ -216,7 +220,7 @@ def test_expression_refuses_a_non_integer_depth(depth):
 
 def test_zero_sum_constraint_enforced():
     for depth in (1, 2, 3, 4):
-        for (_, m) in shift_coefficients(depth):
+        for (_, m) in coefficient_lookup(depth):
             assert sum(m) == 0
 
 
@@ -225,7 +229,7 @@ def test_expression_terms_are_sorted_and_the_lookup_matches(depth):
     terms = shifted_zeta_expression(depth).terms
     keys = [(l, m) for _, l, m in terms]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    lookup = shift_coefficients(depth)
+    lookup = coefficient_lookup(depth)
     assert lookup == {(l, m): coef for coef, l, m in terms}
     assert len(lookup) == len(terms)
 

@@ -15,6 +15,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Span targets the tracer still names but the package no longer has; a
+# traced run reports each as missing and times nothing under it.  Every
+# other target must be found.
+STALE_SPANS = {
+    # a series class that was folded into UniSeries
+    "series.LaurentSeries.__mul__",
+    # the series-route value lookups, retired: the value tables are spanned
+    # through series_value_table, and the tests read single values off
+    # fkmt_series and ems_series
+    "genfun.fkmt_value_series",
+    "genfun.ems_value_series",
+    # the dict form of the coefficient family, retired: the checks read
+    # the records of shifted_zeta_expression, which is spanned
+    "shiftcoeffs.shift_coefficients",
+}
+
 
 def traced(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -24,9 +40,9 @@ def traced(*argv):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    # every spanned name is still in the package; the one known stale row
-    # names a series class that was folded into UniSeries
-    assert set(result["missing"]) <= {"series.LaurentSeries.__mul__"}
+    # every spanned name but the known stale ones is still in the package,
+    # and each stale one is still gone
+    assert set(result["missing"]) == STALE_SPANS
     return result
 
 
@@ -50,7 +66,7 @@ def test_traced_shift_coeffs_finds_the_polynomial_spans():
     result = traced("verify", "--suite", "shift-coeffs", "--format", "json")
     assert result["exit"] == 0
     assert [name for name in result["missing"]
-            if name.startswith(("multipoly", "shiftcoeffs"))] == []
+            if name.startswith(("multipoly", "shiftcoeffs")) and name not in STALE_SPANS] == []
     assert result["calls"]["multipoly.mul"] >= 1
     assert result["calls"]["multipoly.substitute"] >= 1
 
@@ -62,7 +78,7 @@ def test_traced_gr_coeffs_sees_the_expansion():
     result = traced("gr-coeffs", "--depth", "4", "--format", "json")
     assert result["exit"] == 0
     assert [name for name in result["missing"]
-            if name.startswith(("multipoly", "shiftcoeffs"))] == []
+            if name.startswith(("multipoly", "shiftcoeffs")) and name not in STALE_SPANS] == []
     assert result["calls"]["multipoly.mul"] >= 1
     assert result["counts"]["shiftcoeffs.terms"] == 236
 

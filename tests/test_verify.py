@@ -15,6 +15,7 @@ from dmzv.bernoulli import BernoulliCache, bernoulli
 from dmzv.multipoly import LaurentPolynomial
 from dmzv.rationals import binomial, format_rational
 from dmzv.report import Check, IdentityReport
+from dmzv.series import UniSeries
 from dmzv.verify import (
     SUITES,
     ValueStore,
@@ -254,6 +255,70 @@ def test_shift_coeffs_checks_each_term_the_packed_test_cannot_settle(monkeypatch
                             lambda depth: record if depth == 3 else expression(depth))
         report = verify.verify_shift_coeffs(3)
         assert [check.description for check in report.failures()] == failures
+
+
+def _extra_depth2_term(monkeypatch, term):
+    """Serve the shift-coeffs checks a depth-2 record with one more term,
+    one that the record's constructor accepts."""
+    expression = shiftcoeffs.shifted_zeta_expression
+
+    def with_term(depth):
+        record = expression(depth)
+        if depth != 2:
+            return record
+        return shiftcoeffs.ShiftedZetaExpression(2, (*record.terms, term))
+
+    monkeypatch.setattr(shiftcoeffs, "shifted_zeta_expression", with_term)
+
+
+def test_merge_substitution_fails_on_a_negative_last_shift(monkeypatch):
+    # v2**-3 cannot be substituted into: the merge check fails with the
+    # term as its witness, and the suite's other checks still run
+    _extra_depth2_term(monkeypatch, (1, (0, 0), (3, -3)))
+    [check] = shiftcoeffs.check_merge_substitution(2)
+    assert check.description == "merge substitution identity at depth 2 (negative power of v2)"
+    assert check.witness == {"negative_last_shift": {"l": [0, 0], "m": [3, -3], "coefficient": 1}}
+    failures = _failed_checks("shift-coeffs")
+    assert [check.description.split(" (")[0] for check in failures] == [
+        "trailing-shift vanishing at depth 2",
+        "contraction identity at depth 3",
+        "merge substitution identity at depth 2",
+        "merge substitution identity at depth 3",
+    ]
+    assert failures[0].witness == {"violations": [{"l": [0, 0], "m": [3, -3], "coefficient": 1}]}
+
+
+# Check templates that no other injected fault fails, each with a fault in
+# its own input
+def test_constant_term_can_fail(monkeypatch):
+    factor = verify.fkmt_factor
+    monkeypatch.setattr(verify, "fkmt_factor",
+                        lambda order: factor(order) + UniSeries({0: Fraction(1, 7)}, order))
+    failures = _failed_checks("telescope")
+    assert [check.witness for check in failures
+            if check.description.startswith("constant term")] == [
+        {"depth": 2, "lhs": "25/196", "rhs": "1/4"},
+        {"depth": 3, "lhs": "-125/2744", "rhs": "-1/8"},
+    ]
+
+
+def test_series_conversion_can_fail(monkeypatch):
+    prefactor = genfun.ems_prefactor
+    monkeypatch.setattr(genfun, "ems_prefactor",
+                        lambda order: prefactor(order) + UniSeries({2: Fraction(1, 7)}, order))
+    failures = _failed_checks("conversion")
+    assert [check.description for check in failures] == [
+        f"series conversion at depth {depth}, cap 5" for depth in (1, 2, 3)
+    ]
+
+
+def test_trailing_shift_can_fail(monkeypatch):
+    _extra_depth2_term(monkeypatch, (1, (0, 0), (-3, 3)))
+    failures = _failed_checks("shift-coeffs")
+    assert (failures[0].description, failures[0].witness) == (
+        "trailing-shift vanishing at depth 2 (8 entries)",
+        {"violations": [{"l": [0, 0], "m": [-3, 3], "coefficient": 1}]},
+    )
 
 
 def test_words_can_fail(monkeypatch):

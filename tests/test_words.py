@@ -17,6 +17,11 @@ from dmzv.words import (
 )
 
 
+def derivative(s):
+    """Termwise d/du of a series; loses one representable order at the top."""
+    return UniSeries({d - 1: d * c for d, c in s.coeffs.items()}, s.order - 1)
+
+
 def operator_character(w, order):
     """The character by its definition, on Fraction series: starting from
     the kernel for the last y, read the word right to left, multiplying by
@@ -34,7 +39,7 @@ def operator_character(w, order):
     kernel = exp_over_one_minus_exp(order + len(letters) + 1)
     out = kernel
     for letter in reversed(letters[:-1]):
-        out = out.derivative() if letter == "d" else kernel * out
+        out = derivative(out) if letter == "d" else kernel * out
     return out.truncate(order)
 
 
@@ -121,7 +126,7 @@ def test_character_yy_is_kernel_squared():
 
 def test_character_dy_is_kernel_derivative():
     x = exp_over_one_minus_exp(12)
-    expected = x.derivative().truncate(10)
+    expected = derivative(x).truncate(10)
     assert character(Word.parse("dy"), 10) == expected
     # leading terms: z^{-2} - 1/12 + ...
     got = character(Word.parse("dy"), 6)
