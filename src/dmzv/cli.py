@@ -44,13 +44,13 @@ MAX_TABLE_SPAN = 500
 # Bound on ``convert --max-weight``, checked before any arithmetic.  The
 # Bernoulli table fill and the residual sums grow with about the cube of
 # the weight.  In a fresh process (median of 5, Python 3.11.7, a shared
-# 2-vCPU x86-64 host) it takes 0.64 s at 500; the table alone takes 3.2 s
-# at 800 and 42 s at 1600 (one run).
+# 2-vCPU x86-64 host) it takes 0.20 s at 500; the table alone takes
+# 0.84 s at 800 (median of 3) and 11.6 s at 1600 (one run).
 MAX_CONVERT_WEIGHT = 500
 # Bound on ``gr-coeffs --depth``, checked before any arithmetic.  In a
 # fresh process (median of 5, Python 3.11.7, a shared 2-vCPU x86-64 host),
-# ``--format json`` takes 0.07 s and peaks at 17.4 MiB RSS at depth 6, and
-# 0.21 s and 26.2 MiB at depth 7; ``--format text`` takes 0.59 s at depth 7
+# ``--format json`` takes 0.06 s and peaks at 17.4 MiB RSS at depth 6, and
+# 0.19 s and 26.2 MiB at depth 7; ``--format text`` takes 0.54 s at depth 7
 # in the same 26.2 MiB.
 # The family grows about sevenfold per depth (10,992 terms at depth 6,
 # 79,474 at depth 7), and its expansion's time and memory with it.
@@ -67,7 +67,9 @@ MAX_VERIFY_DEPTH = 6
 MAX_VERIFY_WEIGHT = 8
 MAX_VERIFY_TRUNCATION = 14
 # Bound on the index M of ``verify --corrupt-bernoulli M=P/Q``: the
-# Bernoulli table is filled up to B_M first, 0.25 s at 500 (0.13 s at 400).
+# Bernoulli table is filled up to B_M first.  In a fresh process (median
+# of 5), ``verify --suite bernoulli`` with M = 500 takes 0.08 s (0.06 s
+# at 400).
 MAX_CORRUPT_INDEX = 500
 # Bounds on ``shuffle``, checked before any arithmetic: the length of each
 # word and ``--truncation``.  Two length-16 words at truncation 64 took at

@@ -29,13 +29,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import comb, factorial
-from operator import index
+from math import factorial
+from operator import add, index, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
-from .rationals import exact_sum, format_rational, json_integer, multinomial, parse_rational
+from .rationals import (
+    _over_one_denominator, exact_sum, format_rational, json_integer, multinomial, parse_rational,
+)
 from .report import Record
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
 
@@ -292,29 +294,34 @@ def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> li
     a Bernoulli-weighted combination of renormalized ones.  Both are 0.
 
     Each depth-1 value (multi-sum route) and each Bernoulli number is read
-    once for the whole table, and each residual is one exact sum.
+    once for the whole table.  Each list of values is put over one common
+    denominator, and each residual is one integer dot product against a
+    row of binomials, stepped by Pascal's rule.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     weights = range(max_weight + 1)
     fkmt = [fkmt_value((j,), cache) for j in weights]
     ems = [ems_value((j,), cache) for j in weights]
-    bern = [bernoulli(i, cache) for i in weights]
+    f, f_den = _over_one_denominator(fkmt)
+    e, e_den = _over_one_denominator(ems)
+    b, b_den = _over_one_denominator([bernoulli(i, cache) for i in weights])
+    # (-1)^j fkmt_j, as numerators over f_den
+    signed_f = [-n if j % 2 else n for j, n in enumerate(f)]
     rows = []
+    row = [1]  # C(k, 0..k)
     for k in weights:
-        # ems_k - sum_i C(k, i) (-1)^j / (i+1) fkmt_j, with j = k - i
-        first = [(ems[k].numerator, ems[k].denominator)]
+        wider = [1, *map(add, row, row[1:]), 1]  # C(k+1, 0..k+1)
+        # ems_k - sum_i C(k, i) (-1)^j / (i+1) fkmt_j, with j = k - i and
+        # C(k, i) / (i+1) = C(k+1, i+1) / (k+1)
+        dot = sum(map(mul, wider[1:], signed_f[k::-1]))
+        first = Fraction(e[k] * (k + 1) * f_den - dot * e_den, (k + 1) * f_den * e_den)
         # fkmt_k - (-1)^k sum_i C(k, i) B_i ems_j
-        second = [(fkmt[k].numerator, fkmt[k].denominator)]
-        sign = 1 if k % 2 else -1
-        for i in range(k + 1):
-            j = k - i
-            c, f, e, b = comb(k, i), fkmt[j], ems[j], bern[i]
-            if f:
-                first.append(((c if j % 2 else -c) * f.numerator, (i + 1) * f.denominator))
-            if b and e:
-                second.append((sign * c * b.numerator * e.numerator, b.denominator * e.denominator))
-        rows.append((fkmt[k], ems[k], exact_sum(first), exact_sum(second)))
+        dot = sum(map(mul, map(mul, row, b), e[k::-1]))
+        second = Fraction(f[k] * b_den * e_den - (-dot if k % 2 else dot) * f_den,
+                          f_den * b_den * e_den)
+        rows.append((fkmt[k], ems[k], first, second))
+        row = wider
     return rows
 
 

@@ -9,10 +9,12 @@ anywhere.  Every sparse type holds its terms in the one form of
 The constructors take their input into that form through
 :func:`numerators`, which refuses a float coefficient (each type takes its
 degrees or exponents through ``operator.index``).  Every sum of terms
-goes through :func:`accumulate`, and every sum of single values, as
-(numerator, denominator) pairs, through :func:`exact_sum`: the multi-sum,
-the conversion residuals, the Bernoulli fill, and the expanded sides of
-``verify``'s value identities and its Bernoulli convolution check.
+goes through :func:`accumulate`, and a sum of single values of scattered
+denominators, as (numerator, denominator) pairs, through
+:func:`exact_sum`: the multi-sum, and the expanded sides of ``verify``'s
+value identities and its Bernoulli convolution check.  The Bernoulli
+fill and the conversion residuals read values already put over one
+common denominator, so each of their sums is one integer dot product.
 ``MultiSeries`` and ``LaurentPolynomial`` are also both held in the packed
 form of :class:`Packed`, which states their sum, equality and product once.
 """
@@ -20,7 +22,7 @@ form of :class:`Packed`, which states their sum, equality and product once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
@@ -68,6 +70,13 @@ def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
             total, common = total * (wider // common), wider
         total += n * (common // den)
     return Fraction(total, common)
+
+
+def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``values``, zeros included, over their least
+    common denominator, and that denominator."""
+    den = reduce(lcm, (v.denominator for v in values), 1)
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def json_integer(value, what: str) -> int:

@@ -26,7 +26,10 @@ Since x' = x + x^2, differentiating a polynomial p(x) gives the
 polynomial p'(x) (x + x^2).  So a word's image is an integer polynomial
 in x of degree at most its length, and :func:`character` evaluates the
 combined polynomial of a word sum once, against a cached table of the
-powers of x.
+powers of x.  The same equation builds that table: (x^j)' = j x^j +
+j x^(j+1), so each power is one derivative of the one before, and no
+series is multiplied.  A kernel that breaks x' = x + x^2 then makes the
+character fail multiplicativity.
 
 A word sum holds the one stored form of :mod:`rationals`: each word maps
 to a non-zero integer numerator over one reduced denominator.  The product
@@ -36,8 +39,8 @@ and the character work on those integers; :attr:`WordSum.terms` builds
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from math import lcm
+from functools import lru_cache
+from math import factorial
 from typing import Iterable, Mapping, Union
 
 from .rationals import RationalLike, Terms, _sum, accumulate, format_rational, numerators
@@ -262,18 +265,32 @@ def _kernel_powers(
 ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
     """x^0 .. x^top for the kernel x, exact through ``order``: for each
     power its (degree, integer numerator) pairs over one common
-    denominator, and that denominator.  x has valuation -1, so x^j needs x
-    exact through order + j - 1."""
-    powers = [UniSeries.one(order)]
-    if top:
-        kernel = exp_over_one_minus_exp(order + top - 1)
-        powers.append(kernel)
-        while len(powers) <= top:
-            powers.append(powers[-1] * kernel)
-    powers = [power.truncate(order) for power in powers]
-    den = reduce(lcm, (power._den for power in powers))
+    denominator, and that denominator.
+
+    Since x' = x + x^2, (x^j)' = j x^j + j x^(j+1), so each power is built
+    from the one before by one derivative: x^(j+1) = ((x^j)' - j x^j) / j.
+    A derivative is exact through one degree less than the series it
+    differentiates, so x is taken exact through order + top - 1.  Over the
+    kernel's denominator D, x^j has the denominator D (j-1)!."""
+    if not top:
+        return (((0, 1),),), 1
+    kernel = exp_over_one_minus_exp(order + top - 1)
+    power, exact = kernel._nums, kernel.order  # x^j's numerators over D (j-1)!, and their order
+    powers = [{0: 1}, power]
+    for j in range(1, top):
+        exact -= 1
+        nxt = {d - 1: d * n for d, n in power.items() if d}
+        for d, n in power.items():
+            if d <= exact:
+                nxt[d] = nxt.get(d, 0) - j * n
+        power = {d: n for d, n in nxt.items() if n}
+        powers.append(power)
+    # x^j over the common denominator D (top-1)!, truncated at ``order``
+    den = kernel._den * factorial(top - 1)
+    scales = [den, *(factorial(top - 1) // factorial(j - 1) for j in range(1, top + 1))]
     return tuple(
-        tuple((d, n * (den // power._den)) for d, n in power._nums.items()) for power in powers
+        tuple((d, n * scale) for d, n in power.items() if d <= order)
+        for power, scale in zip(powers, scales)
     ), den
 
 

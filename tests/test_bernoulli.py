@@ -60,11 +60,33 @@ def test_fill_matches_fraction_recurrence(corruption):
     for m in (60, 120):
         cache.value(m)
         assert [cache.value(j) for j in range(cache.known())] == expected[: m + 1]
+    # a corruption after a partial fill changes no entry already filled,
+    # and rebuilds the integer sums that later fills read, here with a new
+    # denominator and then with a zero entry among them
+    for m, value, top in ((90, Fraction(5, 11), 140), (100, Fraction(0), 160)):
+        cache.corrupt(m, value)
+        expected = fraction_recurrence(expected[:m] + [value] + expected[m + 1:], top)
+        cache.value(top)
+        assert [cache.value(j) for j in range(cache.known())] == expected
 
 
 def test_negative_index_raises():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cache: cache.value(2.0),
+    lambda cache: bernoulli(2.0, cache),
+    lambda cache: cache.corrupt(2.5, 1),
+    lambda cache: cache.corrupt(4, 0.1),
+], ids=["value", "bernoulli", "corrupt-index", "corrupt-value"])
+def test_float_index_or_value_is_refused_before_any_fill(call):
+    cache = BernoulliCache()
+    with pytest.raises(TypeError):
+        call(cache)
+    assert cache.known() == 1
+    assert cache.unread_corruptions() == []
 
 
 def test_concurrent_fill_is_consistent():

@@ -219,9 +219,12 @@ def naive_residuals(k, cache=None):
 
 
 def test_conversion_table_matches_per_k_sums():
-    rows = conversion_table(60)
-    assert len(rows) == 61
-    for k, (fkmt, ems, first, second) in enumerate(rows):
+    # up to the weight that ``convert --max-weight 200`` reads, where the
+    # common denominators span the whole table
+    rows = conversion_table(200)
+    assert len(rows) == 201
+    for k in [*range(61), 100, 199, 200]:
+        fkmt, ems, first, second = rows[k]
         assert fkmt == (-1) ** k * bernoulli(k + 1)
         assert ems == (-1) ** k * bernoulli(k + 1) / (k + 1)
         assert (first, second) == naive_residuals(k) == (0, 0)

@@ -27,7 +27,8 @@ def as_fraction(value) -> Fraction:
 
 
 def test_bernoulli_numbers_match_sympy():
-    for m in range(61):
+    # 0..201: every entry that ``convert --max-weight 200`` reads
+    for m in range(202):
         expected = as_fraction(sympy.bernoulli(m))
         if m == 1:
             # sympy >= 1.12 uses B_1 = +1/2; earlier versions use -1/2

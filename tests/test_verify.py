@@ -342,6 +342,24 @@ def test_words_can_fail(monkeypatch):
     assert len(failures) == 26
 
 
+def test_words_kernel_fault_fails(monkeypatch):
+    # The powers of the kernel are built by derivatives from x' = x + x^2,
+    # so a kernel that breaks that equation makes the series product
+    # x^a x^b disagree with the derivative chain's x^(a+b).
+    kernel = words.exp_over_one_minus_exp
+    monkeypatch.setattr(words, "exp_over_one_minus_exp",
+                        lambda order: kernel(order) + UniSeries({3: Fraction(1, 7)}, order))
+    # the cached power tables would keep the true kernel's powers
+    words._kernel_powers.cache_clear()
+    try:
+        failures = _failed_checks("words")
+    finally:
+        words._kernel_powers.cache_clear()
+    assert len(failures) == 49
+    assert all(check.description.startswith("character multiplicative on ")
+               for check in failures)
+
+
 def test_run_all_releases_the_value_store_after_its_last_suite(monkeypatch):
     stores = []
     init = ValueStore.__init__

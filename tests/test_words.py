@@ -10,6 +10,7 @@ from dmzv.words import (
     Word,
     WordSum,
     _character_poly,
+    _kernel_powers,
     character,
     leibniz_defect,
     multiplicativity_defect,
@@ -207,6 +208,20 @@ def test_character_matches_operator_route_on_words(w, order):
 def test_character_matches_operator_route_on_word_sums(s, order):
     got, want = character(s, order), operator_character(s, order)
     assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=16))
+def test_kernel_powers_match_repeated_products(order, top):
+    # the derivative chain against x^j = x^(j-1) x, with x exact through
+    # order + top - 1, compared as Fractions
+    kernel = exp_over_one_minus_exp(order + top - 1) if top else None
+    want = [UniSeries.one(order)]
+    while len(want) <= top:
+        want.append(want[-1] * kernel if len(want) > 1 else kernel)
+    powers, den = _kernel_powers(order, top)
+    got = [{d: Fraction(n, den) for d, n in power} for power in powers]
+    assert got == [power.truncate(order).coeffs for power in want]
 
 
 @st.composite
