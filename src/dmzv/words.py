@@ -275,16 +275,15 @@ def _kernel_powers(
     if not top:
         return (((0, 1),),), 1
     kernel = exp_over_one_minus_exp(order + top - 1)
-    power, exact = kernel._nums, kernel.order  # x^j's numerators over D (j-1)!, and their order
-    powers = [{0: 1}, power]
+    # x^j as numerators over D (j-1)!, exact through order + top - j
+    powers = [{0: 1}, kernel._nums]
     for j in range(1, top):
-        exact -= 1
+        power, exact = powers[-1], order + top - 1 - j
         nxt = {d - 1: d * n for d, n in power.items() if d}
         for d, n in power.items():
             if d <= exact:
                 nxt[d] = nxt.get(d, 0) - j * n
-        power = {d: n for d, n in nxt.items() if n}
-        powers.append(power)
+        powers.append({d: n for d, n in nxt.items() if n})
     # x^j over the common denominator D (top-1)!, truncated at ``order``
     den = kernel._den * factorial(top - 1)
     scales = [den, *(factorial(top - 1) // factorial(j - 1) for j in range(1, top + 1))]

@@ -215,10 +215,12 @@ def test_character_matches_operator_route_on_word_sums(s, order):
 def test_kernel_powers_match_repeated_products(order, top):
     # the derivative chain against x^j = x^(j-1) x, with x exact through
     # order + top - 1, compared as Fractions
-    kernel = exp_over_one_minus_exp(order + top - 1) if top else None
     want = [UniSeries.one(order)]
-    while len(want) <= top:
-        want.append(want[-1] * kernel if len(want) > 1 else kernel)
+    if top:
+        kernel = exp_over_one_minus_exp(order + top - 1)
+        want.append(kernel)
+        while len(want) <= top:
+            want.append(want[-1] * kernel)
     powers, den = _kernel_powers(order, top)
     got = [{d: Fraction(n, den) for d, n in power} for power in powers]
     assert got == [power.truncate(order).coeffs for power in want]
