@@ -155,14 +155,6 @@ def _output(out_path: Optional[str]):
         raise
 
 
-def _write_output(text: str, out_path: Optional[str]) -> None:
-    """Print to stdout, or write atomically to the given path."""
-    with _output(out_path) as handle:
-        handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
-
-
 _encode_scalar = json.JSONEncoder().encode
 _INT = frozenset({int})
 
@@ -220,18 +212,18 @@ def _write_batches(handle, items, sep: str = "") -> None:
 
 
 def _write_joined(head: str, items, sep: str, tail: str, out_path: Optional[str]) -> None:
-    """Like :func:`_write_output` for head, the strings ``items`` joined by
-    ``sep``, and tail, written through :func:`_write_batches`."""
+    """Write head, the strings ``items`` joined by ``sep``, and tail, through
+    :func:`_write_batches`, to stdout or atomically to the given path."""
     with _output(out_path) as handle:
         handle.write(head)
         _write_batches(handle, items, sep)
         handle.write(tail)
 
 
-def _write_json(payload, out_path: Optional[str]) -> None:
-    """Like :func:`_write_output` for a JSON payload, written while it is
-    encoded."""
-    _write_joined("", _json_chunks(payload), "", "\n", out_path)
+def _json_ints(count: int) -> str:
+    """The template of a list of ``count`` ints as json.dumps(indent=2)
+    writes it as a field of an object in a list in an object."""
+    return "[\n        " + ",\n        ".join(["%d"] * count) + "\n      ]"
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +238,31 @@ def _cmd_values(args) -> int:
             f"large: the limits are (max_weight + 1) ** depth <= {MAX_TABLE_ENTRIES:,} "
             f"entries and depth * (max_weight + 1) <= {MAX_TABLE_SPAN}"
         )
-    from .genfun import value_table
+    from .genfun import table_series, value_rows
 
-    table = value_table(args.family, args.depth, args.max_weight)
+    # each row is written when it is computed
+    depth, weight, family = args.depth, args.max_weight, args.family.upper()
+    series = table_series(family, depth, weight)
     if args.format == "json":
-        _write_json(table.to_json_dict(), args.out)
+        # the text of json.dumps(table.to_json_dict(), sort_keys=True, indent=2)
+        template = '    {\n      "args": ' + _json_ints(depth) + ',\n      "value": "%s"\n    }'
+        head = '{\n  "depth": %d,\n  "family": "%s",\n  "values": [\n' % (depth, family)
+        _write_joined(head, (template % (*k, v) for k, v in value_rows(series)),
+                      ",\n", "\n  ]\n}\n", args.out)
         return EXIT_OK
-    rows = table.to_csv_rows()
+    header = [f"k{i}" for i in range(1, depth + 1)] + ["value"]
     if args.format == "csv":
         # every cell is an integer, a p/q rational or a header: none needs quoting
-        _write_joined("", map(",".join, rows), "\n", "\n", args.out)
-        return EXIT_OK
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in rows]
-    _write_output("\n".join(lines), args.out)
+        head, template = ",".join(header), "%d," * depth + "%s"
+    else:
+        # each index column holds 0..max_weight; the value column's width
+        # takes one pass over the values, which the lines then compute again
+        widths = [max(len(h), len(str(weight))) for h in header[:-1]]
+        widths.append(max(len("value"), max(len(v) for _, v in value_rows(series))))
+        head = "  ".join(map(str.rjust, header, widths))
+        template = "  ".join([f"%{width}d" for width in widths[:-1]] + [f"%{widths[-1]}s"])
+    _write_joined(head + "\n", (template % (*k, v) for k, v in value_rows(series)),
+                  "\n", "\n", args.out)
     return EXIT_OK
 
 
@@ -363,7 +366,7 @@ def _cmd_gr_coeffs(args) -> int:
     # the depth fixes each term's shape, so one template formats them all
     if args.format == "json":
         # the text of json.dumps(record.to_json_dict(), sort_keys=True, indent=2)
-        entries = "[\n        " + ",\n        ".join(["%d"] * depth) + "\n      ]"
+        entries = _json_ints(depth)
         template = (
             '    {\n      "coef": %d,\n      "l": ' + entries + ',\n      "m": ' + entries
             + "\n    }"
@@ -384,34 +387,24 @@ def _cmd_convert(args) -> int:
     if oversized := _oversized(("--max-weight", args.max_weight, MAX_CONVERT_WEIGHT)):
         return _usage_error(f"conversion table too large: {oversized}")
     from .genfun import conversion_table
-    from .rationals import format_rational
 
-    rows = [
-        {
-            "k": k,
-            "fkmt": format_rational(fkmt),
-            "ems": format_rational(ems),
-            "ems_from_fkmt_residual": format_rational(first),
-            "fkmt_from_ems_residual": format_rational(second),
-        }
-        for k, (fkmt, ems, first, second) in enumerate(conversion_table(args.max_weight))
-    ]
+    # one template per row; %s writes each Fraction as p/q, or p when q is 1
+    head, sep, tail = "k,fkmt,ems,ems_from_fkmt_residual,fkmt_from_ems_residual\n", "\n", "\n"
+    # every csv cell is an integer, a p/q rational or a header: none needs quoting
+    template = "%(k)d,%(fkmt)s,%(ems)s,%(first)s,%(second)s"
     if args.format == "json":
-        _write_json({"max_weight": args.max_weight, "rows": rows}, args.out)
-        return EXIT_OK
-    if args.format == "csv":
-        # every cell is an integer, a p/q rational or a header: none needs quoting
-        header = ["k", "fkmt", "ems", "ems_from_fkmt_residual", "fkmt_from_ems_residual"]
-        lines = (",".join(str(row[h]) for h in header) for row in rows)
-        _write_joined(",".join(header) + "\n", lines, "\n", "\n", args.out)
-        return EXIT_OK
-    lines = ["k  fkmt  ems  residuals"]
-    for row in rows:
-        lines.append(
-            f"{row['k']}  {row['fkmt']}  {row['ems']}  "
-            f"({row['ems_from_fkmt_residual']}, {row['fkmt_from_ems_residual']})"
-        )
-    _write_output("\n".join(lines), args.out)
+        # the text of json.dumps(payload, sort_keys=True, indent=2)
+        head = '{\n  "max_weight": %d,\n  "rows": [\n' % args.max_weight
+        sep, tail = ",\n", "\n  ]\n}\n"
+        template = ('    {\n      "ems": "%(ems)s",\n'
+                    '      "ems_from_fkmt_residual": "%(first)s",\n      "fkmt": "%(fkmt)s",\n'
+                    '      "fkmt_from_ems_residual": "%(second)s",\n      "k": %(k)d\n    }')
+    elif args.format == "text":
+        head = "k  fkmt  ems  residuals\n"
+        template = "%(k)d  %(fkmt)s  %(ems)s  (%(first)s, %(second)s)"
+    rows = (dict(zip(("k", "fkmt", "ems", "first", "second"), (k, *row)))
+            for k, row in enumerate(conversion_table(args.max_weight)))
+    _write_joined(head, map(template.__mod__, rows), sep, tail, args.out)
     return EXIT_OK
 
 
@@ -526,4 +519,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:  # console-script wrapper
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``| head``): devnull takes the exit flush (Python docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    sys.exit(code)

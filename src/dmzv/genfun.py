@@ -29,14 +29,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import factorial
-from operator import add, index, mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from math import factorial, gcd, prod
+from operator import add, index, lshift, mul
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
 from .rationals import (
-    _over_one_denominator, exact_sum, format_rational, json_integer, multinomial, parse_rational,
+    _layout, _over_one_denominator, exact_sum, format_rational, json_integer, multinomial,
+    parse_rational,
 )
 from .report import Record
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
@@ -57,6 +58,8 @@ __all__ = [
     "conversion_table",
     "ValueTable",
     "index_box",
+    "table_series",
+    "value_rows",
     "value_table",
     "series_value_table",
 ]
@@ -67,10 +70,8 @@ __all__ = [
 
 # Entries kept by each cached factor and series builder below.  A
 # ``verify`` run builds at most 10 factors of one kind, also at its largest
-# accepted caps.  The generating functions it compares, and those of value
-# tables, are each read once, so they are built uncached (by
-# ``_product_series``); the cached ``fkmt_series`` and ``ems_series`` serve
-# a caller that reads one generating function repeatedly.
+# accepted caps.  The series it compares and each ``table_series`` are read
+# once, so built uncached; ``fkmt_series`` and ``ems_series`` serve rereads.
 SERIES_CACHE_SIZE = 32
 
 
@@ -365,22 +366,6 @@ class ValueTable(Record):
         return cls(family=data["family"], depth=json_integer(data["depth"], "depth"),
                    entries=entries)
 
-    def to_csv_rows(self) -> list[list[str]]:
-        header = [f"k{i}" for i in range(1, self.depth + 1)] + ["value"]
-        rows = [header]
-        for k, v in sorted(self.entries.items()):
-            rows.append([str(x) for x in k] + [format_rational(v)])
-        return rows
-
-
-def _coefficient_to_value(n: int, den: int, k: Sequence[int]) -> Fraction:
-    # the coefficient n / den of t^k times (-1)^|k| k!
-    sign = -1 if sum(k) % 2 else 1
-    fact = 1
-    for x in k:
-        fact *= factorial(x)
-    return Fraction(sign * fact * n, den)
-
 
 def index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:
     """Every depth-``depth`` multi-index with entries <= max_weight, in
@@ -388,25 +373,40 @@ def index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:
     return iter_product(range(max_weight + 1), repeat=depth)
 
 
-def value_table(family: str, depth: int, max_weight: int) -> ValueTable:
-    """All values with index entries <= max_weight, read off one generating
-    function that covers the whole box [0, max_weight]^depth."""
+def table_series(family: str, depth: int, max_weight: int) -> MultiSeries:
+    """One family's generating function over the whole index box
+    [0, max_weight]^depth, built uncached; a depth below 1 is refused."""
     fam = FAMILIES.get(family.upper())
     if fam is None:
         raise ValueError(f"unknown family {family.upper()!r}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    # the table reads its series once, so the series is not cached; the
-    # build refuses a depth below 1
-    series = _product_series(fam, depth, max_weight)
-    # the series' integer numerators, unpacked once, over its denominator
-    nums, den = dict(series._unpacked()), series._den
-    entries = {
-        k: _coefficient_to_value(nums.get(k, 0), den, k) for k in index_box(depth, max_weight)
-    }
-    return ValueTable(fam.name, depth, entries)
+    return _product_series(fam, depth, max_weight)
 
 
-# Second name of value_table, kept for existing callers; the benchmark's
-# layer tracer spans value tables under this name.
+def value_rows(series: MultiSeries) -> Iterator[tuple[tuple[int, ...], str]]:
+    """(k, the value at -k as "p/q", or "p" when q is 1) for every k in the
+    box [0, cap]^nvars of a :func:`table_series`, in lexicographic order,
+    each computed when it is read: (-1)^|k| k! times the numerator of t^k
+    over the series' denominator, reduced by one gcd.  The code of t^k is
+    the zero vector's code plus each entry in its field, the first highest."""
+    nums, den, (depth, cap) = series._nums, series._den, series._ring
+    layout = _layout(depth, series._bound)
+    shifts = range(layout.width * (depth - 1), -1, -layout.width)
+    factorials = [factorial(e) for e in range(cap + 1)].__getitem__
+    for k in index_box(depth, cap):
+        n = nums.get(layout.zero + sum(map(lshift, k, shifts)), 0) * prod(map(factorials, k))
+        g = gcd(n, den)
+        n, d = (-n if sum(k) % 2 else n) // g, den // g
+        yield k, f"{n}/{d}" if d != 1 else str(n)
+
+
+def value_table(family: str, depth: int, max_weight: int) -> ValueTable:
+    """All values with index entries <= max_weight, read off one generating
+    function that covers the whole box [0, max_weight]^depth."""
+    series = table_series(family, depth, max_weight)
+    return ValueTable(family.upper(), depth, {k: Fraction(v) for k, v in value_rows(series)})
+
+
+# the name under which the benchmark's layer tracer spans value tables
 series_value_table = value_table

@@ -64,7 +64,10 @@ def test_values_refuses_oversized_tables(capsys, monkeypatch, depth, weight):
     def no_arithmetic(*args):
         raise AssertionError("an oversized table must be refused before it is built")
 
-    monkeypatch.setattr(genfun, "value_table", no_arithmetic)
+    # the builder that ``values`` calls: an accepted table reaches it
+    monkeypatch.setattr(genfun, "table_series", no_arithmetic)
+    with pytest.raises(AssertionError, match="refused"):
+        main(["values", "--family", "fkmt", "--depth", "6", "--max-weight", "5"])
     assert main(["values", "--family", "fkmt", "--depth", str(depth),
                  "--max-weight", str(weight)]) == 2
     captured = capsys.readouterr()
@@ -142,10 +145,55 @@ def csv_module_text(rows):
 def test_values_csv_is_what_the_csv_module_writes(capsys, family, depth, max_weight):
     # every cell is an integer, a p/q rational or a header, so joining the
     # cells with commas quotes nothing the csv module would quote
+    from dmzv.rationals import format_rational
+
     assert main(["values", "--family", family, "--depth", str(depth),
                  "--max-weight", str(max_weight), "--format", "csv"]) == 0
     table = genfun.value_table(family, depth, max_weight)
-    assert capsys.readouterr().out == csv_module_text(table.to_csv_rows())
+    rows = [[f"k{i}" for i in range(1, depth + 1)] + ["value"]]
+    rows += [[*map(str, k), format_rational(v)] for k, v in sorted(table.entries.items())]
+    assert capsys.readouterr().out == csv_module_text(rows)
+
+
+# Golden digests of ``values`` in every format, recorded before the rows
+# were streamed; bench/references.json records six json sizes only.
+VALUES_SHA256 = {
+    ("fkmt", 1, 30, "text"): "0ee0ffff034eda2a79ff73c6fe1ef8efc7793000f9b4beafcf536f76142fcb35",
+    ("fkmt", 1, 30, "csv"): "d3f0075b5d1a12050a42e2c5221311c81a75a8f7646c7d27591ed2cb533fd8ba",
+    ("fkmt", 1, 30, "json"): "7830e80b10a04f8731cbe0c9401a4821360fbf4b66d3780c2aa23e17cb751d2e",
+    ("fkmt", 2, 10, "text"): "a75a9ab71c4f09169b58c36d919dcb67a94dccc33b5141757daf6fec260eb7d0",
+    ("fkmt", 2, 10, "csv"): "0dbea0ed059339db10a32905015922eafc4b8f21e98cf5efeb89528764784d59",
+    ("fkmt", 2, 10, "json"): "427c1c0e6ce69f9af302b4f6962ccedb3b8aaee2112a5ff65204ac7b5fc2fdef",
+    ("fkmt", 3, 5, "text"): "a6cb31ed418aa0dcdaf5775710de09fca44f10ba74299915e878e93382cfb8f3",
+    ("fkmt", 3, 5, "csv"): "406fd8a9d3a5b731a9d6bb5e67a3183804c0d1c60fb95d389e63faf293b28a9a",
+    ("fkmt", 3, 5, "json"): "4af4f074c509907246e89a7f9ced413b950ca1bc6b80ca9cb16a940455464dcb",
+    ("fkmt", 4, 4, "text"): "847a76572817d249a7bba5b3d3061abc7df0fa03794990dd54b4ffecc6a22829",
+    ("fkmt", 4, 4, "csv"): "c63ac7f0a679202b0f15690d2399d7a9e6f8e938a0aa1bb30a4c734ff1cdedd8",
+    ("fkmt", 4, 4, "json"): "ad29f5a498942ed25a55513027ec3189c03b16989cc4095abd92243cb767e430",
+    ("ems", 1, 30, "text"): "14a4f090eedd81f99f41cdd006ee704afebf960aeaa5d6ad62058b16107200dc",
+    ("ems", 1, 30, "csv"): "185eac647df0efc25b5eef04824c09e57c3691dd11f2a996d49c550cbe7b63ac",
+    ("ems", 1, 30, "json"): "908bc1b96f353e54b290ae9e8340e7a11890f53e6b809cf634168577a3739094",
+    ("ems", 2, 10, "text"): "5f97df7e112441605e452401d5b5277e3cd92859e1cd66031a9e1187bf9dc6df",
+    ("ems", 2, 10, "csv"): "028fee9ed050536f20578d5322ecc58dcd0bdb92b6684163bf73713d7f811b81",
+    ("ems", 2, 10, "json"): "3a3c2230de4c04fc0f8b1a80922b822fca747dff44981a36434bf7ced254c129",
+    ("ems", 3, 5, "text"): "66f267c03867d7ade28954bfdb0d071be13718b0471ffe63d80236acff12dff4",
+    ("ems", 3, 5, "csv"): "58b083b48e76a002768cfca3b624426d522957db304b517ab31afe9670fe1cbe",
+    ("ems", 3, 5, "json"): "68dda13cba7d6b5b5b27a0ea2a93c7da294fc68c8c621aa4eff4790153dbf356",
+    ("ems", 4, 4, "text"): "611ecbf4dda28f1b33e79ee0b6cafee4947a84cb87d07819f976d90a59020146",
+    ("ems", 4, 4, "csv"): "2ff0929c97ed54ea3d3cd2f467d415f8f9419f56a387a119390b36aba482a852",
+    ("ems", 4, 4, "json"): "511de4fd18e5a5bc2a2c696ee5060d0898b0834a1ff737317e5e8fa95b1dd6b6",
+}
+
+
+@pytest.mark.parametrize("family, depth, max_weight, fmt", sorted(VALUES_SHA256))
+def test_values_match_their_digests(tmp_path, family, depth, max_weight, fmt):
+    import hashlib
+
+    out = tmp_path / "table"
+    assert main(["values", "--family", family, "--depth", str(depth), "--max-weight",
+                 str(max_weight), "--format", fmt, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == VALUES_SHA256[family, depth, max_weight, fmt]
 
 
 def test_convert_csv_is_what_the_csv_module_writes(capsys):
@@ -237,10 +285,10 @@ def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch, fmt):
         main([*argv, str(cli.MAX_GR_DEPTH)])
 
 
-def launched_gr_coeffs_depth7(fmt):
-    """The launcher's report on a fresh ``gr-coeffs --depth 7`` process,
-    started through the benchmark's launcher, which reports the child's
-    own peak RSS; nothing under bench/ is written."""
+def launched(*argv):
+    """The launcher's report on a fresh ``dmzv`` process with the arguments
+    ``argv``, started through the benchmark's launcher, which reports the
+    child's own peak RSS; nothing under bench/ is written."""
     import subprocess
     from pathlib import Path
 
@@ -251,8 +299,7 @@ def launched_gr_coeffs_depth7(fmt):
         try:
             subprocess.run(
                 [sys.executable, "-S", str(root / "bench" / "launch.py"), str(write_fd),
-                 "120", sys.executable, "-m", "dmzv", "gr-coeffs", "--depth", "7",
-                 "--format", fmt],
+                 "120", sys.executable, "-m", "dmzv", *argv],
                 env=env, stdout=subprocess.DEVNULL, pass_fds=(write_fd,), timeout=150,
                 check=True,
             )
@@ -263,7 +310,7 @@ def launched_gr_coeffs_depth7(fmt):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_gr_coeffs_depth7_json_peak_rss():
-    report = launched_gr_coeffs_depth7("json")
+    report = launched("gr-coeffs", "--depth", "7", "--format", "json")
     assert report["exit"] == 0
     assert report["rss_mb"] < 50, report
 
@@ -271,9 +318,20 @@ def test_gr_coeffs_depth7_json_peak_rss():
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_gr_coeffs_depth7_text_peak_rss():
     # streamed like json: no record and no joined one-line rendering
-    report = launched_gr_coeffs_depth7("text")
+    report = launched("gr-coeffs", "--depth", "7", "--format", "text")
     assert report["exit"] == 0
     assert report["rss_mb"] < 50, report
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_values_depth2_text_peak_rss():
+    # each row is written when it is computed and the text view keeps no
+    # value string, so text peaks where json does (about 21 MiB on a
+    # 2-vCPU x86-64 host); holding the table and its lines took 33 MiB
+    report = launched("values", "--family", "fkmt", "--depth", "2", "--max-weight", "100",
+                      "--format", "text")
+    assert report["exit"] == 0
+    assert report["rss_mb"] < 27, report
 
 
 # Golden digests of ``gr-coeffs --depth 7``, past the depth-6 runs that
@@ -544,6 +602,25 @@ def test_shuffle_refuses_oversized_input(capsys, monkeypatch, argv):
             main(["shuffle", *accepted])
 
 
+@pytest.mark.parametrize("argv", [
+    ["gr-coeffs", "--depth", "5", "--format", "json"],
+    ["values", "--family", "fkmt", "--depth", "2", "--max-weight", "60"],
+])
+def test_a_closed_pipe_exits_1_without_a_traceback(argv):
+    # as ``dmzv ... | head -c 10``: the reader leaves after 10 of some
+    # 300 kB, more than the pipe holds
+    import subprocess
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.Popen([sys.executable, "-m", "dmzv", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait(timeout=60) == 1
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     out_path = tmp_path / "out.json"
     assert main(["values", "--family", "ems", "--depth", "1", "--max-weight", "3",
@@ -551,6 +628,28 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert out_path.exists()
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_values_out_stays_atomic_when_a_row_fails(tmp_path, monkeypatch, fmt):
+    # the rows are computed while the file is written, more than one batch
+    # of them before the failure: the old file stays and no temporary is left
+    rows = genfun.value_rows
+
+    def failing(series):
+        for i, row in enumerate(rows(series)):
+            if i == 100:
+                raise RuntimeError("row 100 failed")
+            yield row
+
+    monkeypatch.setattr(genfun, "value_rows", failing)
+    out = tmp_path / "table"
+    out.write_text("old\n")
+    with pytest.raises(RuntimeError, match="row 100 failed"):
+        main(["values", "--family", "fkmt", "--depth", "2", "--max-weight", "10",
+              "--format", fmt, "--out", str(out)])
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_out_file_gets_the_umask_mode(tmp_path):
@@ -591,8 +690,8 @@ def test_write_json_streams_the_same_text(capsys, tmp_path):
     # more chunks than one batch holds
     payload = {"b": [1, True, None], "a": {"x": [[], {}], "é": 1.5},
                "c": [{"k": [k, -k], "v": str(k)} for k in range(300)]}
-    cli._write_json(payload, None)
-    cli._write_json(payload, str(tmp_path / "out.json"))
+    for out_path in (None, str(tmp_path / "out.json")):
+        cli._write_joined("", cli._json_chunks(payload), "", "\n", out_path)
     expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert capsys.readouterr().out == expected
     assert (tmp_path / "out.json").read_text() == expected

@@ -18,6 +18,8 @@ from dmzv.genfun import (
     ems_value,
     fkmt_series,
     fkmt_value,
+    table_series,
+    value_rows,
     value_table,
 )
 
@@ -249,7 +251,7 @@ def test_conversion_table_under_a_corrupted_bernoulli_table(index):
     assert table_cache.unread_corruptions() == ([] if index <= 32 else [index])
 
 
-def test_value_table_json_and_csv():
+def test_value_table_json_and_rows():
     table = value_table("fkmt", 1, 2)
     data = table.to_json_dict()
     assert data["family"] == "FKMT"
@@ -260,12 +262,19 @@ def test_value_table_json_and_csv():
         {"args": [2], "value": "0"},
     ]
     assert ValueTable.from_json_dict(data).entries == table.entries
-    rows = table.to_csv_rows()
-    assert rows[0] == ["k1", "value"]
-    assert rows[1] == ["0", "-1/2"]
+    rows = list(value_rows(table_series("fkmt", 1, 2)))
+    assert rows == [((0,), "-1/2"), ((1,), "-1/6"), ((2,), "0")]
 
     round_trip = json.loads(json.dumps(data, sort_keys=True))
     assert json.dumps(round_trip, sort_keys=True) == json.dumps(data, sort_keys=True)
+
+
+def test_value_rows_read_16_bit_fields():
+    # from max weight 64 on, each exponent of the series takes a 16-bit field
+    rows = dict(value_rows(table_series("ems", 2, 64)))
+    assert len(rows) == 65 * 65
+    for k in [(0, 0), (0, 64), (64, 0), (37, 12), (63, 64), (64, 64)]:
+        assert rows[k] == str(ems_value(k)), k
 
 
 def test_value_table_is_a_checked_record():
