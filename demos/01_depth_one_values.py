@@ -7,7 +7,8 @@
 
 from dmzv import bernoulli, ems_value, fkmt_value, value_table
 
-# the series route reads a whole table off one generating function
+# the series route reads a whole table off one generating function: a
+# dict from each index k to the value at -k
 fkmt_table = value_table("fkmt", 1, 10)
 ems_table = value_table("ems", 1, 10)
 
@@ -15,9 +16,9 @@ print("k   fkmt (multi-sum)   fkmt (series)   ems (multi-sum)   ems (series)")
 for k in range(11):
     row = (
         fkmt_value((k,)),
-        fkmt_table.value((k,)),
+        fkmt_table[(k,)],
         ems_value((k,)),
-        ems_table.value((k,)),
+        ems_table[(k,)],
     )
     print(f"{k:<3} " + "   ".join(str(v).rjust(14) for v in row))
 

@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 _SOURCES = {
     "bernoulli": ("BernoulliCache", "bernoulli", "default_cache"),
     "genfun": (
-        "ValueTable",
         "conversion_table",
         "ems_factor",
         "ems_prefactor",

@@ -31,15 +31,11 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial, gcd, prod
 from operator import add, index, lshift, mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
-from .rationals import (
-    _layout, _over_one_denominator, exact_sum, format_rational, json_integer, multinomial,
-    parse_rational,
-)
-from .report import Record
+from .rationals import _layout, _over_one_denominator, exact_sum, multinomial
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
 
 __all__ = [
@@ -56,7 +52,6 @@ __all__ = [
     "fkmt_value",
     "ems_value",
     "conversion_table",
-    "ValueTable",
     "index_box",
     "table_series",
     "value_rows",
@@ -330,43 +325,6 @@ def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> li
 # value tables
 # ---------------------------------------------------------------------------
 
-class ValueTable(Record):
-    """A grid of exact values for one family at one depth."""
-
-    __slots__ = ("family", "depth", "entries")
-
-    def __init__(self, family: str, depth: int, entries: dict[tuple[int, ...], Fraction]):
-        if family not in FAMILIES:
-            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {family!r}")
-        for key in entries:
-            if len(key) != depth:
-                raise ValueError(f"multi-index {key} does not have depth {depth}")
-        self.family = family
-        self.depth = depth
-        self.entries = entries
-
-    def value(self, k: Sequence[int]) -> Fraction:
-        return self.entries[tuple(k)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "depth": self.depth,
-            "values": [
-                {"args": list(k), "value": format_rational(v)}
-                for k, v in sorted(self.entries.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ValueTable":
-        """Inverse of :meth:`to_json_dict`; depth and args must be JSON integers."""
-        entries = {tuple(json_integer(x, "args entry") for x in row["args"]):
-                   parse_rational(row["value"]) for row in data["values"]}
-        return cls(family=data["family"], depth=json_integer(data["depth"], "depth"),
-                   entries=entries)
-
-
 def index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:
     """Every depth-``depth`` multi-index with entries <= max_weight, in
     lexicographic order."""
@@ -401,11 +359,12 @@ def value_rows(series: MultiSeries) -> Iterator[tuple[tuple[int, ...], str]]:
         yield k, f"{n}/{d}" if d != 1 else str(n)
 
 
-def value_table(family: str, depth: int, max_weight: int) -> ValueTable:
-    """All values with index entries <= max_weight, read off one generating
-    function that covers the whole box [0, max_weight]^depth."""
+def value_table(family: str, depth: int, max_weight: int) -> dict[tuple[int, ...], Fraction]:
+    """The value at -k for every k with entries <= max_weight, keyed by k,
+    read off one generating function that covers the whole box
+    [0, max_weight]^depth."""
     series = table_series(family, depth, max_weight)
-    return ValueTable(family.upper(), depth, {k: Fraction(v) for k, v in value_rows(series)})
+    return {k: Fraction(v) for k, v in value_rows(series)}
 
 
 # the name under which the benchmark's layer tracer spans value tables

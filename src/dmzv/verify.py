@@ -195,7 +195,7 @@ def verify_depth1(max_weight: int, store: Optional[ValueStore] = None) -> list[C
         sign = -1 if k % 2 else 1
         for family, multisum, table in routes:
             closed = sign * family.row_weight(k, store.cache)
-            for route, value in (("multi-sum", multisum((k,))), ("series", table.value((k,)))):
+            for route, value in (("multi-sum", multisum((k,))), ("series", table[(k,)])):
                 checks.append(
                     _value_check(
                         f"{family.label} depth-1 closed form, k={k} ({route} route)",
@@ -225,7 +225,7 @@ def verify_routes(
                     _value_check(
                         f"{family.label} routes agree at {k}",
                         multisum(k),
-                        table.value(k),
+                        table[k],
                         {"k": list(k)},
                     )
                 )
@@ -667,7 +667,10 @@ def _run_suite(name: str, arguments: tuple) -> IdentityReport:
 
 
 def run_all(config: Optional[VerifyConfig] = None) -> list[IdentityReport]:
-    """Run the selected suites (all by default) and return their reports."""
+    """Run the selected suites (all by default) and return their reports.
+
+    An unknown suite name raises ``ValueError``, as does a corruption
+    whose value is the true B_m, since it would inject no fault."""
     config = config or VerifyConfig()
     selected = SUITES if config.suites is None else tuple(config.suites)
     unknown = [name for name in selected if name not in SUITES]
@@ -679,6 +682,11 @@ def run_all(config: Optional[VerifyConfig] = None) -> list[IdentityReport]:
         cache = BernoulliCache()
         for m, value in config.corrupt_bernoulli:
             cache.corrupt(m, value)
+            # against the true table: in this one an earlier corruption
+            # has already moved the entries filled after it
+            if value == bernoulli(m):
+                raise ValueError(f"corrupting B_{m} with {value} injects no fault: "
+                                 "it is the true value")
     store = ValueStore(cache)
     cache = store.cache
     # each suite's arguments are dropped when it ends, and with the last

@@ -151,7 +151,7 @@ def test_values_csv_is_what_the_csv_module_writes(capsys, family, depth, max_wei
                  "--max-weight", str(max_weight), "--format", "csv"]) == 0
     table = genfun.value_table(family, depth, max_weight)
     rows = [[f"k{i}" for i in range(1, depth + 1)] + ["value"]]
-    rows += [[*map(str, k), format_rational(v)] for k, v in sorted(table.entries.items())]
+    rows += [[*map(str, k), format_rational(v)] for k, v in sorted(table.items())]
     assert capsys.readouterr().out == csv_module_text(rows)
 
 
@@ -424,6 +424,16 @@ def test_verify_refuses_out_of_range_input(capsys, monkeypatch, argv):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corruption", ["1=-1/2", "3=0", "4=-1/30"])
+def test_verify_refuses_a_corruption_that_changes_nothing(capsys, corruption):
+    # each value is the true B_M: no fault would be injected, and the run
+    # would pass
+    assert main(["verify", "--suite", "bernoulli", "--corrupt-bernoulli", corruption]) == 2
+    captured = capsys.readouterr()
+    assert "injects no fault" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_fault_injection(capsys):
     code = main(["verify", "--suite", "bernoulli", "--corrupt-bernoulli", "4=1/5"])
     assert code == 1
@@ -652,6 +662,38 @@ def test_values_out_stays_atomic_when_a_row_fails(tmp_path, monkeypatch, fmt):
     assert list(tmp_path.iterdir()) == [out]
 
 
+# Each command that takes --out, with the layer function its arithmetic
+# starts in
+OUT_COMMANDS = {
+    "values": (["values", "--family", "fkmt", "--depth", "2"], genfun, "table_series"),
+    "verify": (["verify", "--suite", "bernoulli"], verify, "run_all"),
+    "gr-coeffs": (["gr-coeffs", "--depth", "3"], shiftcoeffs, "shifted_zeta_terms"),
+    "convert": (["convert"], genfun, "conversion_table"),
+}
+
+
+@pytest.mark.parametrize("case", ["missing directory", "a directory", "empty", "trailing slash"])
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_an_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path, command, case):
+    argv, module, name = OUT_COMMANDS[command]
+
+    def unreachable(*args):
+        raise AssertionError("the arithmetic started")
+
+    monkeypatch.setattr(module, name, unreachable)
+    # an empty path names the working directory, and one ending in a
+    # separator a directory, here one that does not exist
+    monkeypatch.chdir(tmp_path)
+    target = {"missing directory": str(tmp_path / "missing" / "x.json"),
+              "a directory": str(tmp_path), "empty": "",
+              "trailing slash": str(tmp_path / "new") + os.sep}[case]
+    # an exception would propagate here as the traceback of a console run
+    assert main([*argv, "--out", target]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {target or tmp_path}")
+    assert list(tmp_path.iterdir()) == []
+    assert [p for p in tmp_path.parent.iterdir() if p.name.startswith(".dmzv-tmp-")] == []
+
+
 def test_out_file_gets_the_umask_mode(tmp_path):
     out_path = tmp_path / "out.txt"
     previous = os.umask(0o022)
@@ -662,9 +704,9 @@ def test_out_file_gets_the_umask_mode(tmp_path):
     assert stat.S_IMODE(out_path.stat().st_mode) == 0o644
 
 
-# JSON trees as the CLI's payloads hold them: string keys, lists and
-# tuples, ints (bools mixed in, which an int fast path must not print as
-# 1 or 0), None, floats of every kind and non-ASCII strings
+# JSON trees as a verify report's witnesses and parameters hold them:
+# string keys, lists and tuples, ints and bools, None, floats of every kind
+# and strings with control and non-ASCII characters
 json_scalars = (
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(alphabet=st.characters(max_codepoint=0x1F600), max_size=6)
@@ -681,17 +723,28 @@ json_trees = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(json_trees)
-def test_json_chunks_match_the_stdlib_encoder(value):
-    assert "".join(cli._json_chunks(value)) == json.dumps(value, sort_keys=True, indent=2)
+@given(st.dictionaries(st.text(max_size=4), json_trees, max_size=4),
+       json_trees.filter(lambda witness: witness is not None), st.text(max_size=6))
+def test_report_chunks_match_json_dumps_for_any_payload(parameters, witness, description):
+    # a failing check and the parameters are written by json.dumps with the
+    # indent of their place inserted after each newline: a newline inside a
+    # string must stay escaped
+    from dmzv.report import Check, IdentityReport
+
+    reports = [IdentityReport(description, parameters,
+                              [Check.of(description), Check.of(description, witness)], 0.5)]
+    payload = {"passed": False, "reports": [r.to_json_dict() for r in reports]}
+    assert "".join(cli._report_chunks(False, reports)) == json.dumps(
+        payload, sort_keys=True, indent=2)
 
 
 def test_write_json_streams_the_same_text(capsys, tmp_path):
     # more chunks than one batch holds
     payload = {"b": [1, True, None], "a": {"x": [[], {}], "é": 1.5},
                "c": [{"k": [k, -k], "v": str(k)} for k in range(300)]}
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode
     for out_path in (None, str(tmp_path / "out.json")):
-        cli._write_joined("", cli._json_chunks(payload), "", "\n", out_path)
+        cli._write_joined("", chunks(payload), "", "\n", out_path)
     expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert capsys.readouterr().out == expected
     assert (tmp_path / "out.json").read_text() == expected

@@ -11,7 +11,6 @@ from dmzv.bernoulli import BernoulliCache, bernoulli
 from dmzv.genfun import (
     EMS,
     FKMT,
-    ValueTable,
     conversion_table,
     ems_series,
     ems_series_from_fkmt,
@@ -22,6 +21,7 @@ from dmzv.genfun import (
     value_rows,
     value_table,
 )
+from dmzv.rationals import format_rational
 
 
 def series_value(series, k):
@@ -251,22 +251,20 @@ def test_conversion_table_under_a_corrupted_bernoulli_table(index):
     assert table_cache.unread_corruptions() == ([] if index <= 32 else [index])
 
 
-def test_value_table_json_and_rows():
+def test_value_table_json_and_rows(capsys):
+    from dmzv.cli import main
+
     table = value_table("fkmt", 1, 2)
-    data = table.to_json_dict()
-    assert data["family"] == "FKMT"
-    assert data["depth"] == 1
-    assert data["values"] == [
-        {"args": [0], "value": "-1/2"},
-        {"args": [1], "value": "-1/6"},
-        {"args": [2], "value": "0"},
-    ]
-    assert ValueTable.from_json_dict(data).entries == table.entries
+    assert table == {(0,): Fraction(-1, 2), (1,): Fraction(-1, 6), (2,): 0}
     rows = list(value_rows(table_series("fkmt", 1, 2)))
     assert rows == [((0,), "-1/2"), ((1,), "-1/6"), ((2,), "0")]
+    assert [(k, format_rational(v)) for k, v in table.items()] == rows
 
-    round_trip = json.loads(json.dumps(data, sort_keys=True))
-    assert json.dumps(round_trip, sort_keys=True) == json.dumps(data, sort_keys=True)
+    # the values file holds the same rows
+    data = {"depth": 1, "family": "FKMT",
+            "values": [{"args": list(k), "value": v} for k, v in rows]}
+    assert main(["values", "--family", "fkmt", "--max-weight", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == data
 
 
 def test_value_rows_read_16_bit_fields():
@@ -277,19 +275,6 @@ def test_value_rows_read_16_bit_fields():
         assert rows[k] == str(ems_value(k)), k
 
 
-def test_value_table_is_a_checked_record():
-    table = value_table("ems", 1, 1)
-    assert table == ValueTable("EMS", 1, dict(table.entries))
-    assert table != ValueTable("FKMT", 1, dict(table.entries))
-    assert repr(ValueTable("EMS", 1, {})) == "ValueTable(family='EMS', depth=1, entries={})"
-    with pytest.raises(TypeError):
-        hash(table)
-    with pytest.raises(ValueError, match="family must be one of"):
-        ValueTable("ems", 1, {})
-    with pytest.raises(ValueError, match="does not have depth 2"):
-        ValueTable("EMS", 2, {(0,): Fraction(1)})
-
-
 def test_series_and_multisum_tables_match():
     # every table entry, read off one generating function, equals the
     # value computed on its own by the Bernoulli multi-sum
@@ -298,8 +283,8 @@ def test_series_and_multisum_tables_match():
         for depth in (1, 2, 3):
             for weight in range(5):
                 table = value_table(family, depth, weight)
-                assert set(table.entries) == set(iter_product(range(weight + 1), repeat=depth))
-                for k, value in table.entries.items():
+                assert list(table) == list(iter_product(range(weight + 1), repeat=depth))
+                for k, value in table.items():
                     if k not in witness:
                         witness[k] = multisum(k)
                     assert value == witness[k], (family, depth, weight, k)

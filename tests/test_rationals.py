@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmzv.genfun import ValueTable, ems_value, fkmt_series, fkmt_value
+from dmzv.genfun import ems_value, fkmt_series, fkmt_value
 from dmzv.multipoly import LaurentPolynomial
 from dmzv.multiseries import MultiSeries, substitute_linear_form, substitute_linear_forms
 from dmzv.rationals import (
     binomial,
     exact_sum,
     format_rational,
+    json_integer,
     multinomial,
     parse_rational,
     pochhammer,
@@ -177,35 +178,33 @@ REFUSED = {
         MultiSeries({(1,): 1}, 1, 2), [(1.5, 1)], 1),
 }
 
-# A JSON record with a float, a string or a bool where an integer belongs,
+# A JSON field with a float, a string or a bool where an integer belongs,
 # or a number or null where a "p/q" string belongs; the readers refuse it
 # with ValueError, as they refuse any malformed record.
-TABLE = {"family": "FKMT", "depth": 1, "values": [{"args": [1], "value": "-1/6"}]}
-REFUSED_RECORDS = {
-    "ValueTable depth": ({**TABLE, "depth": 1.9}, "depth must be an integer, got 1.9"),
-    "ValueTable depth bool": ({**TABLE, "depth": True}, "depth must be an integer, got True"),
-    "ValueTable args float": ({**TABLE, "values": [{"args": [1.5], "value": "0"}]},
-                              "args entry must be an integer, got 1.5"),
-    "ValueTable args str": ({**TABLE, "values": [{"args": ["1"], "value": "0"}]},
-                            "args entry must be an integer, got '1'"),
-    "ValueTable value float": ({**TABLE, "values": [{"args": [1], "value": 0.5}]},
-                               "rational must be a string, got 0.5"),
-    "ValueTable value int": ({**TABLE, "values": [{"args": [1], "value": 3}]},
-                             "rational must be a string, got 3"),
-    "ValueTable value null": ({**TABLE, "values": [{"args": [1], "value": None}]},
-                              "rational must be a string, got None"),
+REFUSED_FIELDS = {
+    "json_integer float": (lambda: json_integer(1.9, "depth"),
+                           "depth must be an integer, got 1.9"),
+    "json_integer bool": (lambda: json_integer(True, "depth"),
+                          "depth must be an integer, got True"),
+    "json_integer float entry": (lambda: json_integer(1.5, "args entry"),
+                                 "args entry must be an integer, got 1.5"),
+    "json_integer str": (lambda: json_integer("1", "args entry"),
+                         "args entry must be an integer, got '1'"),
+    "parse_rational float": (lambda: parse_rational(0.5), "rational must be a string, got 0.5"),
+    "parse_rational int": (lambda: parse_rational(3), "rational must be a string, got 3"),
+    "parse_rational null": (lambda: parse_rational(None), "rational must be a string, got None"),
 }
 
 
-@pytest.mark.parametrize("case", [*REFUSED, *REFUSED_RECORDS])
+@pytest.mark.parametrize("case", [*REFUSED, *REFUSED_FIELDS])
 def test_exact_types_refuse_inexact_input(case):
     if case in REFUSED:
         with pytest.raises(TypeError):
             REFUSED[case]()
     else:
-        record, message = REFUSED_RECORDS[case]
+        read, message = REFUSED_FIELDS[case]
         with pytest.raises(ValueError, match=re.escape(message)):
-            ValueTable.from_json_dict(record)
+            read()
 
 
 def test_exact_types_accept_integral_input():

@@ -84,6 +84,25 @@ def test_run_all_unknown_suite():
         run_all(VerifyConfig(suites=["nope"]))
 
 
+@pytest.mark.parametrize("corruptions", [
+    ((1, Fraction(-1, 2)),),
+    ((3, 0),),
+    # the true B_6 after a corrupted B_4: the run's own table, filled from
+    # the corrupted entry, reads 17/28 there
+    ((4, Fraction(1, 5)), (6, Fraction(1, 42))),
+])
+def test_run_all_refuses_a_corruption_that_changes_nothing(corruptions):
+    with pytest.raises(ValueError, match="injects no fault"):
+        run_all(VerifyConfig(suites=["bernoulli"], corrupt_bernoulli=corruptions))
+
+
+def test_run_all_takes_a_corruption_of_a_shifted_entry():
+    # 17/28 is what B_6 already reads after B_4 = 1/5, but not its true value
+    cfg = VerifyConfig(suites=["bernoulli"],
+                       corrupt_bernoulli=((4, Fraction(1, 5)), (6, Fraction(17, 28))))
+    assert not reports_pass(run_all(cfg))
+
+
 def test_run_all_subset_and_determinism():
     cfg = VerifyConfig(suites=["bernoulli", "depth1", "conversion"])
     first = [r.to_json_dict() for r in run_all(cfg)]
