@@ -7,8 +7,8 @@
 
 from dmzv import bernoulli, ems_value, fkmt_value, value_table
 
-# the series route reads a whole table off one generating function: a
-# dict from each index k to the value at -k
+# the generating-function route builds a whole table from the depth-1
+# factor's coefficients: a dict from each index k to the value at -k
 fkmt_table = value_table("fkmt", 1, 10)
 ems_table = value_table("ems", 1, 10)
 

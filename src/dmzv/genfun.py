@@ -6,22 +6,16 @@ of one depth-1 factor evaluated at T_i = t_i + ... + t_r.  A
 factor, the multi-sum row weight that its coefficients give, and the
 names), and each computation below is written once over that record.
 
-Two independent routes are provided for each family:
-
-* a series route: build the closed-form generating function as a
-  truncated multivariate series and read values off its coefficients
-  (value = (-1)^{k_1+...+k_r} * k_1! ... k_r! * coefficient);
-* a Bernoulli multi-sum route: a sum over the row-tail vectors of the
-  upper-triangular non-negative integer matrices with prescribed column
-  sums, each counted with its integer multinomial weight and weighted by
-  one Bernoulli factor per row tail.
-
-The series route never touches the Bernoulli table and the multi-sum
-route never builds a series, so agreement between them is a meaningful
-check rather than a tautology.  Value tables come from the series route:
-one generating function covers a whole box of indices.  The multi-sum
-computes single values and is the witness the ``routes`` suite checks
-tables against.
+Values come by two routes that share no input.  The generating-function
+route reads the value at -k as (-1)^{k_1+...+k_r} k_1! ... k_r! times the
+coefficient of t^k: off the truncated multivariate series built here, or,
+for a whole table, off the same product without a series
+(:mod:`dmzv.tables`).  The Bernoulli multi-sum computes single values: a
+sum over the row-tail vectors of the upper-triangular non-negative
+integer matrices with prescribed column sums, each counted with its
+integer multinomial weight and weighted by one Bernoulli factor per row
+tail.  It never builds a series and is the witness the ``routes`` suite
+checks tables against.
 """
 
 from __future__ import annotations
@@ -29,13 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import factorial, gcd, prod
-from operator import add, index, lshift, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import add, index, mul
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
-from .rationals import _layout, _over_one_denominator, exact_sum, multinomial
+from .rationals import _over_one_denominator, exact_sum, multinomial
 from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
 
 __all__ = [
@@ -53,8 +46,6 @@ __all__ = [
     "ems_value",
     "conversion_table",
     "index_box",
-    "table_series",
-    "value_rows",
     "value_table",
     "series_value_table",
 ]
@@ -65,8 +56,8 @@ __all__ = [
 
 # Entries kept by each cached factor and series builder below.  A
 # ``verify`` run builds at most 10 factors of one kind, also at its largest
-# accepted caps.  The series it compares and each ``table_series`` are read
-# once, so built uncached; ``fkmt_series`` and ``ems_series`` serve rereads.
+# accepted caps.  The series it compares are read once, so built uncached;
+# ``fkmt_series`` and ``ems_series`` serve rereads.
 SERIES_CACHE_SIZE = 32
 
 
@@ -331,40 +322,13 @@ def index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:
     return iter_product(range(max_weight + 1), repeat=depth)
 
 
-def table_series(family: str, depth: int, max_weight: int) -> MultiSeries:
-    """One family's generating function over the whole index box
-    [0, max_weight]^depth, built uncached; a depth below 1 is refused."""
-    fam = FAMILIES.get(family.upper())
-    if fam is None:
-        raise ValueError(f"unknown family {family.upper()!r}")
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    return _product_series(fam, depth, max_weight)
-
-
-def value_rows(series: MultiSeries) -> Iterator[tuple[tuple[int, ...], str]]:
-    """(k, the value at -k as "p/q", or "p" when q is 1) for every k in the
-    box [0, cap]^nvars of a :func:`table_series`, in lexicographic order,
-    each computed when it is read: (-1)^|k| k! times the numerator of t^k
-    over the series' denominator, reduced by one gcd.  The code of t^k is
-    the zero vector's code plus each entry in its field, the first highest."""
-    nums, den, (depth, cap) = series._nums, series._den, series._ring
-    layout = _layout(depth, series._bound)
-    shifts = range(layout.width * (depth - 1), -1, -layout.width)
-    factorials = [factorial(e) for e in range(cap + 1)].__getitem__
-    for k in index_box(depth, cap):
-        n = nums.get(layout.zero + sum(map(lshift, k, shifts)), 0) * prod(map(factorials, k))
-        g = gcd(n, den)
-        n, d = (-n if sum(k) % 2 else n) // g, den // g
-        yield k, f"{n}/{d}" if d != 1 else str(n)
-
-
 def value_table(family: str, depth: int, max_weight: int) -> dict[tuple[int, ...], Fraction]:
-    """The value at -k for every k with entries <= max_weight, keyed by k,
-    read off one generating function that covers the whole box
-    [0, max_weight]^depth."""
-    series = table_series(family, depth, max_weight)
-    return {k: Fraction(v) for k, v in value_rows(series)}
+    """The value at -k for every k with entries <= max_weight, keyed by k
+    in lexicographic order, from :func:`dmzv.tables.last_level`."""
+    from .tables import last_level  # here, so that ``convert`` does not load it
+
+    nums, den = last_level(family, depth, max_weight)
+    return {k: Fraction(n, den) for k, n in zip(index_box(depth, max_weight), nums)}
 
 
 # the name under which the benchmark's layer tracer spans value tables

@@ -195,6 +195,7 @@ def verify_depth1(max_weight: int, store: Optional[ValueStore] = None) -> list[C
         sign = -1 if k % 2 else 1
         for family, multisum, table in routes:
             closed = sign * family.row_weight(k, store.cache)
+            # "series" names the generating-function route (dmzv.tables)
             for route, value in (("multi-sum", multisum((k,))), ("series", table[(k,)])):
                 checks.append(
                     _value_check(
@@ -211,7 +212,7 @@ def verify_depth1(max_weight: int, store: Optional[ValueStore] = None) -> list[C
 def verify_routes(
     max_depth: int, max_weight: int, store: Optional[ValueStore] = None
 ) -> list[Check]:
-    """Series extraction equals the Bernoulli multi-sum, both families."""
+    """Recurrence tables equal the Bernoulli multi-sum, both families."""
     store = store or ValueStore()
     checks = []
     for depth in range(1, max_depth + 1):

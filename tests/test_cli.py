@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmzv import cli, genfun, shiftcoeffs, verify, words
+from dmzv import cli, genfun, shiftcoeffs, tables, verify, words
 from dmzv.cli import main
 
 
@@ -65,7 +65,7 @@ def test_values_refuses_oversized_tables(capsys, monkeypatch, depth, weight):
         raise AssertionError("an oversized table must be refused before it is built")
 
     # the builder that ``values`` calls: an accepted table reaches it
-    monkeypatch.setattr(genfun, "table_series", no_arithmetic)
+    monkeypatch.setattr(tables, "last_level", no_arithmetic)
     with pytest.raises(AssertionError, match="refused"):
         main(["values", "--family", "fkmt", "--depth", "6", "--max-weight", "5"])
     assert main(["values", "--family", "fkmt", "--depth", str(depth),
@@ -156,7 +156,9 @@ def test_values_csv_is_what_the_csv_module_writes(capsys, family, depth, max_wei
 
 
 # Golden digests of ``values`` in every format, recorded before the rows
-# were streamed; bench/references.json records six json sizes only.
+# were streamed (the depth-4 and depth-6 tables at weights 13 and 5 when
+# they were read off the product series); bench/references.json records
+# six json sizes only.
 VALUES_SHA256 = {
     ("fkmt", 1, 30, "text"): "0ee0ffff034eda2a79ff73c6fe1ef8efc7793000f9b4beafcf536f76142fcb35",
     ("fkmt", 1, 30, "csv"): "d3f0075b5d1a12050a42e2c5221311c81a75a8f7646c7d27591ed2cb533fd8ba",
@@ -182,6 +184,18 @@ VALUES_SHA256 = {
     ("ems", 4, 4, "text"): "611ecbf4dda28f1b33e79ee0b6cafee4947a84cb87d07819f976d90a59020146",
     ("ems", 4, 4, "csv"): "2ff0929c97ed54ea3d3cd2f467d415f8f9419f56a387a119390b36aba482a852",
     ("ems", 4, 4, "json"): "511de4fd18e5a5bc2a2c696ee5060d0898b0834a1ff737317e5e8fa95b1dd6b6",
+    ("fkmt", 4, 13, "text"): "a71d29d324820897b21305f6f7c63988d6d777b7f390334ea229d95c53a24d86",
+    ("fkmt", 4, 13, "csv"): "c85e416292c9d366d22e1e4e5a49350153159ba9caa46b5e0ecc81b1d9b5d0cb",
+    ("fkmt", 4, 13, "json"): "d2803cdf4d85b884da2d4b0070fdc37cb31e9bc39db38ae884f2de2a1cf7a4c9",
+    ("fkmt", 6, 5, "text"): "058533c2dbccb0a8598938b75b4fa5fbc412b9c0bde241544cb572de097ed4e5",
+    ("fkmt", 6, 5, "csv"): "801fb3020421a2cd9a0f58a8989038a1e73e534833fc6010e5926c01eada1915",
+    ("fkmt", 6, 5, "json"): "5e948dda3606752c94b4933ec49710f7a68b2f2484d0ee2bd510022e27085759",
+    ("ems", 4, 13, "text"): "8c561d64d2447a77659775eb35d1e9336459a7414a6c9380927fac15d350a818",
+    ("ems", 4, 13, "csv"): "02d667e8aec09422b3355a4a47dbf6829a798ec68d29e327052bc6df02aff6f4",
+    ("ems", 4, 13, "json"): "29c270206c2e0f07e80618ff1dff1feb3538275af2184a74b260cd73b0f5e6e4",
+    ("ems", 6, 5, "text"): "8ed8933287eaac58d6e6babcf796916595441c803d62badce6514dde7c237b6e",
+    ("ems", 6, 5, "csv"): "a2d0a8a1add5996c2bbf06f1a56fe57c631a9aa674431993ee55d45bb5c3d31b",
+    ("ems", 6, 5, "json"): "88365d0cd1f54960262e9a108ed06ff4dbc5a9beeedb6c0c21ef49f5ddc0c98d",
 }
 
 
@@ -194,6 +208,21 @@ def test_values_match_their_digests(tmp_path, family, depth, max_weight, fmt):
                  str(max_weight), "--format", fmt, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == VALUES_SHA256[family, depth, max_weight, fmt]
+
+
+def test_values_text_builds_the_table_once(monkeypatch, capsys):
+    # the width pass and the line pass read the same last level
+    built = []
+    last_level = tables.last_level
+
+    def counted(*args):
+        built.append(args)
+        return last_level(*args)
+
+    monkeypatch.setattr(tables, "last_level", counted)
+    assert main(["values", "--family", "ems", "--depth", "3", "--max-weight", "4"]) == 0
+    assert built == [("EMS", 3, 4)]
+    assert capsys.readouterr().out.count("\n") == 1 + 5**3
 
 
 def test_convert_csv_is_what_the_csv_module_writes(capsys):
@@ -332,6 +361,16 @@ def test_values_depth2_text_peak_rss():
                       "--format", "text")
     assert report["exit"] == 0
     assert report["rss_mb"] < 27, report
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_values_depth6_json_peak_rss():
+    # the recurrence holds two levels of integers (about 20 MiB on a
+    # 2-vCPU x86-64 host); the product series took 44.8 MiB
+    report = launched("values", "--family", "fkmt", "--depth", "6", "--max-weight", "5",
+                      "--format", "json")
+    assert report["exit"] == 0
+    assert report["rss_mb"] < 30, report
 
 
 # Golden digests of ``gr-coeffs --depth 7``, past the depth-6 runs that
@@ -644,15 +683,15 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 def test_values_out_stays_atomic_when_a_row_fails(tmp_path, monkeypatch, fmt):
     # the rows are computed while the file is written, more than one batch
     # of them before the failure: the old file stays and no temporary is left
-    rows = genfun.value_rows
+    rows = tables.rows
 
-    def failing(series):
-        for i, row in enumerate(rows(series)):
+    def failing(*args):
+        for i, row in enumerate(rows(*args)):
             if i == 100:
                 raise RuntimeError("row 100 failed")
             yield row
 
-    monkeypatch.setattr(genfun, "value_rows", failing)
+    monkeypatch.setattr(tables, "rows", failing)
     out = tmp_path / "table"
     out.write_text("old\n")
     with pytest.raises(RuntimeError, match="row 100 failed"):
@@ -665,7 +704,7 @@ def test_values_out_stays_atomic_when_a_row_fails(tmp_path, monkeypatch, fmt):
 # Each command that takes --out, with the layer function its arithmetic
 # starts in
 OUT_COMMANDS = {
-    "values": (["values", "--family", "fkmt", "--depth", "2"], genfun, "table_series"),
+    "values": (["values", "--family", "fkmt", "--depth", "2"], tables, "last_level"),
     "verify": (["verify", "--suite", "bernoulli"], verify, "run_all"),
     "gr-coeffs": (["gr-coeffs", "--depth", "3"], shiftcoeffs, "shifted_zeta_terms"),
     "convert": (["convert"], genfun, "conversion_table"),

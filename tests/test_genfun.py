@@ -17,8 +17,6 @@ from dmzv.genfun import (
     ems_value,
     fkmt_series,
     fkmt_value,
-    table_series,
-    value_rows,
     value_table,
 )
 from dmzv.rationals import format_rational
@@ -253,10 +251,11 @@ def test_conversion_table_under_a_corrupted_bernoulli_table(index):
 
 def test_value_table_json_and_rows(capsys):
     from dmzv.cli import main
+    from dmzv.tables import value_rows
 
     table = value_table("fkmt", 1, 2)
     assert table == {(0,): Fraction(-1, 2), (1,): Fraction(-1, 6), (2,): 0}
-    rows = list(value_rows(table_series("fkmt", 1, 2)))
+    rows = list(value_rows("fkmt", 1, 2))
     assert rows == [((0,), "-1/2"), ((1,), "-1/6"), ((2,), "0")]
     assert [(k, format_rational(v)) for k, v in table.items()] == rows
 
@@ -267,16 +266,8 @@ def test_value_table_json_and_rows(capsys):
     assert json.loads(capsys.readouterr().out) == data
 
 
-def test_value_rows_read_16_bit_fields():
-    # from max weight 64 on, each exponent of the series takes a 16-bit field
-    rows = dict(value_rows(table_series("ems", 2, 64)))
-    assert len(rows) == 65 * 65
-    for k in [(0, 0), (0, 64), (64, 0), (37, 12), (63, 64), (64, 64)]:
-        assert rows[k] == str(ems_value(k)), k
-
-
 def test_series_and_multisum_tables_match():
-    # every table entry, read off one generating function, equals the
+    # every table entry, built by the last-entry recurrence, equals the
     # value computed on its own by the Bernoulli multi-sum
     for family, multisum in (("FKMT", fkmt_value), ("EMS", ems_value)):
         witness = {}

@@ -20,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Runs ``dmzv.cli.main`` on the arguments with stdout discarded, then
 # prints its exit code, the dmzv modules loaded and whether dataclasses,
-# inspect and json are; json is imported to print only after that.
+# inspect, json, fractions and decimal are; json is imported to print
+# only after that.
 PROBE = """
 import contextlib, io, sys
 from dmzv.cli import main
@@ -32,6 +33,8 @@ loaded = {
     "dataclasses": "dataclasses" in sys.modules,
     "inspect": "inspect" in sys.modules,
     "json": "json" in sys.modules,
+    "fractions": "fractions" in sys.modules,
+    "decimal": "decimal" in sys.modules,
 }
 import json
 print(json.dumps(loaded))
@@ -46,29 +49,30 @@ def fresh(code: str, *argv: str) -> str:
     return done.stdout
 
 
-VALUES = ["dmzv", "dmzv.bernoulli", "dmzv.cli", "dmzv.genfun", "dmzv.multiseries",
-          "dmzv.names", "dmzv.rationals", "dmzv.series"]
-
-
-# Only a verify report is written through json.
-@pytest.mark.parametrize("argv, modules, uses_json", [
+# Only a verify report is written through json, and values are written
+# from integers alone.
+@pytest.mark.parametrize("argv, modules, uses_json, uses_fractions", [
     (["values", "--family", "ems", "--depth", "2", "--max-weight", "2", "--format", "json"],
-     VALUES, False),
+     ["dmzv", "dmzv.cli", "dmzv.names", "dmzv.tables"], False, False),
     (["gr-coeffs", "--depth", "3", "--format", "json"],
      ["dmzv", "dmzv.cli", "dmzv.multipoly", "dmzv.names", "dmzv.rationals", "dmzv.report",
-      "dmzv.shiftcoeffs"], False),
-    (["convert", "--max-weight", "5", "--format", "json"], VALUES, False),
+      "dmzv.shiftcoeffs"], False, True),
+    (["convert", "--max-weight", "5", "--format", "json"],
+     ["dmzv", "dmzv.bernoulli", "dmzv.cli", "dmzv.genfun", "dmzv.multiseries", "dmzv.names",
+      "dmzv.rationals", "dmzv.series"], False, True),
     (["shuffle", "dy", "ydy"],
-     ["dmzv", "dmzv.cli", "dmzv.names", "dmzv.rationals", "dmzv.series", "dmzv.words"], False),
+     ["dmzv", "dmzv.cli", "dmzv.names", "dmzv.rationals", "dmzv.series", "dmzv.words"],
+     False, True),
     (["verify", "--format", "json"],
      ["dmzv", "dmzv.bernoulli", "dmzv.cli", "dmzv.genfun", "dmzv.multipoly",
       "dmzv.multiseries", "dmzv.names", "dmzv.rationals", "dmzv.report", "dmzv.series",
-      "dmzv.shiftcoeffs", "dmzv.verify", "dmzv.words"], True),
+      "dmzv.shiftcoeffs", "dmzv.tables", "dmzv.verify", "dmzv.words"], True, True),
 ])
-def test_each_command_loads_only_its_layers(argv, modules, uses_json):
+def test_each_command_loads_only_its_layers(argv, modules, uses_json, uses_fractions):
     loaded = json.loads(fresh(PROBE, *argv))
     assert loaded == {"exit": 0, "modules": modules, "dataclasses": False, "inspect": False,
-                      "json": uses_json}
+                      "json": uses_json, "fractions": uses_fractions,
+                      "decimal": uses_fractions}
 
 
 # The rise of the peak RSS (VmHWM) over a default ``verify --format json``
@@ -152,7 +156,8 @@ def test_public_names_resolve_to_their_modules():
 # Names the package no longer has, each with the module that defined it;
 # the lazy lookup in ``dmzv.__getattr__`` must not bring one back.
 RETIRED = {
-    "genfun": ["fkmt_value_series", "ems_value_series", "_value_series", "ValueTable"],
+    "genfun": ["fkmt_value_series", "ems_value_series", "_value_series", "ValueTable",
+               "table_series", "value_rows"],
     "rationals": ["Rational"],
     "shiftcoeffs": ["shift_coefficients"],
 }

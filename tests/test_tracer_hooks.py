@@ -90,6 +90,11 @@ def test_traced_values_finds_the_series_spans():
     for name in ("multiseries.MultiSeries.__mul__", "multiseries.substitute_linear_form",
                  "series.UniSeries.__mul__"):
         assert name not in result["missing"]
+    # values builds its tables on integers, with no series
+    assert not {"multiseries.mul", "series.mul", "series.divide"} & set(result["calls"])
+    # the telescope suite multiplies product series, and the term-pair
+    # count reads the size of each product's operands
+    result = traced("verify", "--suite", "telescope", "--format", "json")
+    assert result["exit"] == 0
     assert result["calls"]["multiseries.mul"] >= 1
-    # the term-pair count reads the size of each product's operands
     assert result["counts"]["multiseries.term_pairs"] > 0
