@@ -38,14 +38,7 @@ _SOURCES = {
     "multiseries": ("MultiSeries", "substitute_linear_form", "substitute_linear_forms"),
     "rationals": ("binomial", "format_rational", "multinomial", "parse_rational", "pochhammer"),
     "report": ("Check", "IdentityReport"),
-    "series": (
-        "UniSeries",
-        "divide_with_valuation",
-        "exp_minus_one",
-        "exp_over_one_minus_exp",
-        "exp_series",
-        "laurent_divide",
-    ),
+    "series": ("UniSeries", "exp_over_one_minus_exp"),
     "shiftcoeffs": (
         "ShiftedZetaExpression",
         "coefficient_polynomial",

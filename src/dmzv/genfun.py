@@ -29,7 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .bernoulli import BernoulliCache, bernoulli
 from .multiseries import MultiSeries, substitute_linear_form
 from .rationals import _over_one_denominator, exact_sum, multinomial
-from .series import UniSeries, divide_with_valuation, exp_minus_one, exp_series
+from .series import UniSeries, quotient_series
 
 __all__ = [
     "Family",
@@ -61,39 +61,38 @@ __all__ = [
 SERIES_CACHE_SIZE = 32
 
 
+def _family_factor(name: str, order: int) -> UniSeries:
+    # the quotient of the family's divided powers, both from degree 2
+    from .tables import DIVIDED_POWERS  # here, so that ``convert`` does not load it
+
+    return quotient_series(*DIVIDED_POWERS[name], 2, order)
+
+
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def fkmt_factor(order: int) -> UniSeries:
     """((1 - u) exp(u) - 1) / (exp(u) - 1)^2, exact through ``order``.
 
-    Numerator and denominator both vanish to second order, hence the
-    guarded division.  Expansion starts -1/2 + u/6 + ...
+    Numerator and denominator both vanish to second order, with n! [u^n]
+    1 - n and 2^n - 2.  Expansion starts -1/2 + u/6 + ...
     """
-    work = order + 2
-    e = exp_series(work)
-    num = e - e.shift(1) - UniSeries.one(work)
-    den = exp_minus_one(work) * exp_minus_one(work)
-    return divide_with_valuation(num, den)
+    return _family_factor("FKMT", order)
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def ems_factor(order: int) -> UniSeries:
     """(u - (exp(u) - 1)) / (u (exp(u) - 1)), exact through ``order``.
 
-    Equals 1/(exp(u) - 1) - 1/u; expansion starts -1/2 + u/12 + ...
+    Equals 1/(exp(u) - 1) - 1/u; n! [u^n] of numerator and denominator
+    are -1 and n from degree 2.  Expansion starts -1/2 + u/12 + ...
     """
-    work = order + 2
-    num = UniSeries.monomial(1, work) - exp_minus_one(work)
-    den = exp_minus_one(work).shift(1)
-    return divide_with_valuation(num, den)
+    return _family_factor("EMS", order)
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def ems_prefactor(order: int) -> UniSeries:
-    """(1 - exp(-u)) / u, the unit factor of the family conversion."""
-    work = order + 1
-    num = -(exp_minus_one(work).negate_variable())
-    den = UniSeries.monomial(1, work)
-    return divide_with_valuation(num, den)
+    """(1 - exp(-u)) / u, the unit factor of the family conversion: n! [u^n]
+    (-1)^(n+1) over the monomial u."""
+    return quotient_series(lambda n: (-1) ** (n + 1), lambda n: int(n == 1), 1, order)
 
 
 def _tail_weights(depth: int, i: int) -> tuple[int, ...]:

@@ -8,9 +8,10 @@ is never lost silently; asking for a coefficient beyond the order raises.
 
 A series holds the one stored form of :mod:`rationals`: each degree maps
 to a non-zero integer numerator over one reduced denominator.  Every
-operation, the guarded division and the exponential series included,
-works on those integers; :attr:`UniSeries.coeffs` and
-:meth:`UniSeries.coefficient` build ``Fraction``s only when they are read.
+operation works on those integers, and a quotient is built from the
+integer divided-power quotient of :mod:`dmzv.tables`;
+:attr:`UniSeries.coeffs` and :meth:`UniSeries.coefficient` build
+``Fraction``s only when they are read.
 
 Objects are immutable after construction and all operations are pure.
 """
@@ -19,20 +20,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
 from operator import index
 from typing import Mapping
 
 from .rationals import RationalLike, Terms, _sum, numerators
 
-__all__ = [
-    "UniSeries",
-    "divide_with_valuation",
-    "laurent_divide",
-    "exp_minus_one",
-    "exp_series",
-    "exp_over_one_minus_exp",
-]
+__all__ = ["UniSeries", "exp_over_one_minus_exp"]
+
 
 class UniSeries(Terms):
     """Series in one variable, exact through degree ``order``; degrees of
@@ -124,84 +118,34 @@ class UniSeries(Terms):
         return f"UniSeries({{{terms}}}, order={self.order})"
 
 
-def divide_with_valuation(num: UniSeries, den: UniSeries) -> UniSeries:
-    """Exact quotient num/den when valuation(num) >= valuation(den), so the
-    quotient has no pole.
+def quotient_series(alpha, beta, valuation: int, order: int) -> UniSeries:
+    """a / b exact through ``order``, where n! [u^n] of a and b are alpha(n)
+    and beta(n) from degree ``valuation`` on, both 0 below it: the
+    divided-power quotient q_n of :func:`dmzv.tables.divided_quotient`
+    over D, as the numerators q_n D order!/n! over D order!."""
+    from .tables import divided_quotient  # here, so that ``convert`` does not load it
 
-    The quotient q satisfies q * den = num through the common representable
-    order, which is min(num.order, den.order) - valuation(den).
-    """
-    if den.is_zero():
-        raise ValueError("division by the zero series")
-    vn, vd = num.valuation(), den.valuation()
-    if not num.is_zero() and vn < vd:
-        raise ValueError(f"valuation mismatch: numerator valuation {vn} < denominator valuation {vd}")
-    order = min(num.order, den.order) - vd
     if order < 0:
-        raise ValueError("insufficient truncation order for the quotient")
-    if num.is_zero():
-        return UniSeries.zero(order)
-    # q = (den._den / num._den) p, where p divides the two numerator series:
-    # p_n = (a_n - sum_{j>0} b_j p_{n-j}) / b_0.  The p_n are held as integers
-    # over the least common denominator of those found so far.
-    a = {d - vd: n for d, n in num._nums.items() if d - vd <= order}
-    b = [(d - vd, n) for d, n in sorted(den._nums.items()) if d - vd <= order]
-    lead = b.pop(0)[1]
-    p: dict[int, int] = {}
-    p_den = 1
-    for n in range(order + 1):
-        acc = a.get(n, 0) * p_den
-        for j, bj in b:
-            if j > n:
-                break
-            pj = p.get(n - j)
-            if pj:
-                acc -= pj * bj
-        if acc:
-            # p_n = acc / (p_den * lead), over lcm(p_den, its reduced denominator)
-            d = abs(p_den * lead) // gcd(acc, p_den * lead)
-            step = d // gcd(p_den, d)
-            if step != 1:
-                p = {i: pi * step for i, pi in p.items()}
-                p_den *= step
-            p[n] = acc * step // lead
-    return num._like({i: pi * den._den for i, pi in p.items()}, p_den * num._den, order)
-
-
-def laurent_divide(num: UniSeries, den: UniSeries) -> UniSeries:
-    """Exact quotient of any valuations; the result may have a pole."""
-    if den.is_zero():
-        raise ValueError("division by the zero series")
-    vd = den.valuation()
-    if num.is_zero():
-        return UniSeries.zero(num.order - vd)
-    vn = num.valuation()
-    return divide_with_valuation(num.shift(-vn), den.shift(-vd)).shift(vn - vd)
-
-
-def exp_minus_one(order: int) -> UniSeries:
-    """exp(u) - 1 truncated: sum_{m=1}^{order} u^m / m!."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return exp_series(order) - UniSeries.one(order)
-
-
-def exp_series(order: int) -> UniSeries:
-    """exp(u) truncated at the given order, over the denominator order!."""
-    top = factorial(max(order, 0))
-    nums = {m: top // factorial(m) for m in range(order + 1)}
-    return object.__new__(UniSeries)._set(nums, top, order)
+        raise ValueError(f"order must be >= 0, got {order}")
+    nums, den = divided_quotient(alpha, beta, valuation, order)
+    scaled, scale = {}, 1  # scale: order!/n!
+    for n in range(order, -1, -1):
+        if nums[n]:
+            scaled[n] = nums[n] * scale
+        scale *= n or 1
+    return object.__new__(UniSeries)._set(scaled, den * scale, order)
 
 
 @lru_cache(maxsize=64)
 def exp_over_one_minus_exp(order: int) -> UniSeries:
     """Laurent expansion of exp(z) / (1 - exp(z)), valuation -1.
 
-    Leading terms: -1/z - 1/2 - z/12 + z^3/720 - ...  Cached, because
-    every word's character starts from this kernel; the series returned
-    is immutable, so sharing it is safe.
+    Leading terms: -1/z - 1/2 - z/12 + z^3/720 - ...  It is
+    -z exp(z) / (exp(z) - 1), n! [z^n] -n over 1 from degree 1, divided
+    and shifted down one degree.  Cached, because every word's character
+    starts from this kernel; the series returned is immutable, so sharing
+    it is safe.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    work = order + 2
-    return laurent_divide(exp_series(work), -exp_minus_one(work)).truncate(order)
+    return quotient_series(lambda n: -n, lambda n: 1, 1, order + 1).shift(-1)

@@ -8,6 +8,8 @@ Its depth-1 values q_n = n! [u^n] F come from F in divided-power
 the product of two such series is the binomial convolution.  F is divided
 by (e^u - 1)^2 or u (e^u - 1), not by the Bernoulli fill's (e^u - 1)/u, so
 a table shares no input with the multi-sum that ``routes`` checks it by.
+The same quotient builds the factors, the conversion prefactor and the
+words kernel as series (:func:`dmzv.series.quotient_series`).
 """
 
 from itertools import product
@@ -19,25 +21,39 @@ DIVIDED_POWERS = {"FKMT": (lambda n: 1 - n, lambda n: 2**n - 2),
                   "EMS": (lambda n: -1, lambda n: n)}
 
 
+def divided_quotient(alpha, beta, valuation: int, order: int) -> tuple[list[int], int]:
+    """q_m = m! [u^m] of a / b, m = 0..order, as numerators over their least
+    common denominator D, and D, where n! [u^n] of a and b are alpha(n) and
+    beta(n) from degree v = ``valuation`` on, both 0 below it, and
+    beta(v) > 0.  A product of divided-power series is the binomial
+    convolution, so each q_m is one integer dot product with a Pascal row."""
+    v = valuation
+    betas = [beta(j) for j in range(order + v + 1)]
+    nums, den, row = [], 1, [1]  # row: C(n, 0..n)
+    for n in range(order + v + 1):
+        if n >= v:
+            # C(m+v, m) beta_v q_m = alpha_{m+v} - sum_{i<m} C(m+v, i) beta_{m+v-i} q_i
+            m = n - v
+            p = alpha(n) * den - sum(map(mul, map(mul, row, betas[n:v:-1]), nums))
+            q = den * row[m] * betas[v]
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            if den % q:  # the running denominator widens, as in BernoulliCache._fill
+                scale = lcm(den, q) // den
+                nums, den = [x * scale for x in nums], den * scale
+            nums.append(p * (den // q))
+        row = [1, *map(add, row, row[1:]), 1]  # Pascal's rule
+    return nums, den
+
+
 def depth1_numerators(family: str, order: int) -> tuple[list[int], int]:
     """The values at -n, n = 0..order, as numerators over their least
-    common denominator D, and D.  The value at -n is (-1)^n q_n."""
+    common denominator D, and D.  The value at -n is (-1)^n q_n, q_n the
+    :func:`divided_quotient` of the family's factor."""
     powers = DIVIDED_POWERS.get(family.upper())
     if powers is None:
         raise ValueError(f"unknown family {family.upper()!r}")
-    alpha, betas = powers[0], [powers[1](j) for j in range(order + 3)]
-    nums, den, row = [], 1, [1, 2, 1]  # row: C(m + 2, 0..m + 2)
-    for m in range(order + 1):
-        # (m+1)(m+2) q_m = alpha_{m+2} - sum_{i<m} C(m+2, i) beta_{m+2-i} q_i
-        p = alpha(m + 2) * den - sum(map(mul, map(mul, row, betas[m + 2:2:-1]), nums))
-        q = den * (m + 1) * (m + 2)
-        g = gcd(p, q)
-        p, q = p // g, q // g
-        if den % q:  # the running denominator widens, as in BernoulliCache._fill
-            scale = lcm(den, q) // den
-            nums, den = [n * scale for n in nums], den * scale
-        nums.append(p * (den // q))
-        row = [1, *map(add, row, row[1:]), 1]  # Pascal's rule
+    nums, den = divided_quotient(*powers, 2, order)
     return [-n if m % 2 else n for m, n in enumerate(nums)], den
 
 

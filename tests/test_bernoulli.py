@@ -2,10 +2,11 @@ import threading
 from fractions import Fraction
 
 import pytest
+from reference_series import exp_minus_one
 
 from dmzv.bernoulli import BernoulliCache, bernoulli, default_cache
 from dmzv.rationals import binomial
-from dmzv.series import UniSeries, exp_minus_one
+from dmzv.series import UniSeries
 
 
 def test_anchor_values():

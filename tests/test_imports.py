@@ -61,8 +61,8 @@ def fresh(code: str, *argv: str) -> str:
      ["dmzv", "dmzv.bernoulli", "dmzv.cli", "dmzv.genfun", "dmzv.multiseries", "dmzv.names",
       "dmzv.rationals", "dmzv.series"], False, True),
     (["shuffle", "dy", "ydy"],
-     ["dmzv", "dmzv.cli", "dmzv.names", "dmzv.rationals", "dmzv.series", "dmzv.words"],
-     False, True),
+     ["dmzv", "dmzv.cli", "dmzv.names", "dmzv.rationals", "dmzv.series", "dmzv.tables",
+      "dmzv.words"], False, True),
     (["verify", "--format", "json"],
      ["dmzv", "dmzv.bernoulli", "dmzv.cli", "dmzv.genfun", "dmzv.multipoly",
       "dmzv.multiseries", "dmzv.names", "dmzv.rationals", "dmzv.report", "dmzv.series",
@@ -130,8 +130,7 @@ PUBLIC = {
     "multiseries": ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"],
     "rationals": ["binomial", "format_rational", "multinomial", "parse_rational", "pochhammer"],
     "report": ["Check", "IdentityReport"],
-    "series": ["UniSeries", "divide_with_valuation", "exp_minus_one", "exp_over_one_minus_exp",
-               "exp_series", "laurent_divide"],
+    "series": ["UniSeries", "exp_over_one_minus_exp"],
     "shiftcoeffs": ["ShiftedZetaExpression", "coefficient_polynomial",
                     "shifted_zeta_expression"],
     "verify": ["SUITES", "ValueStore", "VerifyConfig", "reports_pass", "run_all"],
@@ -159,6 +158,7 @@ RETIRED = {
     "genfun": ["fkmt_value_series", "ems_value_series", "_value_series", "ValueTable",
                "table_series", "value_rows"],
     "rationals": ["Rational"],
+    "series": ["divide_with_valuation", "laurent_divide", "exp_series", "exp_minus_one"],
     "shiftcoeffs": ["shift_coefficients"],
 }
 

@@ -1,6 +1,7 @@
-"""A third oracle: Bernoulli numbers, depth-1 factor coefficients and
-depth-2 generating-function coefficients from sympy, which shares no
-code with either of the library's routes.  Skipped when sympy is not
+"""A third oracle: Bernoulli numbers, the coefficients of every depth-1
+series (the two factors, the conversion prefactor and the words kernel)
+and depth-2 generating-function coefficients from sympy, which shares
+no code with either of the library's routes.  Skipped when sympy is not
 installed."""
 
 from fractions import Fraction
@@ -11,12 +12,14 @@ import pytest
 from dmzv.bernoulli import bernoulli
 from dmzv.genfun import (
     ems_factor,
+    ems_prefactor,
     ems_series,
     ems_value,
     fkmt_factor,
     fkmt_series,
     fkmt_value,
 )
+from dmzv.series import exp_over_one_minus_exp
 
 sympy = pytest.importorskip("sympy")
 
@@ -53,6 +56,25 @@ def test_depth1_factor_matches_sympy_series(family):
         # the series route's coefficient, and the multi-sum route's value
         assert series.coefficient(d) == expected, d
         assert multisum((d,)) == (-1) ** d * factorial(d) * expected, d
+
+
+# the other two series built by the divided-power quotient, each with its
+# closed form and its lowest degree
+OTHER_SERIES = {
+    "ems_prefactor": (ems_prefactor, lambda u, e: (1 - 1 / e) / u, 0),
+    "exp_over_one_minus_exp": (exp_over_one_minus_exp, lambda u, e: e / (1 - e), -1),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_SERIES)
+def test_depth1_series_matches_sympy_series(name):
+    builder, closed_form, low = OTHER_SERIES[name]
+    u = sympy.Symbol("u")
+    expansion = sympy.series(closed_form(u, sympy.exp(u)), u, 0, 12).removeO()
+    series = builder(11)
+    assert series.valuation() == low
+    for d in range(low, 12):
+        assert series.coefficient(d) == as_fraction(expansion.coeff(u, d)), d
 
 
 @pytest.mark.parametrize("family, series", [("FKMT", fkmt_series), ("EMS", ems_series)])

@@ -1,15 +1,19 @@
 """Value tables by the last-entry recurrence on integers (``dmzv.tables``),
 against the series route that they replaced for ``values``: the family's
-product generating function, read off its packed coefficients."""
+product generating function, read off its packed coefficients.  The
+divided-power quotient, and every depth-1 series built from it, against
+the ``UniSeries`` division chain of ``reference_series``."""
 
+from functools import lru_cache
 from math import comb, factorial, gcd, prod
 from operator import lshift
 
 import pytest
+import reference_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmzv import tables, verify
+from dmzv import genfun, series, tables, verify, words
 from dmzv.genfun import EMS, FAMILIES, FKMT, _product_series, ems_value, index_box
 from dmzv.rationals import _layout
 
@@ -55,11 +59,51 @@ def test_depth1_numerators_are_the_factor_coefficients(family):
     nums, den = tables.depth1_numerators(family.name, order)
     assert len(nums) == order + 1
     assert gcd(den, *nums) == 1
-    factor = family.factor(order)
+    factor = reference(family.factor.__name__)
     for n, num in enumerate(nums):
         q = factor.coefficient(n) * factorial(n)
         assert num * q.denominator == (-1) ** n * q.numerator * den, n
         assert q == family.row_weight(n, None), n
+
+
+# Each depth-1 series builder, its reference route and the order through
+# which the two are compared.
+BUILDERS = {
+    "fkmt_factor": (genfun.fkmt_factor, reference_series.fkmt_factor, 400),
+    "ems_factor": (genfun.ems_factor, reference_series.ems_factor, 400),
+    "ems_prefactor": (genfun.ems_prefactor, reference_series.ems_prefactor, 400),
+    "exp_over_one_minus_exp": (series.exp_over_one_minus_exp,
+                               reference_series.exp_over_one_minus_exp, 200),
+}
+
+
+@lru_cache(maxsize=None)
+def reference(name):
+    _, route, top = BUILDERS[name]
+    return route(top)
+
+
+def stored(s):
+    return s._nums, s._den, s.order
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_series_builders_are_the_reference_division(name):
+    # the stored form, at every order through 40 and at the top order
+    builder, route, top = BUILDERS[name]
+    for order in range(41):
+        assert stored(builder(order)) == stored(route(order)), order
+    assert stored(builder(top)) == stored(reference(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(BUILDERS)), st.data())
+def test_series_builders_store_the_reference_form_at_any_order(name, data):
+    # the stored form is unique, so a builder at any order through the top
+    # is the reference at the top, truncated
+    builder, _, top = BUILDERS[name]
+    order = data.draw(st.integers(0, top))
+    assert stored(builder(order)) == stored(reference(name).truncate(order))
 
 
 def test_a_wrong_divided_power_fails_routes(monkeypatch):
@@ -80,3 +124,25 @@ def test_a_wrong_recurrence_binomial_fails_routes(monkeypatch):
     failed = {tuple(check.witness["k"]) for check in report.failures()}
     # (a, 2) at depth 2 reads row 2
     assert (0, 2) in failed and all(len(k) > 1 for k in failed)
+
+
+def test_a_wrong_pascal_entry_in_the_quotient_fails_routes_conversion_and_words(monkeypatch):
+    # C(5, 2) = 11: the tables, the factors, the prefactor and the kernel
+    # all step the rows of the one quotient, so the one fault must reach a
+    # value suite and the words suite
+    monkeypatch.setattr(tables, "add", lambda a, b: a + b + ((a, b) == (4, 6)))
+    caches = (genfun.fkmt_factor, genfun.ems_factor, genfun.ems_prefactor,
+              genfun.fkmt_series, genfun.ems_series, series.exp_over_one_minus_exp,
+              words._kernel_powers)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        reports = verify.run_all(verify.VerifyConfig(
+            suites=["routes", "telescope", "conversion", "words"]))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    failed = {report.suite for report in reports if not report.passed}
+    assert {"routes", "conversion", "words"} <= failed
+    assert all("exception" not in (check.witness or {})
+               for report in reports for check in report.failures())

@@ -29,6 +29,9 @@ STALE_SPANS = {
     # the dict form of the coefficient family, retired: the checks read
     # the records of shifted_zeta_expression, which is spanned
     "shiftcoeffs.shift_coefficients",
+    # the series division chain, retired: every depth-1 series is a
+    # divided-power quotient (dmzv.tables.divided_quotient)
+    "series.divide_with_valuation",
 }
 
 
