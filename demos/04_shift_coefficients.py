@@ -7,7 +7,7 @@
 # (1 - s) zeta(s).
 
 from dmzv import coefficient_polynomial, shifted_zeta_expression
-from dmzv.shiftcoeffs import rendered_text
+from dmzv.expansion import rendered_text
 
 print("the defining product, expanded at depth 2:")
 print(" ", coefficient_polynomial(2))

@@ -46,11 +46,11 @@ MAX_TABLE_SPAN = 500
 # 2-vCPU x86-64 host) it takes 0.20 s at 500; the table alone takes
 # 0.84 s at 800 (median of 3) and 11.6 s at 1600 (one run).
 MAX_CONVERT_WEIGHT = 500
-# Bound on ``gr-coeffs --depth``, checked before any arithmetic.  In a
-# fresh process (median of 5, Python 3.11.7, a shared 2-vCPU x86-64 host),
-# ``--format json`` takes 0.06 s and peaks at 17.4 MiB RSS at depth 6, and
-# 0.19 s and 26.2 MiB at depth 7; ``--format text`` takes 0.54 s at depth 7
-# in the same 26.2 MiB.
+# Bound on ``gr-coeffs --depth``, checked before any arithmetic; the
+# expansion's 4-bit code fields hold depth 7 at most.  In a fresh process
+# (median of 8, Python 3.11.7, a shared 2-vCPU x86-64 host), ``--format
+# json`` takes 0.08 s and peaks at 14.3 MiB RSS at depth 6, and 0.29 s and
+# 16.0 MiB at depth 7; ``--format text`` takes 0.8 s at depth 7 in 16.8 MiB.
 # The family grows about sevenfold per depth (10,992 terms at depth 6,
 # 79,474 at depth 7), and its expansion's time and memory with it.
 MAX_GR_DEPTH = 7
@@ -313,19 +313,24 @@ def _cmd_verify(args) -> int:
 def _cmd_gr_coeffs(args) -> int:
     if oversized := _oversized(("--depth", args.depth, MAX_GR_DEPTH)):
         return _usage_error(f"gr-coeffs request too large: {oversized}")
-    from .shiftcoeffs import rendered_text, shifted_zeta_terms
+    from functools import partial
 
-    # every term is checked before the first byte is written
+    from .expansion import family, rendered_text, terms
+
+    # every term is checked before the first byte is written; each is read
+    # as (coef, exponent vector l + m), in (l, m) order
     depth = args.depth
-    family = shifted_zeta_terms(depth)
+    codes, coefs = family(depth)
+    each_term = partial(terms, depth, codes, coefs)
     if args.format == "text":
         # one pass for the term lines, one for the one-line rendering
+        entries = "[" + ", ".join(["%d"] * depth) + "]"
+        line = "  l=" + entries + "  m=" + entries + "  coef=%d\n"
         with _output(args.out) as handle:
-            handle.write(f"depth {depth}: {len(family)} nonzero coefficients\n")
-            _write_batches(
-                handle, (f"  l={list(l)}  m={list(m)}  coef={coef}\n" for coef, l, m in family)
-            )
-            _write_batches(handle, rendered_text(depth, family))
+            handle.write(f"depth {depth}: {len(codes)} nonzero coefficients\n")
+            _write_batches(handle, (line % (*e, coef) for coef, e in each_term()))
+            _write_batches(handle, rendered_text(
+                depth, ((coef, e[:depth], e[depth:]) for coef, e in each_term())))
             handle.write("\n")
         return EXIT_OK
     # the depth fixes each term's shape, so one template formats them all
@@ -337,14 +342,14 @@ def _cmd_gr_coeffs(args) -> int:
             + "\n    }"
         )
         head = '{\n  "depth": %d,\n  "terms": [\n' % depth
-        _write_joined(head, (template % (coef, *l, *m) for coef, l, m in family),
+        _write_joined(head, (template % (coef, *e) for coef, e in each_term()),
                       ",\n", "\n  ]\n}\n", args.out)
     else:
         # integers never need CSV quoting
         header = [f"l{i}" for i in range(1, depth + 1)] + [f"m{i}" for i in range(1, depth + 1)]
         template = ",".join(["%d"] * (2 * depth + 1))
         _write_joined(",".join(header + ["coef"]) + "\n",
-                      (template % (*l, *m, coef) for coef, l, m in family), "\n", "\n", args.out)
+                      (template % (*e, coef) for coef, e in each_term()), "\n", "\n", args.out)
     return EXIT_OK
 
 

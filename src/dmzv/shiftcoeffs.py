@@ -9,28 +9,30 @@ explicit Laurent polynomial: the product over j = 1..r of
 
 For every monomial, the u-exponents give the Pochhammer degrees l and the
 v-exponents give the argument shifts m; the shifts of each monomial sum
-to zero.  This module expands that product exactly, extracts the family,
-verifies its structural identities, and exports the symbolic expression.
+to zero.  :mod:`dmzv.expansion` expands that product on integers, and
+``gr-coeffs`` writes every format from there; this module holds the
+family as a record and verifies its structural identities.
 
-The family has one form, the record :class:`ShiftedZetaExpression`: the
-depth and the expanded polynomial, every term of which has been checked
-once.  Iterating the record reads the (coef, l, m) terms off the packed
-polynomial in sorted (l, m) order, unpacking one at a time.
-:func:`shifted_zeta_terms` expands and checks a fresh record, from which
-``gr-coeffs`` writes all its formats; :func:`shifted_zeta_expression` is
-the same call, cached, and every check reads its records, the merge
-substitution their polynomials.
+The record :class:`ShiftedZetaExpression` holds the depth and the
+expanded polynomial, every term of which has been checked once:
+:func:`coefficient_polynomial` is the ``LaurentPolynomial`` of the
+expansion's checked terms.  Iterating the record reads the (coef, l, m)
+terms off the packed polynomial in sorted (l, m) order.
+:func:`shifted_zeta_terms` builds a fresh record and
+:func:`shifted_zeta_expression` a cached one, which every check reads,
+the merge substitution its polynomial.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping
 
+from .expansion import Term, check_term, family
+from .expansion import terms as expansion_terms
 from .multipoly import LaurentPolynomial
-from .rationals import _layout, binomial, json_integer
+from .rationals import binomial, json_integer
 from .report import Check, FrozenRecord
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "check_reindexing",
     "ShiftedZetaExpression",
     "shifted_zeta_terms",
-    "rendered_text",
     "shifted_zeta_expression",
 ]
 
@@ -53,23 +54,10 @@ def poly_variables(depth: int) -> tuple[str, ...]:
 
 
 def coefficient_polynomial(depth: int) -> LaurentPolynomial:
-    """Exact expansion of the defining product in u_1..u_r, v_1..v_r."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    variables = poly_variables(depth)
-    one = LaurentPolynomial.constant(1, variables)
-    poly = one
-    for j in range(1, depth + 1):
-        inner = LaurentPolynomial.zero(variables)
-        for i in range(j, depth + 1):
-            inner = inner + LaurentPolynomial.monomial(
-                variables, {f"u{i}": 1, f"v{i}": 1}
-            )
-        bracket = LaurentPolynomial.monomial(variables, {f"v{j}": -1})
-        if j > 1:
-            bracket = bracket - LaurentPolynomial.monomial(variables, {f"v{j-1}": -1})
-        poly = poly * (one - inner * bracket)
-    return poly
+    """Exact expansion of the defining product in u_1..u_r, v_1..v_r: the
+    checked terms of :func:`expansion.family`."""
+    return LaurentPolynomial({e: c for c, e in expansion_terms(depth, *family(depth))},
+                             poly_variables(depth))
 
 
 def check_trailing_shift(depth: int) -> list[Check]:
@@ -257,56 +245,6 @@ def check_reindexing(depth: int) -> list[Check]:
     ]
 
 
-Term = tuple[int, tuple[int, ...], tuple[int, ...]]
-
-
-def _check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> None:
-    """Refuse a term that is not of the given depth, whose coefficient is
-    not a non-zero integer (an int, or a ``Fraction`` with denominator 1),
-    whose l has a negative entry or whose shifts m do not sum to zero."""
-    if len(l) != depth or len(m) != depth:
-        raise ValueError(f"term l={l}, m={m} does not have depth {depth}")
-    # a float has no denominator
-    if getattr(coef, "denominator", None) != 1:
-        raise ValueError(f"non-integer coefficient {coef} on l={l}, m={m}")
-    if not coef:
-        raise ValueError(f"zero coefficient on l={l}, m={m}")
-    if min(l, default=0) < 0:
-        raise ValueError(f"negative Pochhammer degree in l={l}")
-    if sum(m) != 0:
-        raise ValueError(f"shifts m={m} do not sum to zero")
-
-
-def _render_term(coef: int, l: tuple[int, ...], m: tuple[int, ...]) -> str:
-    if coef == -1:
-        head = "-"
-    elif coef == 1:
-        head = ""
-    else:
-        head = f"{coef}*"
-    factors = [f"poch(s{j},{lj})" for j, lj in enumerate(l, start=1) if lj]
-    shifted = ", ".join(
-        f"s{j}" + (f"{mj:+d}" if mj else "") for j, mj in enumerate(m, start=1)
-    )
-    factors.append(f"zeta({shifted})")
-    return head + "*".join(factors)
-
-
-def rendered_text(depth: int, terms: Iterable[Term]) -> Iterator[str]:
-    """The one-line rendering of the terms, e.g. value(s1) = zeta(s1) -
-    poch(s1,1)*zeta(s1), in pieces made while the terms are read: the
-    head, then each term with the sign that joins it to the line."""
-    yield "value(" + ", ".join(f"s{j}" for j in range(1, depth + 1)) + ") = "
-    lead = ""
-    for term in terms:
-        text = _render_term(*term)
-        if lead and text.startswith("-"):
-            yield " - " + text[1:]
-        else:
-            yield lead + text
-        lead = " + "
-
-
 class ShiftedZetaExpression(FrozenRecord):
     """Symbolic transcription: value = sum of coef * prod_j (s_j)_{l_j}
     times the classical function at arguments shifted by m.
@@ -323,10 +261,11 @@ class ShiftedZetaExpression(FrozenRecord):
 
     def __new__(cls, depth: int, terms: Iterable[Term]):
         """The record of the given terms, each refused as
-        :func:`_check_term` refuses it; a repeated (l, m) is refused too."""
+        :func:`expansion.check_term` refuses it; a repeated (l, m) is
+        refused too."""
         nums = {}
         for coef, l, m in terms:
-            _check_term(depth, coef, l, m)
+            check_term(depth, coef, l, m)
             key = (*l, *m)
             if key in nums:
                 raise ValueError(f"repeated term l={l}, m={m}")
@@ -383,63 +322,15 @@ class ShiftedZetaExpression(FrozenRecord):
         return cls(depth=json_integer(data["depth"], "depth"), terms=terms)
 
 
-def _packed_terms_pass(depth: int, polynomial: LaurentPolynomial) -> bool:
-    """Whether every term passes :func:`_check_term`, read off the packed
-    codes without unpacking them.  The polynomial has the depth's 2 * depth
-    variables, and its reduced denominator is 1 exactly when every
-    coefficient is an integer.  A field holds its exponent plus 2**(w - 1),
-    so an exponent is >= 0 exactly when its field's top bit is set: the u
-    fields, the high half of a code, all have it when the code has every
-    top bit of that half.  As 2**w = 1 modulo 2**w - 1, the low half (the v
-    fields) is congruent to the sum of its fields, the shift sum plus depth
-    * 2**(w - 1); that settles a zero sum when depth times the exponent
-    bound is below the modulus.  False when a term fails, or when the
-    fields are too wide for the residue to settle the sums."""
-    if polynomial._nvars != 2 * depth or polynomial.denominator != 1:
-        return False
-    layout = _layout(2 * depth, polynomial._bound)
-    modulus = (1 << layout.width) - 1
-    if depth * polynomial._bound >= modulus:
-        return False
-    low = (1 << depth * layout.width) - 1
-    top_bits = layout.zero & ~low
-    zero_sum = (depth << layout.width - 1) % modulus
-    return all(
-        code & top_bits == top_bits and (code & low) % modulus == zero_sum
-        for code in polynomial._nums
-    )
-
-
-def _first_bad_term(depth: int, polynomial: LaurentPolynomial) -> tuple[Term, str] | None:
-    """The first term, in (l, m) order, that :func:`_check_term` refuses,
-    with its message; None when every term passes.  The check runs on the
-    packed codes; only when it does not pass are the terms unpacked, for
-    :func:`_check_term` to name the first bad one."""
-    if _packed_terms_pass(depth, polynomial):
-        return None
-    den = polynomial.denominator
-    for exps, n in polynomial.numerator_terms(ordered=True):
-        term = (Fraction(n, den), exps[:depth], exps[depth:])
-        try:
-            _check_term(depth, *term)
-        except ValueError as exc:
-            return term, str(exc)
-    return None
-
-
 def shifted_zeta_terms(depth: int) -> ShiftedZetaExpression:
     """The coefficient family of one depth, expanded afresh and uncached.
 
     Every term is checked once, before this returns, so a non-integer
     coefficient, a negative u-exponent or shifts that do not sum to zero,
     any of which would indicate an expansion bug, raise before the first
-    term is read (:func:`_first_bad_term`).
+    term is read (:func:`expansion.family`).
     """
-    polynomial = coefficient_polynomial(depth)
-    bad = _first_bad_term(depth, polynomial)
-    if bad is not None:
-        raise ValueError(bad[1])
-    return ShiftedZetaExpression._of(depth, polynomial)
+    return ShiftedZetaExpression._of(depth, coefficient_polynomial(depth))
 
 
 # One cache entry per depth: a ``verify`` run, whose depth is capped at 6,

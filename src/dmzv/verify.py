@@ -28,6 +28,7 @@ from operator import add, index
 from typing import Optional, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli, default_cache
+from .expansion import check_term
 from .genfun import (
     EMS,
     FKMT,
@@ -45,7 +46,6 @@ from .names import SUITES
 from .rationals import binomial, exact_sum, format_rational
 from .report import Check, FrozenRecord, IdentityReport
 from .shiftcoeffs import (
-    _first_bad_term,
     check_contraction,
     check_merge_substitution,
     check_reindexing,
@@ -497,10 +497,14 @@ def verify_shift_coeffs(max_depth: int) -> list[Check]:
         # the record's own terms, checked again: a record built past its
         # constructor's checks fails here
         witness = None
-        if bad := _first_bad_term(depth, expr.polynomial):
-            (coef, l, m), reason = bad
-            witness = {"coef": format_rational(coef), "l": list(l), "m": list(m),
-                       "reason": reason}
+        for exps, coef in expr.polynomial.sorted_terms():
+            l, m = exps[:depth], exps[depth:]
+            try:
+                check_term(depth, coef, l, m)
+            except ValueError as exc:
+                witness = {"coef": format_rational(coef), "l": list(l), "m": list(m),
+                           "reason": str(exc)}
+                break
         checks.append(
             Check.of(
                 f"zero-sum shifts and integer coefficients at depth {depth} "

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmzv import cli, genfun, shiftcoeffs, tables, verify, words
+from dmzv import cli, expansion, genfun, tables, verify, words
 from dmzv.cli import main
 
 
@@ -253,7 +253,8 @@ value(s1, s2) = zeta(s1, s2) - poch(s2,1)*zeta(s1, s2) - poch(s2,2)*zeta(s1-2, s
 def test_gr_coeffs_text_is_streamed(tmp_path, capsys):
     # the term lines and the one-line rendering are written from the term
     # stream; the cached record is never built
-    from dmzv.shiftcoeffs import rendered_text, shifted_zeta_expression
+    from dmzv.expansion import rendered_text
+    from dmzv.shiftcoeffs import shifted_zeta_expression
 
     shifted_zeta_expression.cache_clear()
     assert main(["gr-coeffs", "--depth", "2"]) == 0
@@ -269,25 +270,33 @@ def test_gr_coeffs_text_is_streamed(tmp_path, capsys):
         shifted_zeta_expression.cache_clear()
 
 
+def _with_term(depth, exponents, coef):
+    """expansion.expand with one more term, whose exponents are given by
+    variable name (the rest are 0), at its place in code order: a code
+    spells each exponent plus 8 as one hex digit, u1 first and v_r last."""
+    expand = expansion.expand
+    names = [f"u{i}" for i in range(1, depth + 1)] + [f"v{i}" for i in range(1, depth + 1)]
+    code = int("".join(f"{exponents.get(name, 0) + 8:x}" for name in names), 16)
+
+    def faulty(d):
+        codes, coefs = expand(d)
+        pairs = sorted([*zip(codes, coefs), (code, coef)], key=lambda pair: pair[0])
+        return [c for c, _ in pairs], [n for _, n in pairs]
+
+    return faulty
+
+
 @pytest.mark.parametrize("extra, coef, message", [
-    ({"u1": 9}, Fraction(1, 2), "non-integer coefficient 1/2"),
-    ({"u1": 9, "u2": -1}, 1, "negative Pochhammer degree"),
-    ({"u1": 9, "v1": 1}, 1, "do not sum to zero"),
+    ({"u1": 7}, Fraction(1, 2), "non-integer coefficient 1/2"),
+    ({"u1": 7, "u2": -1}, 1, "negative Pochhammer degree"),
+    ({"u1": 7, "v1": 1}, 1, "do not sum to zero"),
 ])
 def test_gr_coeffs_stream_keeps_the_record_checks(tmp_path, capsys, monkeypatch,
                                                   extra, coef, message):
     # the faulty term sorts last, so a writer that checked terms as it
     # wrote them would leave a partial output behind
-    from dmzv.multipoly import LaurentPolynomial
-
-    expand = shiftcoeffs.coefficient_polynomial
-
-    def faulty(depth):
-        variables = shiftcoeffs.poly_variables(depth)
-        return expand(depth) + LaurentPolynomial.monomial(variables, extra, coef)
-
-    monkeypatch.setattr(shiftcoeffs, "coefficient_polynomial", faulty)
-    for fmt in ("json", "csv"):
+    monkeypatch.setattr(expansion, "expand", _with_term(2, extra, coef))
+    for fmt in ("json", "csv", "text"):
         with pytest.raises(ValueError, match=message):
             main(["gr-coeffs", "--depth", "2", "--format", fmt])
         assert capsys.readouterr().out == ""
@@ -302,8 +311,7 @@ def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch, fmt):
     def no_arithmetic(*args):
         raise AssertionError("an oversized depth must be refused before any arithmetic")
 
-    monkeypatch.setattr(shiftcoeffs, "shifted_zeta_expression", no_arithmetic)
-    monkeypatch.setattr(shiftcoeffs, "shifted_zeta_terms", no_arithmetic)
+    monkeypatch.setattr(expansion, "expand", no_arithmetic)
     argv = ["gr-coeffs", "--format", fmt, "--depth"]
     assert main([*argv, str(cli.MAX_GR_DEPTH + 1)]) == 2
     captured = capsys.readouterr()
@@ -373,22 +381,40 @@ def test_values_depth6_json_peak_rss():
     assert report["rss_mb"] < 30, report
 
 
-# Golden digests of ``gr-coeffs --depth 7``, past the depth-6 runs that
-# bench/references.json records.
-GR_DEPTH7_SHA256 = {
-    "json": "9aef87b93cfda280e4ca3ac16a7ca7884191f21c3ef6ad6b78623f3ced0a7fb3",
-    "csv": "a07c57fa7872c02ff60d0fa484ca0653715b1ce6cec2137d30abbe78f32cc839",
-    "text": "095d2a96a0b5fdd38e5a360279b6c5d1b61c3a7f94ef315f637b978f2c39e4af",
+# Golden digests of ``gr-coeffs --depth 1..7`` in each format, recorded
+# from the LaurentPolynomial expansion that the heap product replaced.
+GR_SHA256 = {
+    (1, "json"): "98dc5d9848f69bc0c90188082bf46330f45a4b7523fcf3ceb63deaec5957ca49",
+    (1, "csv"): "b59e24bd4a9753ce2e927d91bbd265b3b0dee0078104fc0b48afb79735ee36ad",
+    (1, "text"): "584ce5978f44fc2f8c32e1a87af7f230d95b5071800b9ead3e13db5b0d28d13a",
+    (2, "json"): "b7fe88dada1b08acec3d4377f31e45d2a31b613d2f397548fc857a010d952ea3",
+    (2, "csv"): "4c88cdd1b2051334c02ddb7c1b36d4a24edc93c9d6f570ca180d7f409202c3ec",
+    (2, "text"): "031ca8948f9577d1efaf2bac27723f9da4b885732ff86a80902e544e0a3149bd",
+    (3, "json"): "5830cace842cee9b0ecd5dd7e2bd6491eb4b74c73c1b427a4954089e21aa21ec",
+    (3, "csv"): "87c9f1095a1216cb935d06ad082b6ba273b9eb894be253eedd6260ec08cd889c",
+    (3, "text"): "e93dfb83b3ae61d638b05fee46ed1a6b043fdab01c5e0b65bcf98006c0bf26a6",
+    (4, "json"): "6da22c3ca8f564a37f0634ae4a53474092f5736aeda0ee6e3f439bd7a23bf374",
+    (4, "csv"): "4709aaee117318f09fe37b3c5ff8e6ddb053cb31514b682979bb60b2995d335d",
+    (4, "text"): "e085ca58bdab604f1ae92c565d569a04743d2315cea56d0e63075c0b548ef9c5",
+    (5, "json"): "a33f63898bc43187c3064f95e7eb8d1b19bf57d47d3efb875544c6af388ad43d",
+    (5, "csv"): "ed80133171a3f622bb0d5447d9ec4e0cec758430c77149ab9a42ea405e841917",
+    (5, "text"): "6242e478eea274df33e7c7678dba5027e3e1dfd99e57e769800ada75728370ed",
+    (6, "json"): "225105bfdc275d54fa1f62eb3884115dd804610da5b52197c8e17037a6407af0",
+    (6, "csv"): "4f98b9e485442f0644cd5c75817b2c36297ab319a3d43c4ad735bf89c1db1589",
+    (6, "text"): "834d736dfe69ee660e4b1cb5c7ea8da92961676802f6e4f9fc5fff23c2a4dd27",
+    (7, "json"): "9aef87b93cfda280e4ca3ac16a7ca7884191f21c3ef6ad6b78623f3ced0a7fb3",
+    (7, "csv"): "a07c57fa7872c02ff60d0fa484ca0653715b1ce6cec2137d30abbe78f32cc839",
+    (7, "text"): "095d2a96a0b5fdd38e5a360279b6c5d1b61c3a7f94ef315f637b978f2c39e4af",
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(GR_DEPTH7_SHA256))
-def test_gr_coeffs_depth7_matches_its_digest(tmp_path, fmt):
+@pytest.mark.parametrize("depth, fmt", sorted(GR_SHA256))
+def test_gr_coeffs_matches_its_digest(tmp_path, depth, fmt):
     import hashlib
 
     out = tmp_path / "coeffs"
-    assert main(["gr-coeffs", "--depth", "7", "--format", fmt, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GR_DEPTH7_SHA256[fmt]
+    assert main(["gr-coeffs", "--depth", str(depth), "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GR_SHA256[depth, fmt]
 
 
 # The checks of ``verify --depth 6 --suite shift-coeffs``, past the default
@@ -706,7 +732,7 @@ def test_values_out_stays_atomic_when_a_row_fails(tmp_path, monkeypatch, fmt):
 OUT_COMMANDS = {
     "values": (["values", "--family", "fkmt", "--depth", "2"], tables, "last_level"),
     "verify": (["verify", "--suite", "bernoulli"], verify, "run_all"),
-    "gr-coeffs": (["gr-coeffs", "--depth", "3"], shiftcoeffs, "shifted_zeta_terms"),
+    "gr-coeffs": (["gr-coeffs", "--depth", "3"], expansion, "expand"),
     "convert": (["convert"], genfun, "conversion_table"),
 }
 

@@ -5,7 +5,8 @@ from itertools import product as iter_product
 
 import pytest
 
-from dmzv import shiftcoeffs
+from dmzv import expansion, shiftcoeffs
+from dmzv.expansion import rendered_text
 from dmzv.multipoly import LaurentPolynomial
 from dmzv.shiftcoeffs import (
     ShiftedZetaExpression,
@@ -14,7 +15,6 @@ from dmzv.shiftcoeffs import (
     check_reindexing,
     check_trailing_shift,
     coefficient_polynomial,
-    rendered_text,
     shifted_zeta_expression,
 )
 
@@ -234,13 +234,18 @@ def test_expression_terms_are_sorted_and_the_lookup_matches(depth):
     assert len(lookup) == len(terms)
 
 
+def _code(depth, exps):
+    """The code of an exponent vector l + m: each exponent plus 8 as one
+    hex digit, u1 first and v_r last."""
+    return int("".join(f"{e + 8:x}" for e in exps), 16)
+
+
 def test_expression_refuses_a_non_integer_coefficient(monkeypatch):
     def halved(depth):
-        variables = shiftcoeffs.poly_variables(depth)
-        return LaurentPolynomial.constant(Fraction(1, 2), variables)
+        return [_code(depth, (0,) * (2 * depth))], [Fraction(1, 2)]
 
     shifted_zeta_expression.cache_clear()
-    monkeypatch.setattr(shiftcoeffs, "coefficient_polynomial", halved)
+    monkeypatch.setattr(expansion, "expand", halved)
     try:
         with pytest.raises(ValueError, match="non-integer coefficient"):
             shifted_zeta_expression(2)
@@ -294,30 +299,34 @@ def defining_factors(depth):
     return factors
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7])
 def test_packed_expansion_matches_the_tuple_product(depth):
     expected = {(0,) * (2 * depth): Fraction(1)}
     for factor in defining_factors(depth):
         expected = tuple_product(expected, factor)
     expected = sorted(expected.items())
     assert coefficient_polynomial(depth).sorted_terms() == expected
-    # the stream unpacks the same terms in the same order
-    assert list(shiftcoeffs.shifted_zeta_terms(depth)) == [
-        (c.numerator, e[:depth], e[depth:]) for e, c in expected
-    ]
+    # the heap product's codes and the record's stream give the same
+    # terms in the same order
+    terms = [(c.numerator, e[:depth], e[depth:]) for e, c in expected]
+    codes, coefs = expansion.family(depth)
+    assert [(c, e[:depth], e[depth:])
+            for c, e in expansion.terms(depth, codes, coefs)] == terms
+    assert list(codes) == [_code(depth, e) for e, _ in expected]
+    assert list(shiftcoeffs.shifted_zeta_terms(depth)) == terms
 
 
 def test_each_term_is_checked_once(monkeypatch):
     # the terms are checked once, on their packed codes; _check_term only
     # runs to name a bad term, so a sound expansion never calls it
     calls = []
-    check = shiftcoeffs._check_term
+    check = expansion.check_term
 
     def counted(*term):
         calls.append(term)
         return check(*term)
 
-    monkeypatch.setattr(shiftcoeffs, "_check_term", counted)
+    monkeypatch.setattr(expansion, "check_term", counted)
     shifted_zeta_expression.cache_clear()
     try:
         record = shifted_zeta_expression(4)
@@ -327,41 +336,54 @@ def test_each_term_is_checked_once(monkeypatch):
     assert calls == []
 
 
-def _first_refusal(depth, polynomial):
-    # the message _check_term gives the first bad term, term by term
-    for exps, n in polynomial.numerator_terms():
-        coef = n if polynomial.denominator == 1 else Fraction(n, polynomial.denominator)
+def _first_refusal(depth, codes, coefs):
+    # the message check_term gives the first bad term, term by term
+    for code, coef in zip(codes, coefs):
+        exps = tuple(int(digit, 16) - 8 for digit in f"{code:0{2 * depth}x}")
         try:
-            shiftcoeffs._check_term(depth, coef, exps[:depth], exps[depth:])
+            expansion.check_term(depth, coef, exps[:depth], exps[depth:])
         except ValueError as exc:
             return str(exc)
     return None
 
 
 @pytest.mark.parametrize("depth, extra, coef", [
-    (2, {"u1": 9}, Fraction(1, 2)),
+    (2, {"u1": 7}, Fraction(1, 2)),
     (2, {"u2": -1}, 1),
     (2, {"v1": 1}, 1),
     (2, {"v1": -1}, 3),
-    # shifts summing to 255, which the residue modulo 2**8 - 1 alone would
-    # take for zero: the fields are too wide for it, so the terms are unpacked
-    (3, {"v1": 127, "v2": 127, "v3": 1}, 1),
-    # sound terms, with the residue settling the sums and without it
-    (2, {"u1": 100, "v1": 5, "v2": -5}, 1),
-    (3, {"u3": 127, "v1": -127, "v2": 127}, 1),
+    # shifts summing to 15, which the fields' sum modulo 2**4 - 1 alone
+    # would take for zero
+    (3, {"v1": 7, "v2": 7, "v3": 1}, 1),
+    # sound terms, with fields at both ends of their range
+    (2, {"u1": 7, "v1": 5, "v2": -5}, 1),
+    (3, {"u3": 7, "v1": -7, "v2": 7}, 1),
+    (7, {"u7": 7, "v1": 7, "v2": 7, "v3": 7, "v4": -7, "v5": -7, "v6": -8, "v7": 1}, -5),
+    (2, {"u1": 7}, 0),
+    # every v field at its largest, a sum of 15 * 7 = 105 in the lanes
+    (7, {f"v{k}": 7 for k in range(1, 8)}, 1),
 ])
 def test_packed_check_refuses_what_check_term_refuses(monkeypatch, depth, extra, coef):
-    expand = shiftcoeffs.coefficient_polynomial
     variables = shiftcoeffs.poly_variables(depth)
-    faulty = expand(depth) + LaurentPolynomial.monomial(variables, extra, coef)
-    monkeypatch.setattr(shiftcoeffs, "coefficient_polynomial", lambda d: faulty)
-    message = _first_refusal(depth, faulty)
+    code = _code(depth, [extra.get(name, 0) for name in variables])
+    pairs = sorted([*zip(*expansion.expand(depth)), (code, coef)], key=lambda pair: pair[0])
+    codes, coefs = [c for c, _ in pairs], [n for _, n in pairs]
+    monkeypatch.setattr(expansion, "expand", lambda d: (codes, coefs))
+    message = _first_refusal(depth, codes, coefs)
     if message is None:
-        assert len(shiftcoeffs.shifted_zeta_terms(depth)) == len(faulty)
+        assert len(expansion.family(depth)[0]) == len(codes)
     else:
         with pytest.raises(ValueError) as refused:
-            shiftcoeffs.shifted_zeta_terms(depth)
+            expansion.family(depth)
         assert str(refused.value) == message
+
+
+def test_expansion_refuses_a_depth_its_codes_cannot_hold():
+    # 2 * 8 fields of 4 bits would not fit a signed 64-bit code
+    with pytest.raises(ValueError, match=r"depth must be in 1\.\.7, got 8"):
+        expansion.expand(8)
+    with pytest.raises(ValueError, match=r"depth must be in 1\.\.7, got 0"):
+        coefficient_polynomial(0)
 
 
 def test_expression_streams_the_packed_polynomial():

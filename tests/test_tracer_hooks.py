@@ -75,15 +75,19 @@ def test_traced_shift_coeffs_finds_the_polynomial_spans():
 
 
 def test_traced_gr_coeffs_sees_the_expansion():
-    # shifted_zeta_expression expands through the module-global name
-    # coefficient_polynomial, so the span counts the depth-4 polynomial's
-    # 236 terms
+    # gr-coeffs expands the family on packed integer codes: no polynomial
+    # product and no coefficient_polynomial call
     result = traced("gr-coeffs", "--depth", "4", "--format", "json")
     assert result["exit"] == 0
     assert [name for name in result["missing"]
             if name.startswith(("multipoly", "shiftcoeffs")) and name not in STALE_SPANS] == []
-    assert result["calls"]["multipoly.mul"] >= 1
-    assert result["counts"]["shiftcoeffs.terms"] == 236
+    assert "multipoly.mul" not in result["calls"]
+    assert result["counts"]["shiftcoeffs.terms"] == 0
+    # the records of the shift-coeffs suite are polynomials of the same
+    # expansion, and the span counts their terms at depths 1 to 4
+    result = traced("verify", "--suite", "shift-coeffs", "--depth", "4", "--format", "json")
+    assert result["exit"] == 0
+    assert result["counts"]["shiftcoeffs.terms"] == 2 + 7 + 38 + 236
 
 
 def test_traced_values_finds_the_series_spans():

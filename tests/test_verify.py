@@ -261,11 +261,10 @@ def test_shift_coeffs_fails_a_bad_term(monkeypatch, terms, witness):
 
 
 def test_shift_coeffs_checks_each_term_the_packed_test_cannot_settle(monkeypatch):
-    # exponents up to 127 fill 8-bit fields, and 3 * 127 is past the
-    # residue's modulus 255, so the row reads the terms one by one
+    # exponents up to 127, past the 4-bit fields of the expansion's codes:
+    # the row reads the record's terms one by one
     good = [(1, (127, 0, 0), (127, -127, 0))]
     bad = good + [(1, (0, 0, 0), (1, 1, 0))]
-    assert not shiftcoeffs._packed_terms_pass(3, _record(3, good).polynomial)
     expression = verify.shifted_zeta_expression
     for terms, failures in ((good, []), (bad, ["zero-sum shifts and integer coefficients "
                                                 "at depth 3 (2 entries)"])):
