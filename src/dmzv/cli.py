@@ -46,14 +46,6 @@ MAX_TABLE_SPAN = 500
 # 2-vCPU x86-64 host) it takes 0.20 s at 500; the table alone takes
 # 0.84 s at 800 (median of 3) and 11.6 s at 1600 (one run).
 MAX_CONVERT_WEIGHT = 500
-# Bound on ``gr-coeffs --depth``, checked before any arithmetic; the
-# expansion's 4-bit code fields hold depth 7 at most.  In a fresh process
-# (median of 8, Python 3.11.7, a shared 2-vCPU x86-64 host), ``--format
-# json`` takes 0.08 s and peaks at 14.3 MiB RSS at depth 6, and 0.29 s and
-# 16.0 MiB at depth 7; ``--format text`` takes 0.8 s at depth 7 in 16.8 MiB.
-# The family grows about sevenfold per depth (10,992 terms at depth 6,
-# 79,474 at depth 7), and its expansion's time and memory with it.
-MAX_GR_DEPTH = 7
 # Bounds on ``verify``'s caps, checked before any arithmetic.  In a fresh
 # process (median of 5, Python 3.11.7, a shared 2-vCPU x86-64 host), a
 # whole ``verify`` run takes 0.12 s at the default caps, 0.26 s at
@@ -311,12 +303,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gr_coeffs(args) -> int:
-    if oversized := _oversized(("--depth", args.depth, MAX_GR_DEPTH)):
-        return _usage_error(f"gr-coeffs request too large: {oversized}")
     from functools import partial
 
-    from .expansion import family, rendered_text, terms
+    from .expansion import MAX_DEPTH, family, rendered_text, terms
 
+    # refused before any arithmetic; the bound is the expansion's code layout
+    if oversized := _oversized(("--depth", args.depth, MAX_DEPTH)):
+        return _usage_error(f"gr-coeffs request too large: {oversized}")
     # every term is checked before the first byte is written; each is read
     # as (coef, exponent vector l + m), in (l, m) order
     depth = args.depth

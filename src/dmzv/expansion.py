@@ -1,15 +1,13 @@
 """The shifted-zeta coefficient family, expanded on integers alone.
 
 The product over j = 1..r of 1 - (u_j v_j + ... + u_r v_r) * (1/v_j -
-1/v_{j-1}), 1/v_0 := 0, is expanded as a heap product of packed monomials
-(Johnson 1974; Monagan and Pearce 2007), held as two ``array('q')``: the
-codes in increasing order and their integer coefficients.  A code holds
-one 4-bit field per variable, u_1 highest and v_r lowest, each exponent
-plus 8, so code order is (l, m) order.  A monomial factor adds a constant
-to every code and keeps their order, so the product by one factor is one
-``heapq.merge`` of the codes shifted by each of its monomials, equal codes
-summed and zeros dropped.  No other part of the package and no
-``fractions`` is loaded.
+1/v_{j-1}), 1/v_0 := 0, is a heap product of packed monomials (Johnson
+1974; Monagan and Pearce 2007), held as two ``array('q')``: the codes in
+increasing order and their integer coefficients.  A code holds one 4-bit
+field per variable, u_1 highest and v_r lowest, each exponent plus 8, so
+code order is (l, m) order.  A monomial adds a constant to every code, so
+the product by one factor is one ``heapq.merge`` of the codes shifted by
+each of its monomials, equal codes summed and zeros dropped.
 """
 
 from __future__ import annotations
@@ -20,16 +18,21 @@ from heapq import merge
 from struct import iter_unpack
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["MAX_DEPTH", "check_term", "expand", "family", "rendered_text", "terms"]
+__all__ = ["MAX_DEPTH", "check_term", "expand", "family", "first_bad_term", "rendered_text",
+           "terms"]
 
 _WIDTH, _BIAS = 4, 8
 # Every exponent of every partial product is in [-2, depth]: u_i in
 # [0, i], v_k in [-2, k].  A field holds [-8, 7], and 2 * 7 fields fill 56
-# of a code's 63 bits.
+# of a code's 63 bits, so a deeper family is refused.  In a fresh process
+# (median of 8, Python 3.11.7, a shared 2-vCPU x86-64 host), ``gr-coeffs
+# --format json`` takes 0.08 s and peaks at 14.3 MiB RSS at depth 6 (10,992
+# terms), and 0.29 s and 16.0 MiB at depth 7 (79,474 terms).
 MAX_DEPTH = 7
 # A code's 16 hex digits as signed exponents: digit d is d - 8.
 _EXPONENT_OF_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes([*range(248, 256), *range(8)]))
 _CHUNK = 4096  # codes unpacked at a time
+Term = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def expand(depth: int) -> tuple[array, array]:
@@ -43,13 +46,9 @@ def expand(depth: int) -> tuple[array, array]:
     codes, coefs = array("q", [_BIAS * sum(u + v)]), array("q", [1])
     for j in range(1, depth + 1):
         # 1 - u_i v_i / v_j + u_i v_i / v_{j-1}, as (code shift, coefficient) pairs
-        factor = [(0, 1)]
-        for i in range(j, depth + 1):
-            factor.append((u[i] + v[i] - v[j], -1))
-            if j > 1:
-                factor.append((u[i] + v[i] - v[j - 1], 1))
-        out_codes, out_coefs = array("q"), array("q")
-        last, total = -1, 0
+        factor = [(0, 1)] + [(u[i] + v[i] - v[k], sign) for i in range(j, depth + 1)
+                             for k, sign in ((j, -1), (j - 1, 1)) if k]
+        out_codes, out_coefs, last, total = array("q"), array("q"), -1, 0
         # the end code, above every code, writes out the last sum
         for code, coef in merge(*(zip(map(shift.__add__, codes), map(c.__mul__, coefs))
                                   for shift, c in factor), [(1 << 63, 0)]):
@@ -107,16 +106,29 @@ def family(depth: int) -> tuple[array, array]:
     if not all(type(coef) is int and coef and code & u_top == u_top
                and ((code & v_mask & lanes) + ((code & v_mask) >> 4 & lanes)) % 255
                == _BIAS * depth for code, coef in zip(codes, coefs)):
-        for coef, exps in terms(depth, codes, coefs):
-            check_term(depth, coef, exps[:depth], exps[depth:])
+        if bad := first_bad_term(depth, ((coef, exps[:depth], exps[depth:])
+                                         for coef, exps in terms(depth, codes, coefs))):
+            raise ValueError(bad[1])
     return codes, coefs
 
 
-Term = tuple[int, tuple[int, ...], tuple[int, ...]]
+def first_bad_term(depth: int, terms: Iterable[Term]) -> tuple[Term, str] | None:
+    """The first term :func:`check_term` refuses, with its message, or None."""
+    for term in terms:
+        try:
+            check_term(depth, *term)
+        except ValueError as exc:
+            return term, str(exc)
+    return None
 
 
 def _render_term(coef: int, l: tuple[int, ...], m: tuple[int, ...]) -> str:
-    head = {1: "", -1: "-"}.get(coef, f"{coef}*")
+    if coef == -1:
+        head = "-"
+    elif coef == 1:
+        head = ""
+    else:
+        head = f"{coef}*"
     factors = [f"poch(s{j},{lj})" for j, lj in enumerate(l, start=1) if lj]
     shifted = ", ".join(
         f"s{j}" + (f"{mj:+d}" if mj else "") for j, mj in enumerate(m, start=1)

@@ -14,13 +14,10 @@ to zero.  :mod:`dmzv.expansion` expands that product on integers, and
 family as a record and verifies its structural identities.
 
 The record :class:`ShiftedZetaExpression` holds the depth and the
-expanded polynomial, every term of which has been checked once:
-:func:`coefficient_polynomial` is the ``LaurentPolynomial`` of the
-expansion's checked terms.  Iterating the record reads the (coef, l, m)
-terms off the packed polynomial in sorted (l, m) order.
+:func:`coefficient_polynomial`, the ``LaurentPolynomial`` of the
+expansion's checked terms, read back in sorted (l, m) order.
 :func:`shifted_zeta_terms` builds a fresh record and
-:func:`shifted_zeta_expression` a cached one, which every check reads,
-the merge substitution its polynomial.
+:func:`shifted_zeta_expression` a cached one, which every check reads.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping
 
-from .expansion import Term, check_term, family
-from .expansion import terms as expansion_terms
+from .expansion import Term, check_term, family, terms as expansion_terms
 from .multipoly import LaurentPolynomial
 from .rationals import binomial, json_integer
 from .report import Check, FrozenRecord
@@ -55,9 +51,12 @@ def poly_variables(depth: int) -> tuple[str, ...]:
 
 def coefficient_polynomial(depth: int) -> LaurentPolynomial:
     """Exact expansion of the defining product in u_1..u_r, v_1..v_r: the
-    checked terms of :func:`expansion.family`."""
-    return LaurentPolynomial({e: c for c, e in expansion_terms(depth, *family(depth))},
-                             poly_variables(depth))
+    checked terms of :func:`expansion.family`, packed as they are read.
+    The depth is 1..7, the deepest its codes hold; another raises."""
+    # every exponent is in [-2, depth], and u_r**depth is a term
+    pairs = ((e, c) for c, e in expansion_terms(depth, *family(depth)))
+    return object.__new__(LaurentPolynomial)._fill(
+        poly_variables(depth), 2 * depth, depth, pairs, 1)
 
 
 def check_trailing_shift(depth: int) -> list[Check]:
@@ -323,7 +322,7 @@ class ShiftedZetaExpression(FrozenRecord):
 
 
 def shifted_zeta_terms(depth: int) -> ShiftedZetaExpression:
-    """The coefficient family of one depth, expanded afresh and uncached.
+    """The coefficient family of one depth (1..7), expanded afresh and uncached.
 
     Every term is checked once, before this returns, so a non-integer
     coefficient, a negative u-exponent or shifts that do not sum to zero,

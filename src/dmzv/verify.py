@@ -28,7 +28,7 @@ from operator import add, index
 from typing import Optional, Sequence
 
 from .bernoulli import BernoulliCache, bernoulli, default_cache
-from .expansion import check_term
+from .expansion import first_bad_term
 from .genfun import (
     EMS,
     FKMT,
@@ -496,15 +496,11 @@ def verify_shift_coeffs(max_depth: int) -> list[Check]:
         expr = shifted_zeta_expression(depth)
         # the record's own terms, checked again: a record built past its
         # constructor's checks fails here
-        witness = None
-        for exps, coef in expr.polynomial.sorted_terms():
-            l, m = exps[:depth], exps[depth:]
-            try:
-                check_term(depth, coef, l, m)
-            except ValueError as exc:
-                witness = {"coef": format_rational(coef), "l": list(l), "m": list(m),
-                           "reason": str(exc)}
-                break
+        witness, poly = None, expr.polynomial
+        if bad := first_bad_term(depth, ((Fraction(n, poly.denominator), e[:depth], e[depth:])
+                                         for e, n in poly.numerator_terms(ordered=True))):
+            (coef, l, m), reason = bad
+            witness = {"coef": format_rational(coef), "l": list(l), "m": list(m), "reason": reason}
         checks.append(
             Check.of(
                 f"zero-sum shifts and integer coefficients at depth {depth} "

@@ -313,13 +313,13 @@ def test_gr_coeffs_refuses_oversized_depth(capsys, monkeypatch, fmt):
 
     monkeypatch.setattr(expansion, "expand", no_arithmetic)
     argv = ["gr-coeffs", "--format", fmt, "--depth"]
-    assert main([*argv, str(cli.MAX_GR_DEPTH + 1)]) == 2
+    assert main([*argv, str(expansion.MAX_DEPTH + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "too large" in captured.err
 
     with pytest.raises(AssertionError, match="refused"):
-        main([*argv, str(cli.MAX_GR_DEPTH)])
+        main([*argv, str(expansion.MAX_DEPTH)])
 
 
 def launched(*argv):

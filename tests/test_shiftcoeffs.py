@@ -5,6 +5,7 @@ from itertools import product as iter_product
 
 import pytest
 
+import dmzv
 from dmzv import expansion, shiftcoeffs
 from dmzv.expansion import rendered_text
 from dmzv.multipoly import LaurentPolynomial
@@ -378,12 +379,19 @@ def test_packed_check_refuses_what_check_term_refuses(monkeypatch, depth, extra,
         assert str(refused.value) == message
 
 
-def test_expansion_refuses_a_depth_its_codes_cannot_hold():
-    # 2 * 8 fields of 4 bits would not fit a signed 64-bit code
+@pytest.mark.parametrize("public", ["dmzv.coefficient_polynomial",
+                                    "dmzv.shifted_zeta_expression",
+                                    "shiftcoeffs.shifted_zeta_terms"])
+def test_expansion_refuses_a_depth_its_codes_cannot_hold(public):
+    # 2 * 8 fields of 4 bits would not fit a signed 64-bit code: the public
+    # functions take depths 1..7, and refuse the rest before any arithmetic
+    module, name = public.split(".")
+    function = getattr({"dmzv": dmzv, "shiftcoeffs": shiftcoeffs}[module], name)
+    for depth in (0, 8):
+        with pytest.raises(ValueError, match=rf"depth must be in 1\.\.7, got {depth}"):
+            function(depth)
     with pytest.raises(ValueError, match=r"depth must be in 1\.\.7, got 8"):
         expansion.expand(8)
-    with pytest.raises(ValueError, match=r"depth must be in 1\.\.7, got 0"):
-        coefficient_polynomial(0)
 
 
 def test_expression_streams_the_packed_polynomial():
