@@ -303,27 +303,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gr_coeffs(args) -> int:
-    from functools import partial
-
     from .expansion import MAX_DEPTH, family, rendered_text, terms
 
-    # refused before any arithmetic; the bound is the expansion's code layout
     if oversized := _oversized(("--depth", args.depth, MAX_DEPTH)):
         return _usage_error(f"gr-coeffs request too large: {oversized}")
     # every term is checked before the first byte is written; each is read
     # as (coef, exponent vector l + m), in (l, m) order
     depth = args.depth
     codes, coefs = family(depth)
-    each_term = partial(terms, depth, codes, coefs)
     if args.format == "text":
         # one pass for the term lines, one for the one-line rendering
         entries = "[" + ", ".join(["%d"] * depth) + "]"
         line = "  l=" + entries + "  m=" + entries + "  coef=%d\n"
         with _output(args.out) as handle:
             handle.write(f"depth {depth}: {len(codes)} nonzero coefficients\n")
-            _write_batches(handle, (line % (*e, coef) for coef, e in each_term()))
-            _write_batches(handle, rendered_text(
-                depth, ((coef, e[:depth], e[depth:]) for coef, e in each_term())))
+            _write_batches(handle, (line % (*e, coef) for coef, e in terms(depth, codes, coefs)))
+            _write_batches(handle, rendered_text(depth, (
+                (coef, e[:depth], e[depth:]) for coef, e in terms(depth, codes, coefs))))
             handle.write("\n")
         return EXIT_OK
     # the depth fixes each term's shape, so one template formats them all
@@ -335,14 +331,15 @@ def _cmd_gr_coeffs(args) -> int:
             + "\n    }"
         )
         head = '{\n  "depth": %d,\n  "terms": [\n' % depth
-        _write_joined(head, (template % (coef, *e) for coef, e in each_term()),
+        _write_joined(head, (template % (coef, *e) for coef, e in terms(depth, codes, coefs)),
                       ",\n", "\n  ]\n}\n", args.out)
     else:
         # integers never need CSV quoting
         header = [f"l{i}" for i in range(1, depth + 1)] + [f"m{i}" for i in range(1, depth + 1)]
         template = ",".join(["%d"] * (2 * depth + 1))
         _write_joined(",".join(header + ["coef"]) + "\n",
-                      (template % (*e, coef) for coef, e in each_term()), "\n", "\n", args.out)
+                      (template % (*e, coef) for coef, e in terms(depth, codes, coefs)),
+                      "\n", "\n", args.out)
     return EXIT_OK
 
 

@@ -2,12 +2,11 @@
 
 The product over j = 1..r of 1 - (u_j v_j + ... + u_r v_r) * (1/v_j -
 1/v_{j-1}), 1/v_0 := 0, is a heap product of packed monomials (Johnson
-1974; Monagan and Pearce 2007), held as two ``array('q')``: the codes in
-increasing order and their integer coefficients.  A code holds one 4-bit
-field per variable, u_1 highest and v_r lowest, each exponent plus 8, so
-code order is (l, m) order.  A monomial adds a constant to every code, so
-the product by one factor is one ``heapq.merge`` of the codes shifted by
-each of its monomials, equal codes summed and zeros dropped.
+1974; Monagan and Pearce 2007) on two ``array('q')``: codes in increasing
+order, one 4-bit field per variable (u_1 highest, each exponent plus 8, so
+code order is (l, m) order), and their coefficients.  A factor's product
+is one ``heapq.merge`` of the codes shifted by each of its monomials,
+equal codes summed and zeros dropped.
 """
 
 from __future__ import annotations
@@ -18,16 +17,15 @@ from heapq import merge
 from struct import iter_unpack
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["MAX_DEPTH", "check_term", "expand", "family", "first_bad_term", "rendered_text",
-           "terms"]
+__all__ = ["MAX_DEPTH", "byte_codes", "check_term", "expand", "family", "first_bad_term",
+           "rendered_text", "terms"]
 
 _WIDTH, _BIAS = 4, 8
 # Every exponent of every partial product is in [-2, depth]: u_i in
 # [0, i], v_k in [-2, k].  A field holds [-8, 7], and 2 * 7 fields fill 56
-# of a code's 63 bits, so a deeper family is refused.  In a fresh process
-# (median of 8, Python 3.11.7, a shared 2-vCPU x86-64 host), ``gr-coeffs
-# --format json`` takes 0.08 s and peaks at 14.3 MiB RSS at depth 6 (10,992
-# terms), and 0.29 s and 16.0 MiB at depth 7 (79,474 terms).
+# of a code's 63 bits, so a deeper family is refused.  ``gr-coeffs
+# --format json`` takes 0.09 s and 14.3 MiB RSS at depth 6, 0.32 s and
+# 16.1 MiB at depth 7 (fresh process, Python 3.11.7, 2-vCPU x86-64 host).
 MAX_DEPTH = 7
 # A code's 16 hex digits as signed exponents: digit d is d - 8.
 _EXPONENT_OF_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes([*range(248, 256), *range(8)]))
@@ -63,17 +61,28 @@ def expand(depth: int) -> tuple[array, array]:
     return codes, coefs
 
 
-def terms(depth: int, codes: Sequence[int], coefs: Sequence) -> Iterator[tuple]:
-    """Each term as (coef, exponent vector l + m), in code order.  A chunk of
-    codes is written big-endian, spelled in hex (one digit per field) and
-    read back by ``struct``, so no code is unpacked in Python."""
-    fmt = f"{16 - 2 * depth}x{2 * depth}b"
+def _spelled(codes: Sequence[int]) -> Iterator[tuple[int, bytes]]:
+    """Each chunk's start and its codes written big-endian in hex, each digit
+    (a field) turned into its exponent as a signed byte: 16 bytes a code."""
     for start in range(0, len(codes), _CHUNK):
         chunk = array("q", codes[start:start + _CHUNK])
         if sys.byteorder == "little":
             chunk.byteswap()
-        yield from zip(coefs[start:start + _CHUNK], iter_unpack(
-            fmt, chunk.tobytes().hex().encode().translate(_EXPONENT_OF_DIGIT)))
+        yield start, chunk.tobytes().hex().encode().translate(_EXPONENT_OF_DIGIT)
+
+
+def terms(depth: int, codes: Sequence[int], coefs: Sequence) -> Iterator[tuple]:
+    """Each term as (coef, exponent vector l + m), in code order."""
+    fmt = f"{16 - 2 * depth}x{2 * depth}b"
+    for start, spelled in _spelled(codes):
+        yield from zip(coefs[start:start + _CHUNK], iter_unpack(fmt, spelled))
+
+
+def byte_codes(depth: int, codes: Sequence[int]) -> Iterator[int]:
+    """Each code with a byte per field, the exponent in two's complement."""
+    for _, spelled in _spelled(codes):
+        yield from (int.from_bytes(spelled[i:i + 2 * depth], "big")
+                    for i in range(16 - 2 * depth, len(spelled), 16))
 
 
 def check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> None:
@@ -94,12 +103,11 @@ def check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> None
 
 
 def family(depth: int) -> tuple[array, array]:
-    """:func:`expand`, every term checked before this returns: the first
-    term that :func:`check_term` refuses, a sign of an expansion bug,
-    raises its error.  The check reads the codes: an exponent is >= 0
-    exactly when its field's top bit is set, and the even and the odd v
-    fields, added lane by lane, put their sum (the shift sum plus 8 *
-    depth, at most 15 * 7) in byte lanes that add up modulo 255."""
+    """:func:`expand`, every term checked: the first that :func:`check_term`
+    refuses, a sign of an expansion bug, raises.  The check reads the codes:
+    an exponent is >= 0 exactly when its field's top bit is set, and the even
+    and the odd v fields, added lane by lane, put their sum (the shift sum
+    plus 8 * depth, at most 15 * 7) in byte lanes that add up modulo 255."""
     codes, coefs = expand(depth)
     u_top = sum(_BIAS << _WIDTH * f for f in range(depth, 2 * depth))
     v_mask, lanes = (1 << _WIDTH * depth) - 1, int("0f" * 4, 16)

@@ -26,9 +26,9 @@ from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping
 
-from .expansion import Term, check_term, family, terms as expansion_terms
+from .expansion import Term, byte_codes, check_term, family
 from .multipoly import LaurentPolynomial
-from .rationals import binomial, json_integer
+from .rationals import _layout, binomial, json_integer
 from .report import Check, FrozenRecord
 
 __all__ = [
@@ -50,13 +50,13 @@ def poly_variables(depth: int) -> tuple[str, ...]:
 
 
 def coefficient_polynomial(depth: int) -> LaurentPolynomial:
-    """Exact expansion of the defining product in u_1..u_r, v_1..v_r: the
-    checked terms of :func:`expansion.family`, packed as they are read.
-    The depth is 1..7, the deepest its codes hold; another raises."""
-    # every exponent is in [-2, depth], and u_r**depth is a term
-    pairs = ((e, c) for c, e in expansion_terms(depth, *family(depth)))
-    return object.__new__(LaurentPolynomial)._fill(
-        poly_variables(depth), 2 * depth, depth, pairs, 1)
+    """Exact expansion of the defining product in u_1..u_r, v_1..v_r, the
+    checked terms of :func:`expansion.family`; a depth outside 1..7 raises."""
+    # every exponent is in [-2, depth] and u_r**depth is a term: byte fields
+    codes, coefs = family(depth)
+    zero = _layout(2 * depth, depth).zero
+    nums = {code ^ zero: n for code, n in zip(byte_codes(depth, codes), coefs)}
+    return object.__new__(LaurentPolynomial)._set(nums, 1, poly_variables(depth), 2 * depth, depth)
 
 
 def check_trailing_shift(depth: int) -> list[Check]:
@@ -322,13 +322,8 @@ class ShiftedZetaExpression(FrozenRecord):
 
 
 def shifted_zeta_terms(depth: int) -> ShiftedZetaExpression:
-    """The coefficient family of one depth (1..7), expanded afresh and uncached.
-
-    Every term is checked once, before this returns, so a non-integer
-    coefficient, a negative u-exponent or shifts that do not sum to zero,
-    any of which would indicate an expansion bug, raise before the first
-    term is read (:func:`expansion.family`).
-    """
+    """The coefficient family of one depth (1..7), expanded afresh and
+    uncached, every term checked before this returns (:func:`expansion.family`)."""
     return ShiftedZetaExpression._of(depth, coefficient_polynomial(depth))
 
 

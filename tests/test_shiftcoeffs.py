@@ -307,6 +307,9 @@ def test_packed_expansion_matches_the_tuple_product(depth):
         expected = tuple_product(expected, factor)
     expected = sorted(expected.items())
     assert coefficient_polynomial(depth).sorted_terms() == expected
+    # packed from the expansion's bytes in the stored form the constructor gives
+    assert coefficient_polynomial(depth) == LaurentPolynomial(
+        dict(expected), shiftcoeffs.poly_variables(depth))
     # the heap product's codes and the record's stream give the same
     # terms in the same order
     terms = [(c.numerator, e[:depth], e[depth:]) for e, c in expected]
