@@ -24,8 +24,8 @@ _WIDTH, _BIAS = 4, 8
 # Every exponent of every partial product is in [-2, depth]: u_i in
 # [0, i], v_k in [-2, k].  A field holds [-8, 7], and 2 * 7 fields fill 56
 # of a code's 63 bits, so a deeper family is refused.  ``gr-coeffs
-# --format json`` takes 0.09 s and 14.3 MiB RSS at depth 6, 0.32 s and
-# 16.1 MiB at depth 7 (fresh process, Python 3.11.7, 2-vCPU x86-64 host).
+# --format json`` peaks at 14.4 MiB RSS at depth 6 and 16.2 MiB at depth 7
+# (fresh process, Python 3.11.7, x86-64 Linux; ``BENCH_29.json``).
 MAX_DEPTH = 7
 # A code's 16 hex digits as signed exponents: digit d is d - 8.
 _EXPONENT_OF_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes([*range(248, 256), *range(8)]))
