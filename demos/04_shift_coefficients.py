@@ -6,13 +6,10 @@
 # shifted classical zeta functions. Depth 1 reproduces the familiar
 # (1 - s) zeta(s).
 
-from dmzv import coefficient_polynomial, shifted_zeta_expression
+from dmzv import shifted_zeta_expression
 from dmzv.expansion import rendered_text
 
-print("the defining product, expanded at depth 2:")
-print(" ", coefficient_polynomial(2))
-
-print("\ncoefficient family at depth 2:")
+print("coefficient family at depth 2:")
 for value, l, m in shifted_zeta_expression(2):
     print(f"  l={l}  m={m}  ->  {value}")
 

@@ -34,16 +34,11 @@ _SOURCES = {
         "series_value_table",
         "value_table",
     ),
-    "multipoly": ("LaurentPolynomial",),
     "multiseries": ("MultiSeries", "substitute_linear_form", "substitute_linear_forms"),
     "rationals": ("binomial", "format_rational", "multinomial", "parse_rational", "pochhammer"),
     "report": ("Check", "IdentityReport"),
     "series": ("UniSeries", "exp_over_one_minus_exp"),
-    "shiftcoeffs": (
-        "ShiftedZetaExpression",
-        "coefficient_polynomial",
-        "shifted_zeta_expression",
-    ),
+    "shiftcoeffs": ("ShiftedZetaExpression", "shifted_zeta_expression"),
     "verify": ("SUITES", "ValueStore", "VerifyConfig", "reports_pass", "run_all"),
     "words": (
         "Word",

@@ -17,8 +17,8 @@ from heapq import merge
 from struct import iter_unpack
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["MAX_DEPTH", "byte_codes", "check_term", "expand", "family", "first_bad_term",
-           "rendered_text", "terms"]
+__all__ = ["MAX_DEPTH", "check_depth", "check_term", "expand", "family",
+           "first_bad_term", "pack", "rendered_text", "terms"]
 
 _WIDTH, _BIAS = 4, 8
 # Every exponent of every partial product is in [-2, depth]: u_i in
@@ -33,11 +33,27 @@ _CHUNK = 4096  # codes unpacked at a time
 Term = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
+def check_depth(depth: int) -> None:
+    """Refuse a depth whose codes a signed 64-bit integer cannot hold."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
+
+
+def pack(exps: Sequence[int]) -> int:
+    """The code of the exponent vector l + m; an exponent that no field
+    holds is refused."""
+    out = 0
+    for e in exps:
+        if not -_BIAS <= e < _BIAS:
+            raise ValueError(f"exponent {e} in {tuple(exps)} is outside [-8, 7]")
+        out = out << _WIDTH | e + _BIAS
+    return out
+
+
 def expand(depth: int) -> tuple[array, array]:
     """The codes, in increasing order, and the non-zero coefficients of the
     defining product's expansion in u_1..u_r, v_1..v_r."""
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
+    check_depth(depth)
     # the unit of u_i, and of v_i, in a code
     u = [0] + [1 << _WIDTH * (2 * depth - i) for i in range(1, depth + 1)]
     v = [0] + [1 << _WIDTH * (depth - i) for i in range(1, depth + 1)]
@@ -61,28 +77,17 @@ def expand(depth: int) -> tuple[array, array]:
     return codes, coefs
 
 
-def _spelled(codes: Sequence[int]) -> Iterator[tuple[int, bytes]]:
-    """Each chunk's start and its codes written big-endian in hex, each digit
-    (a field) turned into its exponent as a signed byte: 16 bytes a code."""
+def terms(depth: int, codes: Sequence[int], coefs: Sequence) -> Iterator[tuple]:
+    """Each term as (coef, exponent vector l + m), in code order.  Each chunk
+    of codes is written big-endian in hex, and each digit (a field) turned
+    into its exponent as a signed byte: 16 bytes a code."""
+    fmt = f"{16 - 2 * depth}x{2 * depth}b"
     for start in range(0, len(codes), _CHUNK):
         chunk = array("q", codes[start:start + _CHUNK])
         if sys.byteorder == "little":
             chunk.byteswap()
-        yield start, chunk.tobytes().hex().encode().translate(_EXPONENT_OF_DIGIT)
-
-
-def terms(depth: int, codes: Sequence[int], coefs: Sequence) -> Iterator[tuple]:
-    """Each term as (coef, exponent vector l + m), in code order."""
-    fmt = f"{16 - 2 * depth}x{2 * depth}b"
-    for start, spelled in _spelled(codes):
+        spelled = chunk.tobytes().hex().encode().translate(_EXPONENT_OF_DIGIT)
         yield from zip(coefs[start:start + _CHUNK], iter_unpack(fmt, spelled))
-
-
-def byte_codes(depth: int, codes: Sequence[int]) -> Iterator[int]:
-    """Each code with a byte per field, the exponent in two's complement."""
-    for _, spelled in _spelled(codes):
-        yield from (int.from_bytes(spelled[i:i + 2 * depth], "big")
-                    for i in range(16 - 2 * depth, len(spelled), 16))
 
 
 def check_term(depth: int, coef, l: tuple[int, ...], m: tuple[int, ...]) -> None:

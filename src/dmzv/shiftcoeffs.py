@@ -14,25 +14,25 @@ to zero.  :mod:`dmzv.expansion` expands that product on integers, and
 family as a record and verifies its structural identities.
 
 The record :class:`ShiftedZetaExpression` holds the depth and the
-:func:`coefficient_polynomial`, the ``LaurentPolynomial`` of the
-expansion's checked terms, read back in sorted (l, m) order.
-:func:`shifted_zeta_terms` builds a fresh record and
+expansion's packed codes and coefficients, read back in sorted (l, m)
+order.  :func:`shifted_zeta_terms` builds a fresh record and
 :func:`shifted_zeta_expression` a cached one, which every check reads.
+Each check reads the records as plain dicts keyed by exponent tuples.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from array import array
+from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .expansion import Term, byte_codes, check_term, family
-from .multipoly import LaurentPolynomial
-from .rationals import _layout, binomial, json_integer
+from .expansion import Term, check_depth, check_term, family, pack
+from .expansion import terms as unpacked_terms
+from .rationals import accumulate, binomial, json_integer, multinomial
 from .report import Check, FrozenRecord
 
 __all__ = [
-    "coefficient_polynomial",
     "check_trailing_shift",
     "check_contraction",
     "check_merge_substitution",
@@ -47,16 +47,6 @@ def poly_variables(depth: int) -> tuple[str, ...]:
     return tuple(f"u{j}" for j in range(1, depth + 1)) + tuple(
         f"v{j}" for j in range(1, depth + 1)
     )
-
-
-def coefficient_polynomial(depth: int) -> LaurentPolynomial:
-    """Exact expansion of the defining product in u_1..u_r, v_1..v_r, the
-    checked terms of :func:`expansion.family`; a depth outside 1..7 raises."""
-    # every exponent is in [-2, depth] and u_r**depth is a term: byte fields
-    codes, coefs = family(depth)
-    zero = _layout(2 * depth, depth).zero
-    nums = {code ^ zero: n for code, n in zip(byte_codes(depth, codes), coefs)}
-    return object.__new__(LaurentPolynomial)._set(nums, 1, poly_variables(depth), 2 * depth, depth)
 
 
 def check_trailing_shift(depth: int) -> list[Check]:
@@ -140,48 +130,68 @@ def check_merge_substitution(depth: int) -> list[Check]:
     polynomial to (z + 1) times the depth-(r-1) polynomial with its last
     two u arguments merged into u_{r-1} + u_r + z.
 
-    Both sides are multiplied by u_r**D, where D clears every negative
-    u_r power the substitution introduces, and compared monomial by
-    monomial as exact Laurent polynomials.  Both polynomials are those of
-    the records :func:`shifted_zeta_expression` gives, so a fault in the
+    Both sides (:func:`merge_sides`) are multiplied by u_r**D, where D
+    clears every negative u_r power the substitution introduces, and
+    compared monomial by monomial.  Both polynomials are those of the
+    records :func:`shifted_zeta_expression` gives, so a fault in the
     family at either depth breaks the identity.  A term with a negative
     last shift has a negative power of v_r, which cannot be substituted
     into; the check then fails with that term as its witness.
     """
     if depth < 2:
         raise ValueError(f"merge substitution check needs depth >= 2, got {depth}")
-    variables = poly_variables(depth) + ("z",)
-    mono = partial(LaurentPolynomial.monomial, variables)
-    prev_u, last_u, prev_v = f"u{depth-1}", f"u{depth}", f"v{depth-1}"
-    expression = shifted_zeta_expression(depth)
-    cur = expression.polynomial.with_variables(variables)
-    try:
-        lhs = cur.substitute(
-            f"v{depth}", mono({prev_v: 1}) + mono({prev_v: 1, last_u: -1, "z": 1})
-        )
-    except ValueError:
-        bad = next(((coef, l, m) for coef, l, m in expression if m[-1] < 0), None)
-        if bad is None:
-            raise
+    bad = next(((coef, l, m) for coef, l, m in shifted_zeta_expression(depth) if m[-1] < 0),
+               None)
+    if bad is not None:
         coef, l, m = bad
         witness = {"negative_last_shift": {"l": list(l), "m": list(m), "coefficient": coef}}
         desc = f"merge substitution identity at depth {depth} (negative power of v{depth})"
         return [Check.of(desc, witness)]
-    prev = shifted_zeta_expression(depth - 1).polynomial.with_variables(variables)
-    merged_arg = mono({prev_u: 1}) + mono({last_u: 1}) + mono({"z": 1})
-    rhs = (mono({}) + mono({"z": 1})) * prev.substitute(prev_u, merged_arg)
-
-    clearing = max(0, -lhs.min_degree(last_u), -rhs.min_degree(last_u))
-    lhs_cleared = lhs.shift_variable(last_u, clearing)
-    rhs_cleared = rhs.shift_variable(last_u, clearing)
-
+    lhs, rhs = merge_sides(depth)
+    lowest = min((key[depth - 1] for side in (lhs, rhs) for key in side), default=0)
+    clearing = max(0, -lowest)
+    # the difference, keyed as both sides are: shifting every key by
+    # u_r**D keeps their order
+    diff = accumulate(lhs, ((key, -n) for key, n in rhs.items()))
     witness = None
-    if lhs_cleared != rhs_cleared:
-        diff = lhs_cleared - rhs_cleared
-        exps, coeff = diff.sorted_terms()[0]
-        witness = {"monomial": dict(zip(diff.variables, exps)), "difference": str(coeff)}
+    if diff:
+        key = min(diff)
+        exps = (*key[:depth - 1], key[depth - 1] + clearing, *key[depth:])
+        witness = {"monomial": dict(zip((*poly_variables(depth), "z"), exps)),
+                   "difference": str(diff[key])}
     desc = f"merge substitution identity at depth {depth} (cleared by u{depth}^{clearing})"
     return [Check.of(desc, witness)]
+
+
+def merge_sides(depth: int) -> tuple[dict, dict]:
+    """The two sides of the merge substitution at depth r, each as
+    {exponent tuple over u_1..u_r, v_1..v_r, z: coefficient}, expanded in
+    closed form; every term of the depth-r record must have m_r >= 0.
+
+    Left: (1 + z/u_r)**m_r by the binomial theorem takes c u^l v^m to
+    C(m_r, j) c u^(l_1..l_{r-1}, l_r - j) v^(m_1..m_{r-2}, m_{r-1} + m_r, 0)
+    z^j for j = 0..m_r.  Right: (u_{r-1} + u_r + z)**n times (1 + z) by the
+    multinomial theorem takes the depth-(r-1) term c u^l v^m, n = l_{r-1},
+    to multinomial(a, b, n - a - b) c u^(l_1..l_{r-2}, a, b) v^(m, 0)
+    z^(n - a - b + e) for e in {0, 1}.
+    """
+    lhs = accumulate({}, (
+        ((*l[:-1], l[-1] - j, *m[:-2], m[-2] + m[-1], 0, j), binomial(m[-1], j) * coef)
+        for coef, l, m in shifted_zeta_expression(depth) for j in range(m[-1] + 1)))
+
+    def merged(coef, l, m):
+        n = l[-1]
+        if n < 0:
+            raise ValueError(f"cannot substitute into the negative power u{depth - 1}**{n}")
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                c = multinomial((a, b, n - a - b)) * coef
+                for e in (0, 1):
+                    yield (*l[:-1], a, b, *m, 0, n - a - b + e), c
+
+    rhs = accumulate({}, (term for coef, l, m in shifted_zeta_expression(depth - 1)
+                          for term in merged(coef, l, m)))
+    return lhs, rhs
 
 
 def _regrouping_check(description: str, totals: dict, splits) -> Check:
@@ -248,44 +258,48 @@ class ShiftedZetaExpression(FrozenRecord):
     """Symbolic transcription: value = sum of coef * prod_j (s_j)_{l_j}
     times the classical function at arguments shifted by m.
 
-    The record holds the depth and the checked packed polynomial whose
-    monomials u^l v^m carry the coefficients.  Iterating it unpacks the
-    (coef, l, m) terms one at a time in sorted (l, m) order (each exponent
-    tuple is l + m, so that is exponent order); :attr:`terms` is that
-    stream as a tuple, built when read.  Exported as data only; nothing in
-    this package evaluates it.
+    The record holds the depth, the codes of the monomials u^l v^m in
+    increasing order, packed as :func:`expansion.pack` packs them, and
+    their coefficients: the arrays of :func:`expansion.family`, or the
+    constructor's checked terms.  Iterating it unpacks the (coef, l, m)
+    terms one at a time in code order, which is sorted (l, m) order;
+    :attr:`terms` is that stream as a tuple, built when read.  Exported as
+    data only; nothing in this package evaluates it.
     """
 
-    __slots__ = ("depth", "polynomial")
+    __slots__ = ("depth", "codes", "coefs")
 
     def __new__(cls, depth: int, terms: Iterable[Term]):
         """The record of the given terms, each refused as
-        :func:`expansion.check_term` refuses it; a repeated (l, m) is
+        :func:`expansion.check_term` refuses it or when an exponent is
+        outside [-8, 7]; a depth outside 1..7 and a repeated (l, m) are
         refused too."""
-        nums = {}
+        check_depth(depth)
+        coefs = {}
         for coef, l, m in terms:
             check_term(depth, coef, l, m)
-            key = (*l, *m)
-            if key in nums:
+            code = pack((*l, *m))
+            if code in coefs:
                 raise ValueError(f"repeated term l={l}, m={m}")
-            nums[key] = coef
-        return cls._of(depth, LaurentPolynomial(nums, poly_variables(depth)))
+            coefs[code] = int(coef)
+        codes = sorted(coefs)
+        return cls._of(depth, array("q", codes), [coefs[code] for code in codes])
 
     @classmethod
-    def _of(cls, depth: int, polynomial: LaurentPolynomial) -> "ShiftedZetaExpression":
-        # the polynomial's terms have been checked
+    def _of(cls, depth: int, codes: Sequence[int], coefs: Sequence) -> "ShiftedZetaExpression":
+        # the terms have been checked, and the codes are in increasing order
         out = object.__new__(cls)
-        object.__setattr__(out, "depth", depth)
-        object.__setattr__(out, "polynomial", polynomial)
+        for name, value in zip(cls.__slots__, (depth, codes, coefs)):
+            object.__setattr__(out, name, value)
         return out
 
     def __len__(self) -> int:
-        return len(self.polynomial)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[Term]:
         depth = self.depth
-        for exps, n in self.polynomial.numerator_terms(ordered=True):
-            yield n, exps[:depth], exps[depth:]
+        for coef, exps in unpacked_terms(depth, self.codes, self.coefs):
+            yield coef, exps[:depth], exps[depth:]
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -324,7 +338,7 @@ class ShiftedZetaExpression(FrozenRecord):
 def shifted_zeta_terms(depth: int) -> ShiftedZetaExpression:
     """The coefficient family of one depth (1..7), expanded afresh and
     uncached, every term checked before this returns (:func:`expansion.family`)."""
-    return ShiftedZetaExpression._of(depth, coefficient_polynomial(depth))
+    return ShiftedZetaExpression._of(depth, *family(depth))
 
 
 # One cache entry per depth: a ``verify`` run, whose depth is capped at 6,

@@ -496,9 +496,8 @@ def verify_shift_coeffs(max_depth: int) -> list[Check]:
         expr = shifted_zeta_expression(depth)
         # the record's own terms, checked again: a record built past its
         # constructor's checks fails here
-        witness, poly = None, expr.polynomial
-        if bad := first_bad_term(depth, ((Fraction(n, poly.denominator), e[:depth], e[depth:])
-                                         for e, n in poly.numerator_terms(ordered=True))):
+        witness = None
+        if bad := first_bad_term(depth, expr):
             (coef, l, m), reason = bad
             witness = {"coef": format_rational(coef), "l": list(l), "m": list(m), "reason": reason}
         checks.append(

@@ -64,8 +64,8 @@ def fresh(code: str, *argv: str) -> str:
       "dmzv.words"], False, True),
     (["verify", "--format", "json"],
      ["dmzv", "dmzv.bernoulli", "dmzv.cli", "dmzv.expansion", "dmzv.genfun",
-      "dmzv.multipoly", "dmzv.multiseries", "dmzv.names", "dmzv.rationals", "dmzv.report",
-      "dmzv.series", "dmzv.shiftcoeffs", "dmzv.tables", "dmzv.verify", "dmzv.words"],
+      "dmzv.multiseries", "dmzv.names", "dmzv.rationals", "dmzv.report", "dmzv.series",
+      "dmzv.shiftcoeffs", "dmzv.tables", "dmzv.verify", "dmzv.words"],
      True, True),
 ])
 def test_each_command_loads_only_its_layers(argv, modules, uses_json, uses_fractions):
@@ -146,13 +146,11 @@ PUBLIC = {
     "genfun": ["conversion_table", "ems_factor", "ems_prefactor", "ems_series",
                "ems_series_from_fkmt", "ems_value", "fkmt_factor", "fkmt_series", "fkmt_value",
                "series_value_table", "value_table"],
-    "multipoly": ["LaurentPolynomial"],
     "multiseries": ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"],
     "rationals": ["binomial", "format_rational", "multinomial", "parse_rational", "pochhammer"],
     "report": ["Check", "IdentityReport"],
     "series": ["UniSeries", "exp_over_one_minus_exp"],
-    "shiftcoeffs": ["ShiftedZetaExpression", "coefficient_polynomial",
-                    "shifted_zeta_expression"],
+    "shiftcoeffs": ["ShiftedZetaExpression", "shifted_zeta_expression"],
     "verify": ["SUITES", "ValueStore", "VerifyConfig", "reports_pass", "run_all"],
     "words": ["Word", "WordSum", "character", "leibniz_defect", "multiplicativity_defect",
               "word_product"],
@@ -177,9 +175,10 @@ def test_public_names_resolve_to_their_modules():
 RETIRED = {
     "genfun": ["fkmt_value_series", "ems_value_series", "_value_series", "ValueTable",
                "table_series", "value_rows"],
-    "rationals": ["Rational"],
+    "rationals": ["Rational", "Packed"],
     "series": ["divide_with_valuation", "laurent_divide", "exp_series", "exp_minus_one"],
-    "shiftcoeffs": ["shift_coefficients"],
+    "shiftcoeffs": ["shift_coefficients", "coefficient_polynomial"],
+    "expansion": ["byte_codes"],
 }
 
 
@@ -192,11 +191,23 @@ def test_retired_names_stay_retired(module, name):
         getattr(importlib.import_module(f"dmzv.{module}"), name)
 
 
+def test_retired_modules_stay_retired():
+    # the polynomial class, whose one remaining check now expands its two
+    # sides in closed form
+    assert "LaurentPolynomial" not in dmzv.__all__
+    with pytest.raises(AttributeError):
+        dmzv.LaurentPolynomial
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("dmzv.multipoly")
+
+
 def test_retired_attributes_stay_retired():
     from dmzv.series import UniSeries
+    from dmzv.shiftcoeffs import ShiftedZetaExpression
 
     assert not hasattr(UniSeries, "derivative")
     assert not hasattr(genfun.Family, "series")
+    assert not hasattr(ShiftedZetaExpression, "polynomial")
 
 
 def test_bernoulli_stays_the_function_after_its_module_loads():

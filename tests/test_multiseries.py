@@ -155,6 +155,25 @@ def test_product_matches_naive_reference(pair):
     assert all(type(c) is Fraction and c for c in product.coeffs.values())
 
 
+@pytest.mark.parametrize("cap", [2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**62 - 1])
+def test_products_at_the_wider_field_widths(cap):
+    # 16 bits hold twice a cap below 2**14, 32 bits below 2**30, and 64
+    # bits below 2**62
+    a = MultiSeries({(cap, 0): Fraction(1, 2), (1, cap - 1): 3, (0, 0): -1}, 2, cap)
+    b = MultiSeries({(0, cap): 2, (cap - 1, 1): Fraction(-1, 3), (1, 0): 5}, 2, cap)
+    product = a * b
+    assert product == naive_product(a, b)
+    # the two products at (cap, cap) cancel, and (cap + 1, 0) is dropped
+    assert product.coefficient((2, cap - 1)) == 15 and product.coefficient((cap, cap)) == 0
+    assert len(product.coeffs) == 4
+    assert (a + b).sorted_terms()[-1] == ((cap, 0), Fraction(1, 2))
+
+
+def test_a_cap_too_large_to_pack_is_refused():
+    with pytest.raises(ValueError, match="cap 4611686018427387904 is too large to pack"):
+        MultiSeries({}, 1, 2**62)
+
+
 @settings(max_examples=25, deadline=None)
 @given(series_pairs(), series_pairs())
 def test_product_shape_mismatch_raises(first, second):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmzv.genfun import ems_value, fkmt_series, fkmt_value
-from dmzv.multipoly import LaurentPolynomial
 from dmzv.multiseries import MultiSeries, substitute_linear_form, substitute_linear_forms
 from dmzv.rationals import (
     binomial,
@@ -162,10 +161,6 @@ REFUSED = {
     "MultiSeries cap": lambda: MultiSeries({}, 1, 2.5),
     "MultiSeries scale": lambda: MultiSeries.constant(1, 1, 2).scale(0.5),
     "MultiSeries coefficient read": lambda: MultiSeries({(1,): 1}, 1, 2).coefficient((1.7,)),
-    "LaurentPolynomial coefficient": lambda: LaurentPolynomial({(1,): 1.5}, ("x",)),
-    "LaurentPolynomial exponent": lambda: LaurentPolynomial({(-1.5,): 1}, ("x",)),
-    "LaurentPolynomial monomial": lambda: LaurentPolynomial.monomial(("x",), {"x": 2.0}),
-    "LaurentPolynomial scale": lambda: LaurentPolynomial.constant(1, ("x",)).scale(0.5),
     "WordSum coefficient": lambda: WordSum({Word.parse("y"): 0.1}),
     "WordSum key": lambda: WordSum({"y": 1}),
     "WordSum scale": lambda: WordSum.of(Word.parse("y")).scale(0.5),

@@ -1,7 +1,7 @@
 """Ring laws for the sum that every sparse exact type shares
-(``rationals.accumulate``): ``UniSeries``, ``MultiSeries``,
-``LaurentPolynomial`` and ``WordSum`` operands with small rational
-coefficients.  A sum that cancels must store no term at all."""
+(``rationals.accumulate``): ``UniSeries``, ``MultiSeries`` and
+``WordSum`` operands with small rational coefficients.  A sum that
+cancels must store no term at all."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmzv.multipoly import LaurentPolynomial
 from dmzv.multiseries import MultiSeries
 from dmzv.series import UniSeries
 from dmzv.words import Word, WordSum
@@ -27,10 +26,6 @@ multi_series = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=6
 ).map(lambda terms: MultiSeries(terms, 2, 3))
 
-laurent_polynomials = st.dictionaries(
-    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), rationals, max_size=6
-).map(lambda terms: LaurentPolynomial(terms, ("x", "y")))
-
 word_sums = st.dictionaries(
     st.text("dy", max_size=3).map(Word), rationals, max_size=6
 ).map(WordSum)
@@ -38,13 +33,12 @@ word_sums = st.dictionaries(
 OPERANDS = {
     "UniSeries": uni_series(),
     "MultiSeries": multi_series,
-    "LaurentPolynomial": laurent_polynomials,
     "WordSum": word_sums,
 }
 
 
 def stored(x) -> dict:
-    return x.terms if isinstance(x, (LaurentPolynomial, WordSum)) else x.coeffs
+    return x.terms if isinstance(x, WordSum) else x.coeffs
 
 
 @pytest.mark.parametrize("kind", OPERANDS)

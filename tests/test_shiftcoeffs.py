@@ -8,14 +8,12 @@ import pytest
 import dmzv
 from dmzv import expansion, shiftcoeffs
 from dmzv.expansion import rendered_text
-from dmzv.multipoly import LaurentPolynomial
 from dmzv.shiftcoeffs import (
     ShiftedZetaExpression,
     check_contraction,
     check_merge_substitution,
     check_reindexing,
     check_trailing_shift,
-    coefficient_polynomial,
     shifted_zeta_expression,
 )
 
@@ -77,11 +75,10 @@ def family_from_brute_force(depth):
 
 
 def test_depth1_polynomial():
-    variables = ("u1", "v1")
-    expected = LaurentPolynomial.constant(1, variables) - LaurentPolynomial.monomial(
-        variables, {"u1": 1}
-    )
-    assert coefficient_polynomial(1) == expected
+    # 1 - u1: the codes of u1^0 v1^0 and u1^1 v1^0, each exponent plus 8
+    # one hex digit
+    expr = shiftcoeffs.shifted_zeta_terms(1)
+    assert (list(expr.codes), list(expr.coefs)) == ([0x88, 0x98], [1, -1])
     assert coefficient_lookup(1) == {((0,), (0,)): 1, ((1,), (0,)): -1}
 
 
@@ -306,10 +303,6 @@ def test_packed_expansion_matches_the_tuple_product(depth):
     for factor in defining_factors(depth):
         expected = tuple_product(expected, factor)
     expected = sorted(expected.items())
-    assert coefficient_polynomial(depth).sorted_terms() == expected
-    # packed from the expansion's bytes in the stored form the constructor gives
-    assert coefficient_polynomial(depth) == LaurentPolynomial(
-        dict(expected), shiftcoeffs.poly_variables(depth))
     # the heap product's codes and the record's stream give the same
     # terms in the same order
     terms = [(c.numerator, e[:depth], e[depth:]) for e, c in expected]
@@ -317,7 +310,11 @@ def test_packed_expansion_matches_the_tuple_product(depth):
     assert [(c, e[:depth], e[depth:])
             for c, e in expansion.terms(depth, codes, coefs)] == terms
     assert list(codes) == [_code(depth, e) for e, _ in expected]
-    assert list(shiftcoeffs.shifted_zeta_terms(depth)) == terms
+    record = shiftcoeffs.shifted_zeta_terms(depth)
+    assert list(record) == terms
+    # packed by the constructor in the same layout
+    rebuilt = ShiftedZetaExpression(depth, reversed(terms))
+    assert (list(rebuilt.codes), list(rebuilt.coefs)) == (list(codes), list(coefs))
 
 
 def test_each_term_is_checked_once(monkeypatch):
@@ -382,8 +379,7 @@ def test_packed_check_refuses_what_check_term_refuses(monkeypatch, depth, extra,
         assert str(refused.value) == message
 
 
-@pytest.mark.parametrize("public", ["dmzv.coefficient_polynomial",
-                                    "dmzv.shifted_zeta_expression",
+@pytest.mark.parametrize("public", ["dmzv.shifted_zeta_expression",
                                     "shiftcoeffs.shifted_zeta_terms"])
 def test_expansion_refuses_a_depth_its_codes_cannot_hold(public):
     # 2 * 8 fields of 4 bits would not fit a signed 64-bit code: the public
@@ -397,14 +393,39 @@ def test_expansion_refuses_a_depth_its_codes_cannot_hold(public):
         expansion.expand(8)
 
 
+@pytest.mark.parametrize("depth", [0, 8, -1])
+def test_expression_refuses_a_depth_its_codes_cannot_hold(depth):
+    with pytest.raises(ValueError, match=rf"depth must be in 1\.\.7, got {depth}"):
+        ShiftedZetaExpression(depth, ())
+    with pytest.raises(ValueError, match=rf"depth must be in 1\.\.7, got {depth}"):
+        ShiftedZetaExpression.from_json_dict({"depth": depth, "terms": []})
+
+
+@pytest.mark.parametrize("l, m, exponent", [
+    ((8, 0), (0, 0), 8),
+    ((0, 0), (-9, 9), -9),
+    ((0, 1), (8, -8), 8),
+])
+def test_expression_refuses_an_exponent_past_its_fields(l, m, exponent):
+    # each exponent takes a 4-bit field, [-8, 7], as in the expansion's codes
+    message = rf"exponent {exponent} in \(.*\) is outside \[-8, 7\]"
+    with pytest.raises(ValueError, match=message):
+        ShiftedZetaExpression(2, ((1, l, m),))
+    with pytest.raises(ValueError, match=message):
+        ShiftedZetaExpression.from_json_dict({"depth": 2, "terms": [{"coef": 1, "l": l, "m": m}]})
+    # the fields' ends are held
+    edge = ShiftedZetaExpression(3, ((3, (7, 0, 7), (-8, 7, 1)),))
+    assert list(edge) == [(3, (7, 0, 7), (-8, 7, 1))]
+
+
 def test_expression_streams_the_packed_polynomial():
     # the record holds the checked expansion itself; its terms are read
-    # off it in sorted (l, m) order on each pass
+    # off its codes in sorted (l, m) order on each pass
     expr = shifted_zeta_expression(3)
-    assert expr.polynomial == coefficient_polynomial(3)
+    assert (expr.codes, expr.coefs) == expansion.family(3)
     assert len(expr) == 38 and list(expr) == list(expr) == list(expr.terms)
     rebuilt = ShiftedZetaExpression(3, reversed(expr.terms))
-    assert rebuilt.polynomial == expr.polynomial and rebuilt.terms == expr.terms
+    assert list(rebuilt.codes) == list(expr.codes) and rebuilt.terms == expr.terms
 
 
 def test_expression_is_a_frozen_record():
@@ -418,4 +439,4 @@ def test_expression_is_a_frozen_record():
     with pytest.raises(AttributeError):
         expr.depth = 3
     assert pickle.loads(pickle.dumps(expr)) == expr
-    assert pickle.loads(pickle.dumps(expr)).polynomial == expr.polynomial
+    assert list(pickle.loads(pickle.dumps(expr)).codes) == list(expr.codes)

@@ -1,8 +1,8 @@
 """A third oracle: Bernoulli numbers, the coefficients of every depth-1
-series (the two factors, the conversion prefactor and the words kernel)
-and depth-2 generating-function coefficients from sympy, which shares
-no code with either of the library's routes.  Skipped when sympy is not
-installed."""
+series (the two factors, the conversion prefactor and the words kernel),
+depth-2 generating-function coefficients and the two sides of the
+shifted-zeta merge substitution from sympy, which shares no code with
+either of the library's routes.  Skipped when sympy is not installed."""
 
 from fractions import Fraction
 from math import factorial
@@ -20,6 +20,7 @@ from dmzv.genfun import (
     fkmt_value,
 )
 from dmzv.series import exp_over_one_minus_exp
+from dmzv.shiftcoeffs import merge_sides, shifted_zeta_expression
 
 sympy = pytest.importorskip("sympy")
 
@@ -91,3 +92,28 @@ def test_depth2_generating_function_matches_sympy(family, series):
         for b in range(cap + 1):
             expected = as_fraction(product.coeff_monomial(t1**a * t2**b))
             assert built.coefficient((a, b)) == expected, (a, b)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_merge_sides_match_sympy(depth):
+    # each record's polynomial built in sympy from its terms, substituted
+    # and expanded there, against the two sides the merge check expands in
+    # closed form
+    u = sympy.symbols(f"u1:{depth + 1}")
+    v = sympy.symbols(f"v1:{depth + 1}")
+    z = sympy.Symbol("z")
+
+    def polynomial(d):
+        return sum(coef * sympy.prod(u[i] ** l[i] * v[i] ** m[i] for i in range(d))
+                   for coef, l, m in shifted_zeta_expression(d))
+
+    def coefficients(expr):
+        out = {}
+        for monomial, coef in sympy.expand(expr).as_coefficients_dict().items():
+            powers = monomial.as_powers_dict()
+            out[tuple(int(powers.get(x, 0)) for x in (*u, *v, z))] = int(coef)
+        return out
+
+    lhs = polynomial(depth).subs(v[-1], v[-2] * (u[-1] + z) / u[-1])
+    rhs = (1 + z) * polynomial(depth - 1).subs(u[-2], u[-2] + u[-1] + z)
+    assert merge_sides(depth) == (coefficients(lhs), coefficients(rhs))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dmzv import genfun, series, tables, verify, words
 from dmzv.genfun import EMS, FAMILIES, FKMT, _product_series, ems_value, index_box
-from dmzv.rationals import _layout
+from dmzv.multiseries import _layout
 
 
 def series_rows(series):
@@ -24,8 +24,8 @@ def series_rows(series):
     (-1)^|k| k! times the numerator of t^k over the series' denominator,
     reduced by one gcd.  The code of t^k is the zero vector's code plus
     each entry in its field, the first highest."""
-    nums, den, (depth, cap) = series._nums, series._den, series._ring
-    layout = _layout(depth, series._bound)
+    nums, den, depth, cap = series._nums, series._den, series.nvars, series.cap
+    layout = _layout(depth, cap)
     shifts = range(layout.width * (depth - 1), -1, -layout.width)
     factorials = [factorial(e) for e in range(cap + 1)].__getitem__
     for k in index_box(depth, cap):

@@ -1,9 +1,9 @@
 """The benchmark's layer tracer (``bench/layers.py``) installs its spans on
 names in ``dmzv``: the ``verify_<suite>`` functions, ``ValueStore.fkmt``
 and ``ValueStore.ems``, the ``(family, index)`` keys of the store's memo,
-``words.word_product`` and ``words.character``, the ``LaurentPolynomial``
-product and substitution, the shifted-zeta expansion, the ``MultiSeries``
-and ``UniSeries`` products and the linear-form substitutions.  A traced
+``words.word_product`` and ``words.character``, the shifted-zeta records
+and their checks, the ``MultiSeries`` and ``UniSeries`` products and the
+linear-form substitutions.  A traced
 run must still find all of them.  The tracer runs in a subprocess;
 nothing under ``bench/`` is written."""
 
@@ -32,6 +32,12 @@ STALE_SPANS = {
     # the series division chain, retired: every depth-1 series is a
     # divided-power quotient (dmzv.tables.divided_quotient)
     "series.divide_with_valuation",
+    # the polynomial class and the polynomial form of the family, retired:
+    # the records hold the expansion's packed codes, and the merge check
+    # expands its two sides in closed form
+    "multipoly.LaurentPolynomial.__mul__",
+    "multipoly.LaurentPolynomial.substitute",
+    "shiftcoeffs.coefficient_polynomial",
 }
 
 
@@ -65,29 +71,28 @@ def test_traced_shuffle_finds_the_words_spans():
     assert result["calls"]["words.product"] >= 1
 
 
-def test_traced_shift_coeffs_finds_the_polynomial_spans():
+def test_traced_shift_coeffs_finds_the_record_spans():
     result = traced("verify", "--suite", "shift-coeffs", "--format", "json")
     assert result["exit"] == 0
     assert [name for name in result["missing"]
-            if name.startswith(("multipoly", "shiftcoeffs")) and name not in STALE_SPANS] == []
-    assert result["calls"]["multipoly.mul"] >= 1
-    assert result["calls"]["multipoly.substitute"] >= 1
+            if name.startswith("shiftcoeffs") and name not in STALE_SPANS] == []
+    # at depth 4: four trailing-shift checks, contraction and reindexing at
+    # depths 2 and 3, and the merge substitution at depths 2 to 4
+    assert result["calls"]["shiftcoeffs.checks"] == 4 + 2 + 2 + 3
+    assert not any(name.startswith("multipoly") for name in result["calls"])
 
 
 def test_traced_gr_coeffs_sees_the_expansion():
-    # gr-coeffs expands the family on packed integer codes: no polynomial
-    # product and no coefficient_polynomial call
+    # gr-coeffs expands the family on packed integer codes and builds no
+    # record
     result = traced("gr-coeffs", "--depth", "4", "--format", "json")
     assert result["exit"] == 0
     assert [name for name in result["missing"]
-            if name.startswith(("multipoly", "shiftcoeffs")) and name not in STALE_SPANS] == []
-    assert "multipoly.mul" not in result["calls"]
+            if name.startswith("shiftcoeffs") and name not in STALE_SPANS] == []
+    assert not any(name.startswith(("multipoly", "shiftcoeffs")) for name in result["calls"])
+    # the term count was taken off the polynomial form of the family, which
+    # is retired: it reads 0 until a span counts the expansion's terms
     assert result["counts"]["shiftcoeffs.terms"] == 0
-    # the records of the shift-coeffs suite are polynomials of the same
-    # expansion, and the span counts their terms at depths 1 to 4
-    result = traced("verify", "--suite", "shift-coeffs", "--depth", "4", "--format", "json")
-    assert result["exit"] == 0
-    assert result["counts"]["shiftcoeffs.terms"] == 2 + 7 + 38 + 236
 
 
 def test_traced_values_finds_the_series_spans():

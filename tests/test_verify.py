@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmzv import genfun, shiftcoeffs, verify, words
+from dmzv import expansion, genfun, shiftcoeffs, verify, words
 from dmzv.bernoulli import BernoulliCache, bernoulli
-from dmzv.multipoly import LaurentPolynomial
 from dmzv.rationals import binomial, format_rational
 from dmzv.report import Check, IdentityReport
 from dmzv.series import UniSeries
@@ -233,9 +232,9 @@ def test_shift_coeffs_fails_a_depth4_fault(monkeypatch):
 def _record(depth, terms):
     """A record of the given (coef, l, m) terms, built past the checks of
     its constructor."""
-    polynomial = LaurentPolynomial({(*l, *m): coef for coef, l, m in terms},
-                                   shiftcoeffs.poly_variables(depth))
-    return shiftcoeffs.ShiftedZetaExpression._of(depth, polynomial)
+    packed = sorted((expansion.pack((*l, *m)), coef) for coef, l, m in terms)
+    return shiftcoeffs.ShiftedZetaExpression._of(depth, [code for code, _ in packed],
+                                                 [coef for _, coef in packed])
 
 
 @pytest.mark.parametrize("terms, witness", [
@@ -258,21 +257,6 @@ def test_shift_coeffs_fails_a_bad_term(monkeypatch, terms, witness):
     assert [(check.description, check.witness) for check in report.failures()] == [
         (f"zero-sum shifts and integer coefficients at depth 2 ({len(terms)} entries)", witness),
     ]
-
-
-def test_shift_coeffs_checks_each_term_the_packed_test_cannot_settle(monkeypatch):
-    # exponents up to 127, past the 4-bit fields of the expansion's codes:
-    # the row reads the record's terms one by one
-    good = [(1, (127, 0, 0), (127, -127, 0))]
-    bad = good + [(1, (0, 0, 0), (1, 1, 0))]
-    expression = verify.shifted_zeta_expression
-    for terms, failures in ((good, []), (bad, ["zero-sum shifts and integer coefficients "
-                                                "at depth 3 (2 entries)"])):
-        record = _record(3, terms)
-        monkeypatch.setattr(verify, "shifted_zeta_expression",
-                            lambda depth: record if depth == 3 else expression(depth))
-        report = verify.verify_shift_coeffs(3)
-        assert [check.description for check in report.failures()] == failures
 
 
 def _extra_depth2_term(monkeypatch, term):
@@ -304,6 +288,17 @@ def test_merge_substitution_fails_on_a_negative_last_shift(monkeypatch):
         "merge substitution identity at depth 3",
     ]
     assert failures[0].witness == {"violations": [{"l": [0, 0], "m": [3, -3], "coefficient": 1}]}
+
+
+def test_merge_substitution_clears_a_negative_power_of_u(monkeypatch):
+    # v2 -> v1 (1 + z/u2) takes u2**-1 into the term 1 * v1**-1 v2: both
+    # sides are cleared by u2, and the lowest differing monomial is named
+    # after the shift
+    _extra_depth2_term(monkeypatch, (1, (0, 0), (-1, 1)))
+    [check] = shiftcoeffs.check_merge_substitution(2)
+    assert check.description == "merge substitution identity at depth 2 (cleared by u2^1)"
+    assert check.witness == {"monomial": {"u1": 0, "u2": 0, "v1": 0, "v2": 0, "z": 1},
+                             "difference": "1"}
 
 
 # Check templates that no other injected fault fails, each with a fault in
