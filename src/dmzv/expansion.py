@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from array import array
 from heapq import merge
+from operator import index
 from struct import iter_unpack
 from typing import Iterable, Iterator, Sequence
 
@@ -34,16 +35,17 @@ Term = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def check_depth(depth: int) -> None:
-    """Refuse a depth whose codes a signed 64-bit integer cannot hold."""
-    if not 1 <= depth <= MAX_DEPTH:
+    """Refuse a depth whose codes a signed 64-bit integer cannot hold, and
+    one that is not an integer (TypeError)."""
+    if not 1 <= index(depth) <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
 
 
 def pack(exps: Sequence[int]) -> int:
     """The code of the exponent vector l + m; an exponent that no field
-    holds is refused."""
+    holds is refused, and one that is not an integer (TypeError)."""
     out = 0
-    for e in exps:
+    for e in map(index, exps):
         if not -_BIAS <= e < _BIAS:
             raise ValueError(f"exponent {e} in {tuple(exps)} is outside [-8, 7]")
         out = out << _WIDTH | e + _BIAS

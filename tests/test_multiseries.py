@@ -155,10 +155,10 @@ def test_product_matches_naive_reference(pair):
     assert all(type(c) is Fraction and c for c in product.coeffs.values())
 
 
-@pytest.mark.parametrize("cap", [2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**62 - 1])
-def test_products_at_the_wider_field_widths(cap):
-    # 16 bits hold twice a cap below 2**14, 32 bits below 2**30, and 64
-    # bits below 2**62
+@pytest.mark.parametrize("cap", [2**6 - 1, 2**6, 2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**62 - 1])
+def test_products_at_every_field_width(cap):
+    # 8 bits hold twice a cap below 2**6, 16 bits below 2**14, 32 bits
+    # below 2**30, and 64 bits below 2**62
     a = MultiSeries({(cap, 0): Fraction(1, 2), (1, cap - 1): 3, (0, 0): -1}, 2, cap)
     b = MultiSeries({(0, cap): 2, (cap - 1, 1): Fraction(-1, 3), (1, 0): 5}, 2, cap)
     product = a * b

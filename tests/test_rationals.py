@@ -18,6 +18,7 @@ from dmzv.rationals import (
     pochhammer,
 )
 from dmzv.series import UniSeries
+from dmzv.shiftcoeffs import ShiftedZetaExpression
 from dmzv.words import Word, WordSum
 
 
@@ -161,6 +162,9 @@ REFUSED = {
     "MultiSeries cap": lambda: MultiSeries({}, 1, 2.5),
     "MultiSeries scale": lambda: MultiSeries.constant(1, 1, 2).scale(0.5),
     "MultiSeries coefficient read": lambda: MultiSeries({(1,): 1}, 1, 2).coefficient((1.7,)),
+    "ShiftedZetaExpression depth": lambda: ShiftedZetaExpression(1.0, ()),
+    "ShiftedZetaExpression degree": lambda: ShiftedZetaExpression(1, ((1, (1.0,), (0,)),)),
+    "ShiftedZetaExpression shift": lambda: ShiftedZetaExpression(2, ((1, (0, 0), (1.0, -1)),)),
     "WordSum coefficient": lambda: WordSum({Word.parse("y"): 0.1}),
     "WordSum key": lambda: WordSum({"y": 1}),
     "WordSum scale": lambda: WordSum.of(Word.parse("y")).scale(0.5),
@@ -185,6 +189,12 @@ REFUSED_FIELDS = {
                                  "args entry must be an integer, got 1.5"),
     "json_integer str": (lambda: json_integer("1", "args entry"),
                          "args entry must be an integer, got '1'"),
+    "ShiftedZetaExpression coefficient": (
+        lambda: ShiftedZetaExpression(1, ((1.5, (0,), (0,)),)),
+        "non-integer coefficient 1.5 on l=(0,), m=(0,)"),
+    "ShiftedZetaExpression JSON depth": (
+        lambda: ShiftedZetaExpression.from_json_dict({"depth": 1.0, "terms": []}),
+        "depth must be an integer, got 1.0"),
     "parse_rational float": (lambda: parse_rational(0.5), "rational must be a string, got 0.5"),
     "parse_rational int": (lambda: parse_rational(3), "rational must be a string, got 3"),
     "parse_rational null": (lambda: parse_rational(None), "rational must be a string, got None"),

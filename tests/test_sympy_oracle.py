@@ -94,7 +94,7 @@ def test_depth2_generating_function_matches_sympy(family, series):
             assert built.coefficient((a, b)) == expected, (a, b)
 
 
-@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("depth", [2, 3, 4])
 def test_merge_sides_match_sympy(depth):
     # each record's polynomial built in sympy from its terms, substituted
     # and expanded there, against the two sides the merge check expands in
