@@ -10,21 +10,29 @@ division keeps this module independent of the series code, so the
 series-based cross-check in the test suite is a genuine second route.
 
 Each new entry is one integer dot product: the cache keeps the table as
-integer numerators over their running common denominator, and the row
-of binomials C(n+1, j) that the next entry reads, stepped by Pascal's
-rule; both are extended as the table grows.
+reduced (numerator, denominator) pairs, the same table as integer
+numerators over their running common denominator, and the row of
+binomials C(n+1, j) that the next entry reads, stepped by Pascal's rule;
+all three are extended as the table grows.  The fill builds no
+``Fraction``: :meth:`BernoulliCache.pair` reads an entry as its pair, and
+:meth:`BernoulliCache.value` as a ``Fraction`` built on its first read.
 """
 
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, index, mul
+from typing import TYPE_CHECKING
 
-from .rationals import RationalLike, _exact, _over_one_denominator
+from .rationals import _exact, _over_one_denominator
 
-__all__ = ["BernoulliCache", "bernoulli", "default_cache"]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .rationals import RationalLike
+
+__all__ = ["BernoulliCache", "bernoulli", "bernoulli_pair", "default_cache"]
 
 
 class BernoulliCache:
@@ -35,7 +43,9 @@ class BernoulliCache:
     """
 
     def __init__(self) -> None:
-        self._table: list[Fraction] = [Fraction(1)]
+        # each entry as its reduced (numerator, positive denominator)
+        self._table: list[tuple[int, int]] = [(1, 1)]
+        self._fractions: dict[tuple[int, int], Fraction] = {}  # each pair value() has read
         self._lock = threading.Lock()
         self._unread: set[int] = set()  # corrupted indices no caller has read
         # the table as it stands, as numerators over the common denominator
@@ -44,7 +54,8 @@ class BernoulliCache:
         self._den = 1
         self._row: list[int] = [1, 2, 1]
 
-    def value(self, m: int) -> Fraction:
+    def pair(self, m: int) -> tuple[int, int]:
+        """B_m as its reduced (numerator, positive denominator)."""
         m = index(m)
         if m < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {m}")
@@ -55,6 +66,17 @@ class BernoulliCache:
             self._unread.discard(m)
         return self._table[m]
 
+    def value(self, m: int) -> Fraction:
+        """B_m, the same ``Fraction`` on every read of the same entry."""
+        pair = self.pair(m)
+        value = self._fractions.get(pair)
+        if value is None:
+            from fractions import Fraction
+
+            # setdefault: concurrent first reads all return the one stored
+            value = self._fractions.setdefault(pair, Fraction(*pair))
+        return value
+
     def _fill(self, m: int) -> None:
         # B_n = -sum_{j<n} C(n+1, j) B_j / (n+1), one integer dot product.
         # It reads the table as it stands, so later entries are computed
@@ -62,14 +84,16 @@ class BernoulliCache:
         table = self._table
         while len(table) <= m:
             n = len(table)
-            b = Fraction(-sum(map(mul, self._row, self._nums)), self._den * (n + 1))
-            table.append(b)
+            p, q = -sum(map(mul, self._row, self._nums)), self._den * (n + 1)
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            table.append((p, q))
             den = self._den
-            if den % b.denominator:
-                self._den = wider = lcm(den, b.denominator)
+            if den % q:
+                self._den = wider = lcm(den, q)
                 scale = wider // den
                 self._nums = [num * scale for num in self._nums]
-            self._nums.append(b.numerator * (self._den // b.denominator))
+            self._nums.append(p * (self._den // q))
             row = self._row
             self._row = [1, *map(add, row, row[1:]), 1]  # Pascal's rule
 
@@ -83,19 +107,19 @@ class BernoulliCache:
         The verification harness is expected to notice a corrupted table;
         this hook exists so that tests (and ``verify --corrupt-bernoulli``)
         can prove that it does.  Never call this on the shared default
-        cache.  The index counts as unread until a later :meth:`value`
-        call returns it.  A float value is refused with ``TypeError``.
+        cache.  The index counts as unread until a later :meth:`value` or
+        :meth:`pair` call returns it.  A float value is refused with ``TypeError``.
         """
         m, value = index(m), _exact(value)
-        self.value(m)
+        self.pair(m)
         with self._lock:
-            self._table[m] = value
+            self._table[m] = (value.numerator, value.denominator)
             self._nums, self._den = _over_one_denominator(self._table)
             self._unread.add(m)
 
     def unread_corruptions(self) -> list[int]:
-        """Corrupted indices that no :meth:`value` call has returned since
-        they were corrupted, in increasing order."""
+        """Corrupted indices that no :meth:`value` or :meth:`pair` call has
+        returned since they were corrupted, in increasing order."""
         return sorted(self._unread)
 
 
@@ -110,3 +134,8 @@ def default_cache() -> BernoulliCache:
 def bernoulli(m: int, cache: BernoulliCache | None = None) -> Fraction:
     """B_m, with B_0 = 1, B_1 = -1/2, B_2 = 1/6, B_m = 0 for odd m >= 3."""
     return (cache if cache is not None else _DEFAULT).value(m)
+
+
+def bernoulli_pair(m: int, cache: BernoulliCache | None = None) -> tuple[int, int]:
+    """B_m as its reduced (numerator, positive denominator)."""
+    return (cache if cache is not None else _DEFAULT).pair(m)

@@ -8,7 +8,11 @@ files are reproducible byte for byte.
 
 Each command imports the layers it runs when it runs, so a process loads
 only what its command needs; the parser takes its family and suite names
-from :mod:`dmzv.names`, which loads neither.
+from :mod:`dmzv.names`, which loads neither.  Every command but ``verify``
+computes on integers and writes each rational from its numerator and
+denominator by one gcd (:func:`dmzv.tables.rows`,
+:func:`dmzv.rationals.format_pair`), so only ``verify`` loads
+``fractions``.
 """
 
 from __future__ import annotations
@@ -346,9 +350,10 @@ def _cmd_gr_coeffs(args) -> int:
 def _cmd_convert(args) -> int:
     if oversized := _oversized(("--max-weight", args.max_weight, MAX_CONVERT_WEIGHT)):
         return _usage_error(f"conversion table too large: {oversized}")
-    from .genfun import conversion_table
+    from .genfun import conversion_pairs
+    from .rationals import format_pair
 
-    # one template per row; %s writes each Fraction as p/q, or p when q is 1
+    # one template per row, each cell a pair written as p/q, or p when q is 1
     head, sep, tail = "k,fkmt,ems,ems_from_fkmt_residual,fkmt_from_ems_residual\n", "\n", "\n"
     # every csv cell is an integer, a p/q rational or a header: none needs quoting
     template = "%(k)d,%(fkmt)s,%(ems)s,%(first)s,%(second)s"
@@ -362,14 +367,14 @@ def _cmd_convert(args) -> int:
     elif args.format == "text":
         head = "k  fkmt  ems  residuals\n"
         template = "%(k)d  %(fkmt)s  %(ems)s  (%(first)s, %(second)s)"
-    rows = (dict(zip(("k", "fkmt", "ems", "first", "second"), (k, *row)))
-            for k, row in enumerate(conversion_table(args.max_weight)))
+    cells = ("fkmt", "ems", "first", "second")
+    rows = (dict(zip(cells, [format_pair(*cell) for cell in row]), k=k)
+            for k, row in enumerate(conversion_pairs(args.max_weight)))
     _write_joined(head, map(template.__mod__, rows), sep, tail, args.out)
     return EXIT_OK
 
 
 def _cmd_shuffle(args) -> int:
-    from .rationals import format_rational
     from .words import Word, multiplicativity_defect, word_product
 
     try:
@@ -392,7 +397,7 @@ def _cmd_shuffle(args) -> int:
     degree = defect.valuation()
     print(
         f"residual != 0: first nonzero coefficient at degree {degree}: "
-        f"{format_rational(defect.coefficient(degree))}"
+        f"{defect._formatted(degree)}"
     )
     return EXIT_FAIL
 

@@ -16,20 +16,30 @@ integer matrices with prescribed column sums, each counted with its
 integer multinomial weight and weighted by one Bernoulli factor per row
 tail.  It never builds a series and is the witness the ``routes`` suite
 checks tables against.
+
+The multi-sum and the depth-1 conversion table compute on integer
+(numerator, denominator) pairs; :func:`fkmt_value`, :func:`ems_value` and
+:func:`conversion_table` are their ``Fraction`` views, and ``convert``
+writes :func:`conversion_pairs` without them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from math import gcd
 from operator import add, index, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .bernoulli import BernoulliCache, bernoulli
+from .bernoulli import BernoulliCache, bernoulli_pair
 from .multiseries import MultiSeries, substitute_linear_form
-from .rationals import _over_one_denominator, exact_sum, multinomial
+from .rationals import _over_one_denominator, exact_pair, multinomial
 from .series import UniSeries, quotient_series
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    ConversionRow = tuple[Fraction, Fraction, Fraction, Fraction]
 
 __all__ = [
     "Family",
@@ -44,6 +54,7 @@ __all__ = [
     "ems_series_from_fkmt",
     "fkmt_value",
     "ems_value",
+    "conversion_pairs",
     "conversion_table",
     "index_box",
     "value_table",
@@ -90,9 +101,16 @@ def ems_factor(order: int) -> UniSeries:
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def ems_prefactor(order: int) -> UniSeries:
-    """(1 - exp(-u)) / u, the unit factor of the family conversion: n! [u^n]
-    (-1)^(n+1) over the monomial u."""
-    return quotient_series(lambda n: (-1) ** (n + 1), lambda n: int(n == 1), 1, order)
+    """(1 - exp(-u)) / u, the unit factor of the family conversion, exact
+    through ``order``.  Its n! [u^n] is (-1)^n / (n+1) in closed form, so
+    [u^n] is (-1)^n (order+1)!/(n+1)! over (order+1)!."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    nums, scale = {}, 1  # scale: (order+1)!/(n+1)!
+    for n in range(order, -1, -1):
+        nums[n] = -scale if n % 2 else scale
+        scale *= n + 1
+    return object.__new__(UniSeries)._set(nums, scale, order)
 
 
 def _tail_weights(depth: int, i: int) -> tuple[int, ...]:
@@ -142,7 +160,8 @@ def ems_series_from_fkmt(depth: int, cap: int) -> MultiSeries:
 # the two families
 # ---------------------------------------------------------------------------
 
-RowWeight = Callable[[int, BernoulliCache | None], Fraction]
+Pair = tuple[int, int]  # (numerator, positive denominator)
+RowPair = Callable[[int, BernoulliCache | None], Pair]
 
 
 class Family(NamedTuple):
@@ -150,20 +169,32 @@ class Family(NamedTuple):
 
     ``factor(order)`` is the depth-1 factor of the generating function.
     Row ``n`` of the multi-sum is weighted by ``row_weight(n, cache)``,
-    which is also (-1)^n times the depth-1 value at -n.  ``label`` names
-    the family in check descriptions.
+    which is also (-1)^n times the depth-1 value at -n; ``row_pair``
+    gives it as its reduced (numerator, positive denominator).  ``label``
+    names the family in check descriptions.
     """
 
     name: str
     label: str
     factor: Callable[[int], UniSeries]
-    row_weight: RowWeight
+    row_pair: RowPair
+
+    def row_weight(self, n: int, cache: BernoulliCache | None) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(*self.row_pair(n, cache))
 
 
-FKMT = Family("FKMT", "desingularized", fkmt_factor, lambda n, cache: bernoulli(n + 1, cache))
-EMS = Family(
-    "EMS", "renormalized", ems_factor, lambda n, cache: bernoulli(n + 1, cache) / (n + 1)
-)
+def _ems_row_pair(n: int, cache: BernoulliCache | None) -> Pair:
+    # B_{n+1} / (n+1): p/q is reduced, so is p/g over q (n+1)/g
+    p, q = bernoulli_pair(n + 1, cache)
+    g = gcd(p, n + 1)
+    return p // g, q * ((n + 1) // g)
+
+
+FKMT = Family("FKMT", "desingularized", fkmt_factor,
+              lambda n, cache: bernoulli_pair(n + 1, cache))
+EMS = Family("EMS", "renormalized", ems_factor, _ems_row_pair)
 FAMILIES = {family.name: family for family in (FKMT, EMS)}
 
 
@@ -201,7 +232,7 @@ def _column(total: int, parts: int, width: int) -> tuple[tuple[int, int], ...]:
                  for entries in _compositions(total, parts))
 
 
-def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowWeight) -> Fraction:
+def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_pair: RowPair) -> Pair:
     # The sum over every upper-triangular matrix (nu_ij), 1 <= i <= j <= r,
     # whose column sums are the entries of k, of prod_j k_j! / prod_i nu_ij!
     # times prod_i row_weight(nu_ii + ... + nu_ir).  Matrices with the same
@@ -210,7 +241,8 @@ def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowW
     # partial row-tail vector; the weights are read once per distinct tail
     # vector at the end.  A tail vector is packed into one int, row i in
     # the field at bit i * width: every entry is at most sum(k), so no field
-    # overflows, and adding a column's entries is one int sum.
+    # overflows, and adding a column's entries is one int sum.  The sum is
+    # returned as its reduced (numerator, positive denominator).
     width = max(sum(k), 1).bit_length()
     tails: dict[int, int] = {0: 1}
     for j, total in enumerate(k):
@@ -229,15 +261,14 @@ def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowW
     def terms():
         # Each tail vector reads its rows' weights in row order up to the
         # first zero, as the matrix-by-matrix enumeration does; the others
-        # go to exact_sum as (count times weights, denominator) pairs.
+        # go to exact_pair as (count times weights, denominator) pairs.
         for tail, count in tails.items():
             den = 1
             for shift in shifts:
                 n = tail >> shift & mask
                 weight = weights.get(n)
                 if weight is None:
-                    value = row_weight(n, cache)
-                    weight = weights[n] = (value.numerator, value.denominator)
+                    weight = weights[n] = row_pair(n, cache)
                 if not weight[0]:
                     break
                 count *= weight[0]
@@ -245,34 +276,40 @@ def _multisum(k: tuple[int, ...], cache: BernoulliCache | None, row_weight: RowW
             else:
                 yield count, den
 
-    total = exact_sum(terms())
-    return -total if sum(k) % 2 else total
+    total, den = exact_pair(terms())
+    g = gcd(total, den)
+    total //= g
+    return (-total if sum(k) % 2 else total), den // g
 
 
 def fkmt_value(k: Sequence[int], cache: BernoulliCache | None = None) -> Fraction:
     """Desingularized value at -k via the Bernoulli multi-sum, with row
     weight B_{n+1}.  No truncation bookkeeping is needed, so this route
     handles index entries of any size."""
-    return _multisum(_checked_index(k), cache, FKMT.row_weight)
+    from fractions import Fraction
+
+    return Fraction(*_multisum(_checked_index(k), cache, FKMT.row_pair))
 
 
 def ems_value(k: Sequence[int], cache: BernoulliCache | None = None) -> Fraction:
     """Renormalized value at -k via the same multi-sum with row weight
     B_{n+1} / (n+1)."""
-    return _multisum(_checked_index(k), cache, EMS.row_weight)
+    from fractions import Fraction
+
+    return Fraction(*_multisum(_checked_index(k), cache, EMS.row_pair))
 
 
 # ---------------------------------------------------------------------------
 # depth-1 conversion between the families
 # ---------------------------------------------------------------------------
 
-ConversionRow = tuple[Fraction, Fraction, Fraction, Fraction]
-
-
-def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> list[ConversionRow]:
-    """Rows k = 0..max_weight of the depth-1 conversion table:
-    (desingularized value at -k, renormalized value at -k, first residual,
-    second residual).
+def conversion_pairs(
+    max_weight: int, cache: BernoulliCache | None = None
+) -> Iterator[tuple[Pair, Pair, Pair, Pair]]:
+    """Rows k = 0..max_weight of the depth-1 conversion table, each cell a
+    (numerator, positive denominator) pair: (desingularized value at -k,
+    renormalized value at -k, first residual, second residual).  The
+    values are reduced, the residuals are not.
 
     The residuals are LHS - RHS of the two conversion relations.  First:
     the renormalized value as a binomial combination of desingularized
@@ -280,35 +317,44 @@ def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> li
     a Bernoulli-weighted combination of renormalized ones.  Both are 0.
 
     Each depth-1 value (multi-sum route) and each Bernoulli number is read
-    once for the whole table.  Each list of values is put over one common
-    denominator, and each residual is one integer dot product against a
-    row of binomials, stepped by Pascal's rule.
+    once for the whole table, before the first row is yielded.  Each list
+    of values is put over one common denominator, and each residual is one
+    integer dot product against a row of binomials, stepped by Pascal's
+    rule.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     weights = range(max_weight + 1)
-    fkmt = [fkmt_value((j,), cache) for j in weights]
-    ems = [ems_value((j,), cache) for j in weights]
+    fkmt = [_multisum((j,), cache, FKMT.row_pair) for j in weights]
+    ems = [_multisum((j,), cache, EMS.row_pair) for j in weights]
     f, f_den = _over_one_denominator(fkmt)
     e, e_den = _over_one_denominator(ems)
-    b, b_den = _over_one_denominator([bernoulli(i, cache) for i in weights])
+    b, b_den = _over_one_denominator([bernoulli_pair(i, cache) for i in weights])
     # (-1)^j fkmt_j, as numerators over f_den
     signed_f = [-n if j % 2 else n for j, n in enumerate(f)]
-    rows = []
     row = [1]  # C(k, 0..k)
     for k in weights:
         wider = [1, *map(add, row, row[1:]), 1]  # C(k+1, 0..k+1)
         # ems_k - sum_i C(k, i) (-1)^j / (i+1) fkmt_j, with j = k - i and
         # C(k, i) / (i+1) = C(k+1, i+1) / (k+1)
         dot = sum(map(mul, wider[1:], signed_f[k::-1]))
-        first = Fraction(e[k] * (k + 1) * f_den - dot * e_den, (k + 1) * f_den * e_den)
+        first = (e[k] * (k + 1) * f_den - dot * e_den, (k + 1) * f_den * e_den)
         # fkmt_k - (-1)^k sum_i C(k, i) B_i ems_j
         dot = sum(map(mul, map(mul, row, b), e[k::-1]))
-        second = Fraction(f[k] * b_den * e_den - (-dot if k % 2 else dot) * f_den,
-                          f_den * b_den * e_den)
-        rows.append((fkmt[k], ems[k], first, second))
+        second = (f[k] * b_den * e_den - (-dot if k % 2 else dot) * f_den,
+                  f_den * b_den * e_den)
+        yield fkmt[k], ems[k], first, second
         row = wider
-    return rows
+
+
+def conversion_table(max_weight: int, cache: BernoulliCache | None = None) -> list[ConversionRow]:
+    """Rows k = 0..max_weight of the depth-1 conversion table, the rows of
+    :func:`conversion_pairs` as ``Fraction``s: (desingularized value at -k,
+    renormalized value at -k, first residual, second residual)."""
+    from fractions import Fraction
+
+    return [tuple(Fraction(*cell) for cell in row)
+            for row in conversion_pairs(max_weight, cache)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +370,8 @@ def index_box(depth: int, max_weight: int) -> Iterable[tuple[int, ...]]:
 def value_table(family: str, depth: int, max_weight: int) -> dict[tuple[int, ...], Fraction]:
     """The value at -k for every k with entries <= max_weight, keyed by k
     in lexicographic order, from :func:`dmzv.tables.last_level`."""
+    from fractions import Fraction
+
     from .tables import last_level  # here, so that ``convert`` does not load it
 
     nums, den = last_level(family, depth, max_weight)

@@ -20,15 +20,20 @@ preconditions and refuse to produce inexact coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from numbers import Rational
 from operator import attrgetter, index
 from struct import Struct
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .rationals import RationalLike, Terms, _sum, accumulate, multinomial, numerators
+from .rationals import Terms, _sum, accumulate, multinomial, numerators
 from .series import UniSeries
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .rationals import RationalLike
 
 __all__ = ["MultiSeries", "substitute_linear_form", "substitute_linear_forms"]
 
@@ -116,11 +121,15 @@ class MultiSeries(Terms):
     @property
     def coeffs(self) -> dict[tuple[int, ...], Fraction]:
         """The terms as exponent tuple -> non-zero ``Fraction``."""
+        from fractions import Fraction
+
         den = self._den
         return {exps: Fraction(n, den) for exps, n in self._unpacked()}
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in lexicographic exponent order."""
+        from fractions import Fraction
+
         den = self._den
         return [(exps, Fraction(n, den)) for exps, n in self._unpacked(ordered=True)]
 
@@ -143,10 +152,9 @@ class MultiSeries(Terms):
         return self._like(*_sum(self._nums, self._den, other._nums, other._den))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, MultiSeries):
-            return NotImplemented
+            # an int or a Fraction, which registers as a Rational
+            return self.scale(other) if isinstance(other, Rational) else NotImplemented
         self._same_shape(other)
         # the left codes less the zero vector's code, so adding a right
         # code gives the code of the product term; ``limit`` is the vector

@@ -3,31 +3,40 @@ elementary combinatorial functions.
 
 Every coefficient and every value in this package is exact, a
 ``fractions.Fraction`` when it is read; there is no floating-point mode
-anywhere.  Every sparse type holds its terms in the one form of
-:class:`Terms`: non-zero integer numerators over one reduced denominator.
-The constructors take their input into that form through
-:func:`numerators`, which refuses a float coefficient (each type takes its
-degrees or exponents through ``operator.index``).  Every sum of terms
-goes through :func:`accumulate`, and a sum of single values of scattered
-denominators, as (numerator, denominator) pairs, through
-:func:`exact_sum`: the multi-sum, and the expanded sides of ``verify``'s
-value identities and its Bernoulli convolution check.  The Bernoulli
-fill and the conversion residuals read values already put over one
-common denominator, so each of their sums is one integer dot product.
+anywhere.  ``fractions`` is a view: this module, and every layer that
+``convert`` and ``shuffle`` run, computes on integers, and imports it
+only where a ``Fraction`` is built, so those commands never load it (nor
+the ``decimal`` module that it loads).  Every sparse type holds its terms
+in the one form of :class:`Terms`: non-zero integer numerators over one
+reduced denominator.  The constructors take their input into that form
+through :func:`numerators`, which refuses a float coefficient (each type
+takes its degrees or exponents through ``operator.index``).  Every sum of
+terms goes through :func:`accumulate`, and a sum of single values of
+scattered denominators, as (numerator, denominator) pairs, through
+:func:`exact_pair`: the multi-sum, and (as the ``Fraction`` of
+:func:`exact_sum`) the expanded sides of ``verify``'s value identities
+and its Bernoulli convolution check.  The Bernoulli fill and the
+conversion residuals read values already put over one common
+denominator, so each of their sums is one integer dot product; a pair
+is written by :func:`format_pair`, one gcd, as :func:`format_rational`
+writes its ``Fraction``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
-RationalLike = Union[Fraction, int]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    RationalLike = Union[Fraction, int]
 K = TypeVar("K")
 
 __all__ = [
     "accumulate",
+    "exact_pair",
     "exact_sum",
     "json_integer",
     "numerators",
@@ -35,10 +44,9 @@ __all__ = [
     "pochhammer",
     "multinomial",
     "format_rational",
+    "format_pair",
     "parse_rational",
 ]
-
-_ZERO = Fraction(0)
 
 
 def accumulate(acc: dict[K, int], terms: Iterable[tuple[K, int]]) -> dict[K, int]:
@@ -56,23 +64,32 @@ def accumulate(acc: dict[K, int], terms: Iterable[tuple[K, int]]) -> dict[K, int
     return acc
 
 
-def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+def exact_pair(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """The sum of the (integer numerator, positive denominator) pairs
-    ``terms``, over a running denominator widened by a pairwise lcm."""
+    ``terms``, over a running denominator widened by a pairwise lcm, as
+    its (numerator, denominator), not reduced."""
     total, common = 0, 1
     for n, den in terms:
         if common % den:
             wider = lcm(common, den)
             total, common = total * (wider // common), wider
         total += n * (common // den)
-    return Fraction(total, common)
+    return total, common
 
 
-def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The numerators of ``values``, zeros included, over their least
-    common denominator, and that denominator."""
-    den = reduce(lcm, (v.denominator for v in values), 1)
-    return [v.numerator * (den // v.denominator) for v in values], den
+def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The :func:`exact_pair` sum of ``terms`` as a ``Fraction``."""
+    from fractions import Fraction
+
+    return Fraction(*exact_pair(terms))
+
+
+def _over_one_denominator(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of the (numerator, positive denominator) ``pairs``,
+    zeros included, over their least common denominator, and that
+    denominator."""
+    den = reduce(lcm, (d for _, d in pairs), 1)
+    return [n * (den // d) for n, d in pairs], den
 
 
 def json_integer(value, what: str) -> int:
@@ -83,11 +100,16 @@ def json_integer(value, what: str) -> int:
     return value
 
 
-def _exact(value: RationalLike) -> Fraction:
-    """``value`` as a ``Fraction``; a float is refused, because its binary
-    expansion is not the decimal that was meant."""
+def _exact(value: RationalLike) -> int | Fraction:
+    """``value`` as an int, when it is one, or a ``Fraction``; a float is
+    refused, because its binary expansion is not the decimal that was
+    meant.  Either has the ``numerator`` and ``denominator`` it is read by."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError(f"coefficient {value!r} is a float; use an int or a Fraction")
+    from fractions import Fraction
+
     return Fraction(value)
 
 
@@ -157,12 +179,20 @@ class Terms:
         return not self._nums
 
     def _terms(self) -> dict:
+        from fractions import Fraction
+
         den = self._den
         return {key: Fraction(n, den) for key, n in self._nums.items()}
 
     def _coefficient(self, key) -> Fraction:
-        n = self._nums.get(key)
-        return Fraction(n, self._den) if n else _ZERO
+        from fractions import Fraction
+
+        return Fraction(self._nums.get(key, 0), self._den)
+
+    def _formatted(self, key) -> str:
+        """The coefficient at ``key`` as :func:`format_rational` writes it,
+        from its numerator."""
+        return format_pair(self._nums.get(key, 0), self._den)
 
     def __neg__(self):
         return self._like({key: -n for key, n in self._nums.items()}, self._den)
@@ -208,6 +238,8 @@ def binomial(n: int, k: int) -> int:
 
 def pochhammer(s: RationalLike, k: int) -> Fraction:
     """Rising factorial s(s+1)...(s+k-1); the empty product 1 for k = 0."""
+    from fractions import Fraction
+
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got k={k}")
     out = Fraction(1)
@@ -230,12 +262,23 @@ def multinomial(parts: Sequence[int] | Iterable[int]) -> int:
 
 def format_rational(value: RationalLike) -> str:
     """Render as "p/q", omitting the denominator when it is 1."""
+    from fractions import Fraction
+
     return str(Fraction(value))
+
+
+def format_pair(numerator: int, denominator: int) -> str:
+    """numerator / denominator (denominator > 0) as :func:`format_rational`
+    renders it, reduced by one gcd."""
+    g = gcd(numerator, denominator)
+    return f"{numerator // g}/{denominator // g}" if g != denominator else str(numerator // g)
 
 
 def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational`; accepts "p/q" and "p", and
     refuses anything but a string (a JSON number or null among them)."""
+    from fractions import Fraction
+
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {text!r}")
     return Fraction(text.strip())

@@ -18,12 +18,17 @@ Objects are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from operator import index
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .rationals import RationalLike, Terms, _sum, numerators
+from .rationals import Terms, _sum, numerators
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .rationals import RationalLike
 
 __all__ = ["UniSeries", "exp_over_one_minus_exp"]
 
@@ -84,10 +89,9 @@ class UniSeries(Terms):
         return self._like(*_sum(a._nums, a._den, b._nums, b._den), order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, UniSeries):
-            return NotImplemented
+            # an int or a Fraction, which registers as a Rational
+            return self.scale(other) if isinstance(other, Rational) else NotImplemented
         order = min(self.order + other.valuation(), other.order + self.valuation())
         # the right terms in increasing degree, so a left term stops at the
         # first right term past the order

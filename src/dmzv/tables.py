@@ -8,8 +8,8 @@ Its depth-1 values q_n = n! [u^n] F come from F in divided-power
 the product of two such series is the binomial convolution.  F is divided
 by (e^u - 1)^2 or u (e^u - 1), not by the Bernoulli fill's (e^u - 1)/u, so
 a table shares no input with the multi-sum that ``routes`` checks it by.
-The same quotient builds the factors, the conversion prefactor and the
-words kernel as series (:func:`dmzv.series.quotient_series`).
+The same quotient builds the factors and the words kernel as series
+(:func:`dmzv.series.quotient_series`).
 """
 
 from itertools import product

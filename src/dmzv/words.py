@@ -33,18 +33,21 @@ character fail multiplicativity.
 
 A word sum holds the one stored form of :mod:`rationals`: each word maps
 to a non-zero integer numerator over one reduced denominator.  The product
-and the character work on those integers; :attr:`WordSum.terms` builds
-``Fraction``s only when it is read.
+and the character work on those integers, and a word sum is written from
+them; :attr:`WordSum.terms` builds ``Fraction``s only when it is read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .rationals import RationalLike, Terms, _sum, accumulate, format_rational, numerators
+from .rationals import Terms, _sum, accumulate, format_pair, numerators
 from .series import UniSeries, exp_over_one_minus_exp
+
+if TYPE_CHECKING:
+    from .rationals import RationalLike
 
 __all__ = [
     "Word",
@@ -128,16 +131,18 @@ class WordSum(Terms):
         return self._like({w.prepend(letter): n for w, n in self._nums.items()}, self._den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._nums:
             return "0"
         bits = []
-        for word, coeff in sorted(self.terms.items()):
-            if coeff == 1:
+        den = self._den
+        for word in sorted(self._nums):
+            n = self._nums[word]
+            if n == den:
                 body = str(word)
-            elif coeff == -1:
+            elif n == -den:
                 body = f"-{word}"
             else:
-                body = f"{format_rational(coeff)}*{word}"
+                body = f"{format_pair(n, den)}*{word}"
             bits.append(body)
         return " + ".join(bits).replace("+ -", "- ")
 

@@ -1,10 +1,11 @@
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from reference_series import exp_minus_one
 
-from dmzv.bernoulli import BernoulliCache, bernoulli, default_cache
+from dmzv.bernoulli import BernoulliCache, bernoulli, bernoulli_pair, default_cache
 from dmzv.rationals import binomial
 from dmzv.series import UniSeries
 
@@ -105,6 +106,26 @@ def test_concurrent_fill_is_consistent():
     reference = [bernoulli(m) for m in range(60)]
     for values in results.values():
         assert values == reference
+
+
+def test_pair_is_the_value_as_reduced_integers():
+    cache = BernoulliCache()
+    for m in range(80):
+        p, q = cache.pair(m)
+        assert q > 0 and gcd(p, q) == 1
+        assert Fraction(p, q) == cache.value(m)
+    # value() builds each entry's Fraction once
+    assert cache.value(30) is cache.value(30)
+    # a pair read is a read of a corrupted entry, as a value read is, and an
+    # int corruption reads back as a Fraction
+    cache.corrupt(4, Fraction(2, 10))
+    cache.corrupt(6, 3)
+    assert cache.unread_corruptions() == [4, 6]
+    assert cache.pair(4) == (1, 5)
+    assert cache.unread_corruptions() == [6]
+    assert type(cache.value(6)) is Fraction and cache.value(6) == 3
+    assert cache.unread_corruptions() == []
+    assert bernoulli_pair(4) == (-1, 30) == default_cache().pair(4)
 
 
 def test_corrupt_is_local_to_the_instance():

@@ -79,13 +79,14 @@ def test_convert_refuses_oversized_tables(capsys, monkeypatch):
     def no_arithmetic(*args):
         raise AssertionError("an oversized table must be refused before it is built")
 
-    monkeypatch.setattr(genfun, "conversion_table", no_arithmetic)
+    # the integer core is the first arithmetic convert calls
+    monkeypatch.setattr(genfun, "conversion_pairs", no_arithmetic)
     assert main(["convert", "--max-weight", str(cli.MAX_CONVERT_WEIGHT + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "too large" in captured.err
 
-    monkeypatch.setattr(genfun, "conversion_table", lambda max_weight: [])
+    monkeypatch.setattr(genfun, "conversion_pairs", lambda max_weight: [])
     assert main(["convert", "--max-weight", str(cli.MAX_CONVERT_WEIGHT)]) == 0
 
 
@@ -646,6 +647,18 @@ def test_shuffle_command(capsys):
     assert "residual = 0" in out
 
 
+def test_shuffle_reports_a_nonzero_residual(capsys, monkeypatch):
+    # the first nonzero coefficient, written from its numerator as
+    # format_rational writes the Fraction
+    from dmzv.series import UniSeries
+
+    defect = UniSeries({3: Fraction(-2, 6), 5: Fraction(7, 4)}, 8)
+    monkeypatch.setattr(words, "multiplicativity_defect", lambda u, v, order: defect)
+    assert main(["shuffle", "dy", "dy"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "residual != 0: first nonzero coefficient at degree 3: -1/3"
+
+
 def test_shuffle_bad_alphabet(capsys):
     assert main(["shuffle", "a", "y"]) == 2
 
@@ -733,7 +746,7 @@ OUT_COMMANDS = {
     "values": (["values", "--family", "fkmt", "--depth", "2"], tables, "last_level"),
     "verify": (["verify", "--suite", "bernoulli"], verify, "run_all"),
     "gr-coeffs": (["gr-coeffs", "--depth", "3"], expansion, "expand"),
-    "convert": (["convert"], genfun, "conversion_table"),
+    "convert": (["convert"], genfun, "conversion_pairs"),
 }
 
 

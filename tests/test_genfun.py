@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import product as iter_product
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from dmzv.bernoulli import BernoulliCache, bernoulli
 from dmzv.genfun import (
     EMS,
     FKMT,
+    conversion_pairs,
     conversion_table,
     ems_series,
     ems_series_from_fkmt,
@@ -232,6 +233,18 @@ def test_conversion_table_matches_per_k_sums():
     assert conversion_table(30) == rows[:31]
     with pytest.raises(ValueError):
         conversion_table(-1)
+
+
+def test_conversion_pairs_are_the_table_on_integers():
+    # the integer core that ``convert`` writes, cell by cell, against its
+    # Fraction view: the values reduced, every denominator positive
+    pairs = list(conversion_pairs(60))
+    assert [tuple(Fraction(*cell) for cell in row) for row in pairs] == conversion_table(60)
+    for row in pairs:
+        assert all(type(n) is int and type(d) is int and d > 0 for n, d in row)
+        assert all(gcd(*cell) == 1 for cell in row[:2])
+    with pytest.raises(ValueError):
+        next(conversion_pairs(-1))
 
 
 @pytest.mark.parametrize("index", [5, 12, 31, 32, 33])

@@ -10,7 +10,9 @@ from dmzv.genfun import ems_value, fkmt_series, fkmt_value
 from dmzv.multiseries import MultiSeries, substitute_linear_form, substitute_linear_forms
 from dmzv.rationals import (
     binomial,
+    exact_pair,
     exact_sum,
+    format_pair,
     format_rational,
     json_integer,
     multinomial,
@@ -134,6 +136,17 @@ def test_exact_sum_matches_fraction_sum(pairs):
     total = exact_sum(pairs)
     assert type(total) is Fraction
     assert total == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+    n, d = exact_pair(pairs)
+    assert d > 0 and Fraction(n, d) == total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**8, 10**8), st.integers(1, 10**8))
+@example(0, 7)
+@example(-12, 4)
+@example(5, 1)
+def test_format_pair_is_the_fraction_rendering(n, d):
+    assert format_pair(n, d) == format_rational(Fraction(n, d))
 
 
 def test_rational_serialization():

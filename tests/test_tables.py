@@ -106,6 +106,21 @@ def test_series_builders_store_the_reference_form_at_any_order(name, data):
     assert stored(builder(order)) == stored(reference(name).truncate(order))
 
 
+def test_ems_prefactor_closed_form_is_the_quotient():
+    # (-1)^n / (n+1) against the divided-power quotient of (1 - exp(-u)) / u,
+    # directly through order 40 and as the order-400 quotient truncated,
+    # since the stored form is unique
+    def quotient(order):
+        return series.quotient_series(lambda n: (-1) ** (n + 1), lambda n: int(n == 1), 1, order)
+
+    top = quotient(400)
+    for order in range(401):
+        expected = quotient(order) if order <= 40 else top.truncate(order)
+        assert stored(genfun.ems_prefactor(order)) == stored(expected), order
+    with pytest.raises(ValueError):
+        genfun.ems_prefactor(-1)
+
+
 def test_a_wrong_divided_power_fails_routes(monkeypatch):
     alpha, beta = tables.DIVIDED_POWERS["FKMT"]
     monkeypatch.setitem(tables.DIVIDED_POWERS, "FKMT",
@@ -127,13 +142,12 @@ def test_a_wrong_recurrence_binomial_fails_routes(monkeypatch):
 
 
 def test_a_wrong_pascal_entry_in_the_quotient_fails_routes_conversion_and_words(monkeypatch):
-    # C(5, 2) = 11: the tables, the factors, the prefactor and the kernel
-    # all step the rows of the one quotient, so the one fault must reach a
-    # value suite and the words suite
+    # C(5, 2) = 11: the tables, the factors and the kernel all step the
+    # rows of the one quotient, so the one fault must reach a value suite
+    # and the words suite
     monkeypatch.setattr(tables, "add", lambda a, b: a + b + ((a, b) == (4, 6)))
-    caches = (genfun.fkmt_factor, genfun.ems_factor, genfun.ems_prefactor,
-              genfun.fkmt_series, genfun.ems_series, series.exp_over_one_minus_exp,
-              words._kernel_powers)
+    caches = (genfun.fkmt_factor, genfun.ems_factor, genfun.fkmt_series, genfun.ems_series,
+              series.exp_over_one_minus_exp, words._kernel_powers)
     for cache in caches:
         cache.cache_clear()
     try:

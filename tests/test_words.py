@@ -172,6 +172,38 @@ def test_wordsum_rendering():
     assert str(WordSum()) == "0"
 
 
+def reference_rendering(terms):
+    """A word sum's text from its Fraction coefficients, as ``__str__``
+    wrote it before it read the integer numerators: 1 and -1 drop the
+    coefficient, and every "+ -" becomes "- "."""
+    bits = []
+    for word, coeff in sorted(terms.items()):
+        if coeff == 1:
+            bits.append(str(word))
+        elif coeff == -1:
+            bits.append(f"-{word}")
+        else:
+            bits.append(f"{coeff}*{word}")
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+
+# integers (1, -1 and 0 among them) and Fractions that are not integers
+rendered_coefficients = (
+    st.sampled_from([1, -1, 0, Fraction(1), Fraction(-1)])
+    | st.integers(-12, 12)
+    | st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(
+        lambda c: c.denominator != 1)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(alphabet="dy", max_size=5).map(Word.parse),
+                       rendered_coefficients, max_size=6))
+def test_wordsum_rendering_is_the_fraction_rendering(coeffs):
+    assert str(WordSum(coeffs)) == reference_rendering(
+        {w: Fraction(c) for w, c in coeffs.items() if c})
+
+
 words_over_dy = st.text(alphabet="dy", max_size=6).map(Word.parse)
 
 
